@@ -2,6 +2,7 @@
 
 from .rootsys import (
     CartanSpec,
+    InvariantViolation,
     Root,
     RootSystem,
     build_root_system,
@@ -34,6 +35,7 @@ from .charpoly import (
     NotRegular,
     char_value,
     dim_polynomial,
+    dim_polynomial_parts,
     f_j,
     formal_character,
     freudenthal,

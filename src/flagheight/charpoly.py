@@ -2,9 +2,11 @@
 multiplicities (Freudenthal recursion plus a brute-force Kostant oracle),
 and formal/numeric Weyl characters.
 
-All polynomial arithmetic is sparse and exact over Fraction; the two
-indeterminates are the scaling variable m of the line bundle and the shift
-variable k along an isotropy root.
+The two indeterminates are the scaling variable m of the line bundle and
+the shift variable k along an isotropy root.  Products of the linear
+dimension factors run on integers (dim_polynomial_parts), keeping only the
+homogeneous parts asked for; BivariatePolynomial holds the exact sparse
+result over Fraction.
 """
 
 from __future__ import annotations
@@ -12,11 +14,11 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .parabolic import NotAmple, ParabolicData, check_ample, psi_grading
-from .rootsys import Root, RootSystem
+from .rootsys import InvariantViolation, Root, RootSystem
 from .weyl import enumerate_weyl, to_dominant_dotted
 
 
@@ -106,22 +108,69 @@ class BivariatePolynomial:
 # ---------------------------------------------------------------------
 
 
+def dim_polynomial_parts(pd: ParabolicData, lam, alpha: Root,
+                         low: int = 0, top: int | None = None):
+    """The dimension polynomial of alpha (see dim_polynomial) as R^{-1}
+    times an integer polynomial, R = prod_beta <beta^vee, rho>.
+
+    Scaling the factor of beta by r = <beta^vee, rho> makes it the integer
+    linear form r + a m + c k with a = <beta^vee, lam> and c = -<beta^vee,
+    alpha>.  Returns (R, parts), parts[d - low] = [e_0, ..., e_d] the
+    homogeneous part of degree d (e_i the coefficient of m^{d-i} k^i) for
+    low <= d <= top (default: the full degree |Sigma+|).  Parts below `low`
+    are never formed: after t of n factors only the degrees that the
+    remaining n - t factors can still lift to `low` are kept."""
+    rs = pd.rs
+    walpha = rs.root_to_weight(alpha.coords)
+    scale, denom, factors = 1, 1, []
+    for beta in rs.positive_roots:
+        r = rs._pairing(rs.rho, beta)
+        a = rs._pairing(lam, beta)
+        c = -rs._pairing(walpha, beta)
+        denom *= r
+        if a or c:
+            factors.append((r, a, c))
+        else:
+            scale *= r  # the factor is the constant r
+    n = len(factors)
+    top = len(rs.positive_roots) if top is None else top
+    parts = [[0] * (d + 1) for d in range(top + 1)]
+    parts[0][0] = scale
+    for t, (r, a, c) in enumerate(factors, 1):
+        # descending d, so that parts[d - 1] is still the previous product
+        for d in range(min(t, top), max(low - n + t, 0) - 1, -1):
+            cur = parts[d]
+            if d == 0:
+                cur[0] *= r
+                continue
+            prev = parts[d - 1]
+            if not c:
+                new = [r * x + a * p for x, p in zip(cur, prev)]
+                new.append(r * cur[d])
+            elif not a:
+                new = [r * x + c * q for x, q in zip(cur[1:], prev)]
+                new.insert(0, r * cur[0])
+            else:
+                new = [r * x + a * p + c * q
+                       for x, p, q in zip(cur[1:], prev[1:], prev)]
+                new.insert(0, r * cur[0] + a * prev[0])
+                new.append(r * cur[d] + c * prev[d - 1])
+            parts[d] = new
+    return denom, parts[low:]
+
+
 def dim_polynomial(pd: ParabolicData, lam, alpha: Root) -> BivariatePolynomial:
     """The Weyl dimension polynomial of the weight rho + m*lam - k*alpha:
     the product over beta in Sigma+ of
     (1 + (m <beta^vee, lam> - k <beta^vee, alpha>) / <beta^vee, rho>)."""
-    rs = pd.rs
     if alpha not in pd.psi:
         raise ValueError(f"{alpha.coords} is not an isotropy root")
     if not check_ample(pd, lam):
         raise NotAmple(f"{lam} is not ample for theta={sorted(pd.theta)}")
-    poly = BivariatePolynomial.constant(1)
-    for beta in rs.positive_roots:
-        denom = rs._pairing(rs.rho, beta)
-        cm = Fraction(rs._pairing(lam, beta), denom)
-        ck = Fraction(-rs.pairing_root(beta, alpha), denom)
-        poly = poly * BivariatePolynomial.linear(1, cm, ck)
-    return poly
+    denom, parts = dim_polynomial_parts(pd, lam, alpha)
+    return BivariatePolynomial.from_dict(
+        {(d - i, i): Fraction(e, denom)
+         for d, part in enumerate(parts) for i, e in enumerate(part)})
 
 
 def f_j(pd: ParabolicData, lam, j: int) -> BivariatePolynomial:
@@ -157,11 +206,13 @@ def weyl_dim(rs: RootSystem, lam0) -> int:
     if not rs.is_dominant(lam0):
         raise ValueError(f"{lam0} is not dominant")
     shifted = tuple(l + r for l, r in zip(lam0, rs.rho))
-    out = Fraction(1)
-    for beta in rs.positive_roots:
-        out *= Fraction(rs._pairing(shifted, beta), rs._pairing(rs.rho, beta))
-    assert out.denominator == 1
-    return int(out)
+    num = math.prod(rs._pairing(shifted, beta) for beta in rs.positive_roots)
+    den = math.prod(rs._pairing(rs.rho, beta) for beta in rs.positive_roots)
+    dim, rem = divmod(num, den)
+    if rem:
+        raise InvariantViolation(
+            f"Weyl dimension of {tuple(lam0)} is not an integer: {num}/{den}")
+    return dim
 
 
 def _dominant_weight_candidates(rs: RootSystem, lam0, subset):
@@ -243,7 +294,10 @@ def freudenthal(rs: RootSystem, lam0, subset=None) -> dict:
             dom_mult[mu] = 0
             continue
         val = 2 * acc / denom
-        assert val.denominator == 1
+        if val.denominator != 1:
+            raise InvariantViolation(
+                f"Freudenthal multiplicity of {mu} in the module of "
+                f"{lam0} is not an integer: {val}")
         dom_mult[mu] = int(val)
 
     # expand Weyl orbits

@@ -23,7 +23,6 @@ from fractions import Fraction
 from .cache import ENV_CACHE_DIR, cache_cosets
 from .charpoly import freudenthal, weyl_dim
 from .height import (
-    MethodDisagreement,
     NotRegularY,
     denominator_check,
     height_all_methods,
@@ -33,7 +32,8 @@ from .height import (
 )
 from .jantzen import jantzen_rhs, lambda0_component
 from .parabolic import NotAmple, build_parabolic
-from .rootsys import InvalidCartanSpec, build_root_system, parse_cartan_spec
+from .rootsys import InvalidCartanSpec, InvariantViolation, \
+    build_root_system, parse_cartan_spec
 from .weyl import DEFAULT_CAP, GroupTooLarge, coset_representatives, \
     to_dominant_dotted
 
@@ -171,6 +171,10 @@ def _height_doc(args, rs, theta, lam) -> dict:
         "conjecture_ok": denominator_check(res, c - 1),
         "elapsed_ms": elapsed_ms,
     }
+    if args.check_conjecture and args.output == "text":
+        doc["conjecture_note"] = (
+            f"prime powers in denom(2h) vs bound {c - 1}: "
+            f"{'ok' if doc['conjecture_ok'] else 'exceeded'}")
     return doc
 
 
@@ -330,11 +334,6 @@ def main(argv=None) -> int:
             theta = _theta_zero_based(
                 _parse_int_list(args.theta, "--theta"), rs.rank)
             doc = _height_doc(args, rs, theta, lam)
-            if args.check_conjecture and args.output == "text":
-                bound = rs.coxeter_number - 1
-                doc["conjecture_note"] = (
-                    f"prime powers in denom(2h) vs bound {bound}: "
-                    f"{'ok' if doc['conjecture_ok'] else 'exceeded'}")
         elif args.command == "jantzen-rhs":
             theta = _theta_zero_based(
                 _parse_int_list(args.theta, "--theta"), rs.rank)
@@ -351,7 +350,7 @@ def main(argv=None) -> int:
     except GroupTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except MethodDisagreement as exc:
+    except InvariantViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CROSSCHECK
     except (NotAmple, NotRegularY, ValueError) as exc:

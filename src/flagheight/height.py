@@ -14,9 +14,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charpoly import f_j
+from .charpoly import dim_polynomial_parts
+from .jantzen import prime_factorization
 from .parabolic import NotAmple, ParabolicData, check_ample, psi_grading
-from .rootsys import RootSystem
+from .rootsys import InvariantViolation, RootSystem
 from .weyl import coset_representatives, DEFAULT_CAP
 
 
@@ -24,7 +25,7 @@ class NotRegularY(ValueError):
     """The localization vector Y vanishes on some root."""
 
 
-class MethodDisagreement(AssertionError):
+class MethodDisagreement(InvariantViolation):
     """The independent height algorithms produced different values."""
 
 
@@ -37,26 +38,13 @@ class HeightResult:
     denominator_factorization: dict  # prime -> exponent, for denom(2*value)
 
 
-def _factorize(n: int) -> dict:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def _result(pd: ParabolicData, value: Fraction, method: str) -> HeightResult:
     return HeightResult(
         value=value,
         method=method,
         dim_plus_one=pd.dim + 1,
         coxeter=pd.rs.coxeter_number,
-        denominator_factorization=_factorize((2 * value).denominator),
+        denominator_factorization=prime_factorization((2 * value).denominator),
     )
 
 
@@ -72,15 +60,6 @@ def ht_coefficient(k: int) -> Fraction:
     return Fraction((-1) ** k, 2 * (k + 1) * math.factorial(k + 1))
 
 
-@dataclass(frozen=True)
-class HtSeries:
-    order: int
-
-    @property
-    def coefficients(self) -> dict:
-        return {k: ht_coefficient(k) for k in range(self.order + 1)}
-
-
 # ---------------------------------------------------------------------
 # method 1: polynomial substitution
 # ---------------------------------------------------------------------
@@ -89,17 +68,23 @@ class HtSeries:
 def height_substitution(pd: ParabolicData, lam) -> HeightResult:
     """Sum the graded dimension polynomials f_j(m,k), replace every power
     k^l (l >= 0) by (m j)^{l+1} / (2 (l+1)^2), take the coefficient of
-    m^{N+1} and multiply by (N+1)!."""
+    m^{N+1} and multiply by (N+1)!.
+
+    Only the degree-N part of each dimension polynomial reaches m^{N+1},
+    so only that part is formed, as integers over the common denominator
+    R (see dim_polynomial_parts).  With L = lcm(1..N+1) the sum is one
+    integer over 2 L^2 R, and the only Fraction is the final value."""
     grading = psi_grading(pd, lam)
     N = pd.dim
-    coeff = Fraction(0)
-    for j in grading.buckets:
-        poly = f_j(pd, lam, j)
-        for (em, ek), c in poly.terms.items():
-            # contributes to m^{em + ek + 1}
-            if em + ek + 1 == N + 1:
-                coeff += c * Fraction(j) ** (ek + 1) / (2 * (ek + 1) ** 2)
-    value = coeff * math.factorial(N + 1)
+    L = math.lcm(*range(1, N + 2))
+    total, R = 0, 1  # Psi empty: G/P is a point and the height is 0
+    for j, bucket in grading.buckets.items():
+        # k^l -> j^{l+1} L^2 / (l+1)^2, over 2 L^2
+        images = [j ** (l + 1) * (L // (l + 1)) ** 2 for l in range(N + 1)]
+        for alpha in bucket:
+            R, (part,) = dim_polynomial_parts(pd, lam, alpha, N, N)
+            total += sum(e * x for e, x in zip(part, images))
+    value = Fraction(total * math.factorial(N + 1), 2 * L * L * R)
     return _result(pd, value, "substitution")
 
 

@@ -39,6 +39,11 @@ class InvalidCartanSpec(ValueError):
     """Raised for malformed or out-of-range Cartan specifications."""
 
 
+class InvariantViolation(AssertionError):
+    """An identity that exact arithmetic guarantees failed to hold.  Raised
+    explicitly rather than by `assert`, so that it survives `python -O`."""
+
+
 @dataclass(frozen=True)
 class CartanSpec:
     """An ordered product of simple factors, e.g. B2 x A1."""

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from flagheight.charpoly import (
     char_value,
     check_regular_point,
     dim_polynomial,
+    dim_polynomial_parts,
     f_j,
     formal_character,
     freudenthal,
@@ -87,6 +89,50 @@ def test_dim_polynomial_specializes_to_weyl_dim(b2):
     # at k = 0 this is the dimension of the irreducible with h.w. m*lam
     for m in range(4):
         assert d.evaluate(m, 0) == weyl_dim(b2, (m, m))
+
+
+def _dim_polynomial_by_fractions(pd, lam, alpha):
+    """The product of the Fraction linear factors, multiplied out in full."""
+    rs = pd.rs
+    poly = B.constant(1)
+    for beta in rs.positive_roots:
+        r = rs._pairing(rs.rho, beta)
+        poly = poly * B.linear(1, Fraction(rs._pairing(lam, beta), r),
+                               Fraction(-rs.pairing_root(beta, alpha), r))
+    return poly
+
+
+@pytest.mark.parametrize("spec,theta,lam", [
+    ("A3", set(), (1, 2, 1)),
+    ("B3", {0}, (0, 1, 1)),
+    ("C3", {1, 2}, (2, 0, 0)),
+    ("G2", set(), (1, 1)),
+    ("B2xA1", {1}, (1, 0, 1)),
+])
+def test_dim_polynomial_matches_fraction_product(spec, theta, lam):
+    rs = build_root_system(spec)
+    pd = build_parabolic(rs, theta)
+    for alpha in pd.psi:
+        assert dim_polynomial(pd, lam, alpha).terms == \
+            _dim_polynomial_by_fractions(pd, lam, alpha).terms
+
+
+@pytest.mark.parametrize("spec,theta,lam", [
+    ("B3", set(), (1, 1, 1)),
+    ("D4", {0, 2, 3}, (0, 1, 0, 0)),
+])
+def test_truncated_parts_match_full_product(spec, theta, lam):
+    rs = build_root_system(spec)
+    pd = build_parabolic(rs, theta)
+    n = rs.num_positive_roots
+    for alpha in pd.psi:
+        R, full = dim_polynomial_parts(pd, lam, alpha)
+        assert R == math.prod(rs._pairing(rs.rho, b)
+                              for b in rs.positive_roots)
+        assert [len(part) for part in full] == list(range(1, n + 2))
+        for low, top in [(pd.dim, pd.dim), (0, 3), (2, n - 1), (n, n)]:
+            assert dim_polynomial_parts(pd, lam, alpha, low, top) == \
+                (R, full[low:top + 1])
 
 
 @pytest.mark.parametrize("spec,theta,lam", [

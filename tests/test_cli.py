@@ -1,8 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 
 from flagheight.cli import (
     EXIT_CAP,
+    EXIT_CROSSCHECK,
     EXIT_MATH,
     EXIT_OK,
     EXIT_PARSE,
@@ -106,6 +111,62 @@ def test_scan_csv(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 3  # header + two maximal parabolics
     assert lines[0].startswith("group,")
+
+
+def test_scan_check_conjecture(capsys):
+    code, out, _ = run(capsys, "scan", "--group", "A2", "--output", "text",
+                       "--check-conjecture")
+    assert code == EXIT_OK
+    notes = re.findall(r"^conjecture_note +(.*)$", out, re.M)
+    assert notes == ["prime powers in denom(2h) vs bound 2: ok"] * 2
+    # JSON is unchanged by the flag
+    plain, flagged = (
+        re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0',
+               run(capsys, "scan", "--group", "A2", *extra)[1])
+        for extra in ([], ["--check-conjecture"]))
+    assert flagged == plain
+    assert "conjecture_note" not in plain
+
+
+def test_height_check_conjecture_text(capsys):
+    _, out, _ = run(capsys, "height", "--group", "A2", "--theta", "2",
+                    "--lambda", "1,0", "--output", "text",
+                    "--check-conjecture")
+    assert "conjecture_note" in out
+
+
+_SKEWED_RHO = textwrap.dedent("""
+    import sys
+    from flagheight import cli
+    from flagheight.rootsys import build_root_system
+
+    class Skewed:
+        # the root system with rho doubled: Weyl dimensions and Freudenthal
+        # multiplicities computed from it are not integers
+        def __init__(self, rs):
+            self._rs = rs
+            self.rho = tuple(2 * r for r in rs.rho)
+
+        def __getattr__(self, name):
+            return getattr(self._rs, name)
+
+    cli.build_root_system = lambda spec: Skewed(build_root_system(spec))
+    sys.exit(cli.main(sys.argv[1:]))
+""")
+
+
+def test_integrality_checks_survive_python_O():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    for argv, what in [(["dim", "--lambda", "1,0"], "Weyl dimension"),
+                       (["char", "--lambda", "1,1"], "Freudenthal")]:
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", _SKEWED_RHO, argv[0],
+             "--group", "A2", *argv[1:]],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_CROSSCHECK, proc.stderr
+        assert what in proc.stderr and "not an integer" in proc.stderr
+        assert proc.stdout == ""
 
 
 def test_print_numbering(capsys):

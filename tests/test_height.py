@@ -20,7 +20,8 @@ from flagheight.height import (
     height_substitution,
     ht_coefficient,
 )
-from flagheight.parabolic import NotAmple, build_parabolic
+from flagheight.charpoly import f_j
+from flagheight.parabolic import NotAmple, build_parabolic, psi_grading
 from flagheight.rootsys import build_root_system
 
 
@@ -126,6 +127,74 @@ def test_g2_full_flag_rho():
     pd = build_parabolic(rs, set())
     res = height_all_methods(pd, (1, 1))
     assert res.value == Fraction(173264, 15)
+
+
+# -- the integer substitution kernel ------------------------------------
+
+
+def maximal_parabolics(spec):
+    """(P_i, omega_i) for every simple index i: theta = Pi minus {i}."""
+    rs = build_root_system(spec)
+    for i in range(rs.rank):
+        lam = tuple(int(k == i) for k in range(rs.rank))
+        yield build_parabolic(rs, set(range(rs.rank)) - {i}), lam
+
+
+def substitution_by_fractions(pd, lam):
+    """The substitution formula over Fraction, from the full polynomials
+    f_j: every k^l -> (m j)^{l+1} / (2 (l+1)^2), then (N+1)! times the
+    coefficient of m^{N+1}."""
+    N = pd.dim
+    coeff = Fraction(0)
+    for j in psi_grading(pd, lam).buckets:
+        for (em, ek), c in f_j(pd, lam, j).terms.items():
+            if em + ek == N:
+                coeff += c * Fraction(j) ** (ek + 1) / (2 * (ek + 1) ** 2)
+    return coeff * math.factorial(N + 1)
+
+
+@pytest.mark.parametrize("spec", [
+    "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3", "C4", "C5",
+    "D4", "D5", "G2", "F4",
+])
+def test_substitution_matches_fraction_route(spec):
+    for pd, lam in maximal_parabolics(spec):
+        assert height_substitution(pd, lam).value == \
+            substitution_by_fractions(pd, lam)
+
+
+def test_substitution_matches_fraction_route_off_omega():
+    rs = build_root_system("B3")
+    for theta, lam in [(set(), (2, 1, 1)), ({1}, (1, 0, 3))]:
+        pd = build_parabolic(rs, theta)
+        assert height_substitution(pd, lam).value == \
+            substitution_by_fractions(pd, lam)
+
+
+@pytest.mark.parametrize("spec", ["F4", "E6"])
+def test_substitution_matches_fixed_point_exceptional(spec):
+    for pd, lam in maximal_parabolics(spec):
+        assert height_substitution(pd, lam).value == \
+            height_fixed_point(pd, lam).value
+
+
+@pytest.mark.parametrize("spec,node,value", [
+    ("E7", 1, Fraction(562664108411709, 48620)),
+    ("E7", 7, Fraction(178661786363, 255255)),
+    # equal to the fixed-point sum over the 240 cosets of E8/P8
+    ("E8", 8, Fraction(2081127677005873362797621, 99533742)),
+])
+def test_substitution_golden_values(spec, node, value):
+    pd, lam = list(maximal_parabolics(spec))[node - 1]
+    res = height_substitution(pd, lam)
+    assert res.value == value
+    assert res.dim_plus_one == pd.dim + 1
+
+
+def test_substitution_on_a_point_is_zero():
+    rs = build_root_system("A2")
+    pd = build_parabolic(rs, {0, 1})
+    assert height_substitution(pd, (0, 0)).value == 0
 
 
 # -- localization properties -------------------------------------------
