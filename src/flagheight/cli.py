@@ -15,12 +15,10 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from fractions import Fraction
 
-from .cache import ENV_CACHE_DIR, cache_cosets
 from .charpoly import freudenthal, weyl_dim
 from .height import (
     NotRegularY,
@@ -34,8 +32,7 @@ from .jantzen import jantzen_rhs, lambda0_component
 from .parabolic import NotAmple, build_parabolic
 from .rootsys import InvalidCartanSpec, InvariantViolation, \
     build_root_system, parse_cartan_spec
-from .weyl import DEFAULT_CAP, GroupTooLarge, coset_representatives, \
-    to_dominant_dotted
+from .weyl import DEFAULT_CAP, GroupTooLarge, to_dominant_dotted
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -83,13 +80,6 @@ def _require_lambda(lam, rank: int):
     if len(lam) != rank:
         raise ValueError(f"lambda has {len(lam)} coordinates, rank is {rank}")
     return tuple(lam)
-
-
-def _get_cosets(args, rs, theta):
-    cache_dir = args.cache_dir or os.environ.get(ENV_CACHE_DIR)
-    if cache_dir:
-        return cache_cosets(cache_dir, rs, theta, args.cap)
-    return coset_representatives(rs, theta, args.cap)
 
 
 def _emit(doc: dict, fmt: str, rows=None) -> str:
@@ -142,20 +132,17 @@ def _height_doc(args, rs, theta, lam) -> dict:
     if Y is not None and len(Y) != rs.rank:
         raise ValueError(f"--y has {len(Y)} coordinates, rank is {rs.rank}")
     start = time.monotonic()
-    cosets = None
-    if args.method in ("all", "fixed-point", "harmo-bott"):
-        cosets = _get_cosets(args, rs, theta)
     if args.method == "all":
-        res = height_all_methods(pd, lam, Y, args.cap, cosets)
+        res = height_all_methods(pd, lam, Y, args.cap)
         agreed = True
     elif args.method == "substitution":
         res = height_substitution(pd, lam)
         agreed = None
     elif args.method == "fixed-point":
-        res = height_fixed_point(pd, lam, Y, args.cap, cosets)
+        res = height_fixed_point(pd, lam, Y, args.cap)
         agreed = None
     else:
-        res = height_harmo_bott(pd, lam, Y, args.cap, cosets)
+        res = height_harmo_bott(pd, lam, Y, args.cap)
         agreed = None
     elapsed_ms = int(1000 * (time.monotonic() - start))
     c = rs.coxeter_number
@@ -250,8 +237,6 @@ def build_argument_parser() -> argparse.ArgumentParser:
                         default="json")
     common.add_argument("--cap", type=int, default=DEFAULT_CAP,
                         help="abort if a Weyl enumeration exceeds this size")
-    common.add_argument("--cache-dir", default=None,
-                        help=f"coset cache root (default ${ENV_CACHE_DIR})")
     common.add_argument("--print-numbering", action="store_true",
                         help="print the simple-root numbering table and exit")
 

@@ -189,8 +189,10 @@ def height_harmo_bott(pd: ParabolicData, lam, Y=None,
 
 
 def height_all_methods(pd: ParabolicData, lam, Y=None,
-                       cap: int = DEFAULT_CAP, cosets=None) -> HeightResult:
-    """Run all three algorithms and insist on exact agreement."""
+                       cap: int = DEFAULT_CAP) -> HeightResult:
+    """Run all three algorithms and insist on exact agreement.  The cosets
+    are enumerated once, first, so that a cap is hit before any work."""
+    cosets = coset_representatives(pd.rs, pd.theta, cap)
     h1 = height_substitution(pd, lam)
     h2 = height_fixed_point(pd, lam, Y, cap, cosets)
     h3 = height_harmo_bott(pd, lam, Y, cap, cosets)

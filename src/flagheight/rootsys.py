@@ -155,6 +155,16 @@ def _invert_rational(M: list[list[int]]) -> list[list[Fraction]]:
     return [row[n:] for row in aug]
 
 
+def _simple_reflect_root(A, i: int, beta: Root) -> Root:
+    """s_i(beta) for the Cartan matrix A, on root and coroot coordinates."""
+    n = len(A)
+    rc = list(beta.coords)
+    rc[i] -= sum(A[i][j] * beta.coords[j] for j in range(n))
+    cc = list(beta.coroot)
+    cc[i] -= sum(beta.coroot[j] * A[j][i] for j in range(n))
+    return Root(tuple(rc), tuple(cc))
+
+
 @dataclass(frozen=True)
 class RootSystem:
     spec: CartanSpec
@@ -165,7 +175,7 @@ class RootSystem:
     factor_of_index: tuple[int, ...]  # simple index -> factor number
     _cartan_inverse: tuple[tuple[Fraction, ...], ...]
     _symmetrizer: tuple[int, ...]  # d_i with d_i A[i][j] symmetric
-    _root_coord_set: frozenset = frozenset()
+    _root_coord_set: frozenset  # coordinates of all roots, both signs
 
     # -- basics -------------------------------------------------------
 
@@ -229,14 +239,7 @@ class RootSystem:
 
     def simple_reflect_root(self, i: int, beta: Root) -> Root:
         """s_i(beta), transforming root and coroot coordinates together."""
-        A = self.cartan_matrix
-        p_root = sum(A[i][j] * beta.coords[j] for j in range(self.rank))
-        p_co = sum(beta.coroot[j] * A[j][i] for j in range(self.rank))
-        rc = list(beta.coords)
-        rc[i] -= p_root
-        cc = list(beta.coroot)
-        cc[i] -= p_co
-        return Root(tuple(rc), tuple(cc))
+        return _simple_reflect_root(self.cartan_matrix, i, beta)
 
     def simple_root(self, i: int) -> Root:
         e = tuple(int(j == i) for j in range(self.rank))
@@ -334,27 +337,17 @@ def build_root_system(spec: CartanSpec | str) -> RootSystem:
         factor_of_index.extend([f] * r)
         offset += r
 
-    rs = RootSystem(
-        spec=spec,
-        cartan_matrix=tuple(tuple(row) for row in A),
-        positive_roots=(),
-        rho=tuple([1] * rank),
-        coxeter_numbers=(),
-        factor_of_index=tuple(factor_of_index),
-        _cartan_inverse=tuple(tuple(row) for row in _invert_rational(A)),
-        _symmetrizer=tuple(_symmetrizer_for(A, blocks)),
-    )
+    A = tuple(tuple(row) for row in A)
 
-    # breadth-first closure under simple reflections
-    seen = {}
-    frontier = [rs.simple_root(i) for i in range(rank)]
-    for r in frontier:
-        seen[r.coords] = r
+    # breadth-first closure of the simple roots under simple reflections
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    frontier = [Root(e, e) for e in units]
+    seen = {r.coords: r for r in frontier}
     while frontier:
         nxt = []
         for beta in frontier:
             for i in range(rank):
-                g = rs.simple_reflect_root(i, beta)
+                g = _simple_reflect_root(A, i, beta)
                 if g.is_positive and g.coords not in seen:
                     seen[g.coords] = g
                     nxt.append(g)
@@ -367,18 +360,21 @@ def build_root_system(spec: CartanSpec | str) -> RootSystem:
         nroots = 2 * sum(1 for r in positive
                          if any(r.coords[i] for i in block))
         c, rem = divmod(nroots, len(block))
-        assert rem == 0, "Coxeter identity c * rank = #roots failed"
+        if rem:
+            raise InvariantViolation(
+                f"Coxeter identity c * rank = #roots failed for {spec}: "
+                f"{nroots} roots on a factor of rank {len(block)}")
         cox.append(c)
 
     return RootSystem(
         spec=spec,
-        cartan_matrix=rs.cartan_matrix,
+        cartan_matrix=A,
         positive_roots=positive,
-        rho=rs.rho,
+        rho=tuple([1] * rank),
         coxeter_numbers=tuple(cox),
-        factor_of_index=rs.factor_of_index,
-        _cartan_inverse=rs._cartan_inverse,
-        _symmetrizer=rs._symmetrizer,
+        factor_of_index=tuple(factor_of_index),
+        _cartan_inverse=tuple(tuple(row) for row in _invert_rational(A)),
+        _symmetrizer=tuple(_symmetrizer_for(A, blocks)),
         _root_coord_set=frozenset(r.coords for r in positive)
         | frozenset(tuple(-c for c in r.coords) for r in positive),
     )

@@ -1,9 +1,9 @@
 """Weyl group enumeration, dotted action, and minimal coset representatives.
 
-Elements are deduplicated by their action on rho (a regular weight, so the
-orbit map is faithful).  Breadth-first search with simple reflections tried
-in increasing index order yields, for every element, the lexicographically
-least among its minimal-length words.
+Every enumeration is one breadth-first search over the orbit of a weight
+under left multiplication by simple reflections, tried in increasing index
+order.  Read from right to left, the word it gives each element is the
+lexicographically least of that element's reduced words.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .rootsys import Root, RootSystem
+from .rootsys import InvariantViolation, Root, RootSystem
 
 DEFAULT_CAP = 10**6
 
@@ -67,31 +67,16 @@ def identity_element(rs: RootSystem) -> WeylElement:
 
 
 def element_from_word(rs: RootSystem, word) -> WeylElement:
-    """Build an element from a word; the length recorded is the number of
-    inversions, which equals len(word) iff the word is reduced."""
+    """Build an element from any word, reduced or not.  The length is the
+    number of positive roots beta with <beta^vee, w rho> < 0, which equals
+    len(word) iff the word is reduced."""
     M = _identity_matrix(rs.rank)
     for i in word:
         M = _matmul(M, _simple_matrix(rs, i))
     w = WeylElement(tuple(word), M, 0)
-    return WeylElement(tuple(word), M, inversion_length(rs, w))
-
-
-def inversion_length(rs: RootSystem, w: WeylElement) -> int:
-    """Number of positive roots sent to negative roots by w^{-1} -- i.e. by
-    the inverse action; equals l(w)."""
-    winv = element_from_word_unchecked(rs, tuple(reversed(w.word)))
-    count = 0
-    for beta in rs.positive_roots:
-        if not winv.act_root(rs, beta).is_positive:
-            count += 1
-    return count
-
-
-def element_from_word_unchecked(rs: RootSystem, word) -> WeylElement:
-    M = _identity_matrix(rs.rank)
-    for i in word:
-        M = _matmul(M, _simple_matrix(rs, i))
-    return WeylElement(tuple(word), M, len(word))
+    wrho = w.act_weight(rs.rho)
+    length = sum(1 for beta in rs.positive_roots if rs._pairing(wrho, beta) < 0)
+    return WeylElement(w.word, M, length)
 
 
 _WEYL_ORDER = {
@@ -115,49 +100,47 @@ def weyl_order(rs: RootSystem) -> int:
 
 def subgroup_order(rs: RootSystem, theta) -> int:
     """|W_Theta| for the standard Levi of type theta (0-based indices),
-    by enumerating the subgroup generated by the reflections in theta."""
-    return len(_orbit_bfs(rs, rs.rho, generators=sorted(theta), cap=None))
+    as the size of the W_Theta-orbit of rho."""
+    return len(_orbit_bfs(rs, rs.rho, sorted(theta), cap=None))
 
 
 def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_CAP) -> list[WeylElement]:
-    """Complete enumeration of W_G by BFS over right multiplication with
-    simple reflections, tracking the orbit of rho."""
+    """Complete enumeration of W_G as the orbit of rho."""
     order = weyl_order(rs)
     if order > cap:
         raise GroupTooLarge(
             f"Weyl group of {rs.spec} has order {order}, exceeding the cap {cap}")
-    return _orbit_bfs(rs, rs.rho, generators=range(rs.rank), cap=cap)
+    return _orbit_bfs(rs, rs.rho, range(rs.rank), cap)
 
 
 def _orbit_bfs(rs: RootSystem, xi, generators, cap) -> list[WeylElement]:
-    """BFS over right multiplication by the given simple reflections,
-    deduplicating elements by their action on xi.  With xi regular for the
-    generated subgroup this enumerates that subgroup; with xi chosen to have
-    stabilizer W_Theta it enumerates minimal-length W_G/W_Theta coset
-    representatives.  Words come out lexicographically least among
-    minimal-length words."""
-    n = rs.rank
-    generators = list(generators)
+    """One element per point of the orbit of the weight xi under the
+    subgroup W' generated by the given simple reflections: the
+    minimal-length representatives of W' / Stab(xi), in BFS order from the
+    identity.  Points are reached by left multiplication, s_i w xi, and any
+    left descent of a minimal representative is again one, so every point
+    is reached through a reduced word."""
     smats = {i: _simple_matrix(rs, i) for i in generators}
-    sxi = {i: rs.simple_reflect_weight(i, xi) for i in generators}
     start = identity_element(rs)
-    seen = {tuple(xi)}
+    seen = {xi}
     out = [start]
-    frontier = [(start, tuple(xi))]
+    frontier = [(start, xi)]
     while frontier:
         nxt = []
-        for w, _orbit in frontier:
+        for w, point in frontier:
             for i in generators:
-                orbit2 = w.act_weight(sxi[i])
-                if orbit2 in seen:
+                point2 = rs.simple_reflect_weight(i, point)
+                if point2 in seen:
                     continue
-                seen.add(orbit2)
-                w2 = WeylElement(w.word + (i,), _matmul(w.matrix, smats[i]),
+                seen.add(point2)
+                w2 = WeylElement((i,) + w.word, _matmul(smats[i], w.matrix),
                                  w.length + 1)
                 out.append(w2)
-                nxt.append((w2, orbit2))
+                nxt.append((w2, point2))
                 if cap is not None and len(out) > cap:
-                    raise GroupTooLarge(f"enumeration exceeded the cap {cap}")
+                    raise GroupTooLarge(
+                        f"W/Stab({list(xi)}) has more than {cap} cosets, "
+                        f"exceeding the cap {cap}")
         frontier = nxt
     return out
 
@@ -173,38 +156,18 @@ def coset_representatives(rs: RootSystem, theta, cap: int = DEFAULT_CAP) -> Cose
     per coset, in BFS (length-first) order starting from the identity.
 
     Left cosets w W_Theta biject with the orbit of the weight xi (zero on
-    theta, one elsewhere) whose stabilizer is exactly W_Theta, so the BFS
-    runs over that orbit with left multiplication by simple reflections:
-    only one element per coset is ever materialized.  Any left descent of a
-    minimal-length representative is again one, so BFS by levels reaches
-    every coset through minimal words."""
+    theta, one elsewhere) whose stabilizer is exactly W_Theta, so only one
+    element per coset is ever materialized."""
     theta = frozenset(theta)
     if not theta <= set(range(rs.rank)):
         raise ValueError(f"theta {sorted(theta)} out of range")
     xi = tuple(0 if i in theta else 1 for i in range(rs.rank))
-    smats = {i: _simple_matrix(rs, i) for i in range(rs.rank)}
-    start = identity_element(rs)
-    seen = {xi}
-    reps = [start]
-    frontier = [(start, xi)]
-    while frontier:
-        nxt = []
-        for w, point in frontier:
-            for i in range(rs.rank):
-                point2 = rs.simple_reflect_weight(i, point)
-                if point2 in seen:
-                    continue
-                seen.add(point2)
-                w2 = WeylElement((i,) + w.word, _matmul(smats[i], w.matrix),
-                                 w.length + 1)
-                reps.append(w2)
-                nxt.append((w2, point2))
-                if len(reps) > cap:
-                    raise GroupTooLarge(
-                        f"W_G/W_Theta has more than {cap} cosets, "
-                        f"exceeding the cap {cap}")
-        frontier = nxt
-    assert weyl_order(rs) % len(reps) == 0
+    reps = _orbit_bfs(rs, xi, range(rs.rank), cap)
+    order = weyl_order(rs)
+    if order % len(reps):
+        raise InvariantViolation(
+            f"the {len(reps)} cosets of W_Theta, theta={sorted(theta)}, "
+            f"do not divide |W| = {order} for {rs.spec}")
     return CosetList(theta=theta, reps=tuple(reps))
 
 
@@ -242,9 +205,12 @@ def to_dominant_dotted(rs: RootSystem, lam):
     return w, lam0
 
 
-def longest_element(rs: RootSystem, cap: int = DEFAULT_CAP) -> WeylElement:
-    """The unique element of maximal length (maps Sigma+ to Sigma-)."""
-    elements = enumerate_weyl(rs, cap)
-    w0 = max(elements, key=lambda w: w.length)
-    assert w0.length == rs.num_positive_roots
+def longest_element(rs: RootSystem) -> WeylElement:
+    """The unique element of maximal length (maps Sigma+ to Sigma-): the
+    element that reduces -rho to rho."""
+    w0, _ = to_dominant_dotted(rs, tuple(-2 * r for r in rs.rho))
+    if w0.length != rs.num_positive_roots:
+        raise InvariantViolation(
+            f"w0 of {rs.spec} has length {w0.length}, "
+            f"not |Sigma+| = {rs.num_positive_roots}")
     return w0

@@ -169,6 +169,33 @@ def test_integrality_checks_survive_python_O():
         assert proc.stdout == ""
 
 
+_BAD_WEYL_ORDER = textwrap.dedent("""
+    import sys
+    from flagheight import cli, weyl
+
+    # an order that no coset count divides
+    weyl.weyl_order = lambda rs: 7
+    sys.exit(cli.main(sys.argv[1:]))
+""")
+
+
+def test_coset_count_check_survives_python_O():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BAD_WEYL_ORDER, "height",
+         "--group", "A2", "--theta", "", "--lambda", "1,1"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_CROSSCHECK, proc.stderr
+    assert "do not divide |W| = 7" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_cache_dir_is_gone(capsys):
+    assert run(capsys, "height", "--group", "A1", "--theta", "",
+               "--lambda", "1", "--cache-dir", "x")[0] == EXIT_PARSE
+
+
 def test_print_numbering(capsys):
     code, out, _ = run(capsys, "height", "--group", "B2", "--print-numbering")
     assert code == EXIT_OK
@@ -202,25 +229,6 @@ def test_cap_exceeded(capsys):
                        "--lambda", "1,1,1,1,1,1", "--cap", "100")
     assert code == EXIT_CAP
     assert "100" in err
-
-
-def test_cache_dir_flag(tmp_path, capsys):
-    code, out, _ = run(capsys, "height", "--group", "B2", "--theta", "",
-                       "--lambda", "1,1", "--cache-dir", str(tmp_path))
-    assert code == EXIT_OK
-    assert list(tmp_path.iterdir())
-    # second run hits the cache and agrees
-    code2, out2, _ = run(capsys, "height", "--group", "B2", "--theta", "",
-                         "--lambda", "1,1", "--cache-dir", str(tmp_path))
-    assert json.loads(out)["height"] == json.loads(out2)["height"]
-
-
-def test_env_cache_dir(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("FLAGHEIGHT_CACHE_DIR", str(tmp_path))
-    code, _, _ = run(capsys, "height", "--group", "A2", "--theta", "",
-                     "--lambda", "1,1")
-    assert code == EXIT_OK
-    assert list(tmp_path.iterdir())
 
 
 def test_text_output(capsys):

@@ -105,6 +105,23 @@ def test_longest_element(b2):
     assert w0.act_weight(b2.rho) == (-1, -1)
 
 
+@pytest.mark.parametrize("spec,length", [("E7", 63), ("E8", 120)])
+def test_longest_element_exceptional(spec, length):
+    rs = build_root_system(spec)
+    w0 = longest_element(rs)
+    assert w0.length == length
+    assert w0.act_weight(rs.rho) == tuple(-r for r in rs.rho)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["B2", "G2"]), st.lists(st.integers(0, 1), max_size=12))
+def test_word_length_matches_enumeration(spec, word):
+    rs = build_root_system(spec)
+    lengths = {w.matrix: w.length for w in enumerate_weyl(rs)}
+    w = element_from_word(rs, word)
+    assert w.length == lengths[w.matrix]
+
+
 word_st = st.lists(st.integers(0, 1), max_size=6)
 
 
