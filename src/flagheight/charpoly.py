@@ -12,7 +12,6 @@ result over Fraction.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -215,32 +214,6 @@ def weyl_dim(rs: RootSystem, lam0) -> int:
     return dim
 
 
-def _dominant_weight_candidates(rs: RootSystem, lam0, subset):
-    """All subset-dominant weights mu with lam0 - mu a non-negative integer
-    combination of the simple roots in subset.  Box bound: with c the root
-    coordinates of lam0 - mu, A_S c <= lam0|_S so c <= A_S^{-1} lam0|_S."""
-    from .rootsys import _invert_rational
-
-    S = sorted(subset)
-    if not S:
-        return [tuple(lam0)]
-    sub_A = [[rs.cartan_matrix[i][j] for j in S] for i in S]
-    sub_inv = _invert_rational(sub_A)
-    bounds = []
-    for r in range(len(S)):
-        b = sum(sub_inv[r][c] * lam0[S[c]] for c in range(len(S)))
-        bounds.append(int(b))
-    out = []
-    for combo in itertools.product(*(range(b + 1) for b in bounds)):
-        mu = list(lam0)
-        for idx, ci in zip(S, combo):
-            for r in range(rs.rank):
-                mu[r] -= ci * rs.cartan_matrix[r][idx]
-        if all(mu[i] >= 0 for i in S):
-            out.append(tuple(mu))
-    return out
-
-
 def freudenthal(rs: RootSystem, lam0, subset=None) -> dict:
     """Full weight-multiplicity table (weight -> multiplicity) of the
     irreducible representation with highest weight lam0, by the Freudenthal
@@ -249,61 +222,71 @@ def freudenthal(rs: RootSystem, lam0, subset=None) -> dict:
     With `subset` given, the representation is the one of the Levi subsystem
     generated by those simple roots (lam0 must be dominant there); this is
     used for the localized Lefschetz character sums.
+
+    The dominant weights below lam0 are the closure of lam0 under
+    subtracting positive roots and keeping dominant results: when lam covers
+    mu among dominant weights, lam - mu is a positive root (Stembridge, The
+    partial order of dominant weights, Adv. Math. 1998).  The closure carries
+    the root coordinates of lam0 - mu, so the recursion runs on integers.
     """
     subset = tuple(range(rs.rank)) if subset is None else tuple(sorted(subset))
     if not rs.is_dominant(lam0, subset):
         raise ValueError(f"{lam0} is not dominant on {subset}")
     lam0 = tuple(lam0)
-    pos = [b for b in rs.positive_roots
-           if {i for i, c in enumerate(b.coords) if c} <= set(subset)]
-    fw = {b: rs.root_to_weight(b.coords) for b in pos}
+    d = rs._symmetrizer
+    # per positive root b of the subset: b in fw coordinates, the
+    # coefficients of (b, nu) = sum_i b_i d_i nu_i, and (b, b)
+    pos = []
+    for b in rs.positive_roots:
+        if all(i in subset for i, c in enumerate(b.coords) if c):
+            fw = rs.root_to_weight(b.coords)
+            bd = tuple(c * di for c, di in zip(b.coords, d))
+            pos.append((b.coords, fw, bd, sum(x * f for x, f in zip(bd, fw))))
 
-    candidates = _dominant_weight_candidates(rs, lam0, subset)
-    # order by decreasing height of mu (equivalently increasing depth)
-    def depth(mu):
-        c = rs.weight_to_root_coords(tuple(l - m for l, m in zip(lam0, mu)))
-        return sum(c)
+    # below[mu]: the root coordinates of lam0 - mu, for every weight mu
+    # dominant on the subset with lam0 - mu in the subset's positive cone
+    below = {lam0: (0,) * rs.rank}
+    frontier = [lam0]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            for coords, fw, _, _ in pos:
+                nu = tuple(m - f for m, f in zip(mu, fw))
+                if nu not in below and all(nu[i] >= 0 for i in subset):
+                    below[nu] = tuple(x + c for x, c in zip(below[mu], coords))
+                    nxt.append(nu)
+        frontier = nxt
 
-    candidates.sort(key=depth)
-    mult: dict[tuple, int] = {}
-    # (lam0 + rho, lam0 + rho) with the full rho works for the Levi too,
-    # since lam0 - mu lies in the span of the subset roots
-    rho = rs.rho
-    lr = tuple(l + r for l, r in zip(lam0, rho))
-    norm_top = rs.inner(lr, lr)
-    dom_mult: dict[tuple, int] = {}
-    for mu in candidates:
-        if mu == lam0:
-            dom_mult[mu] = 1
-            continue
-        acc = Fraction(0)
-        for b in pos:
-            k = 1
+    # each mu needs only weights of smaller depth sum(below[mu]); alpha-strings
+    # through weights are unbroken, so a string stops at its first nu whose
+    # dominant representative is not below lam0
+    dom_mult: dict[tuple, int] = {lam0: 1}
+    for mu in sorted(below, key=lambda mu: sum(below[mu]))[1:]:
+        acc = 0
+        for _, fw, bd, step in pos:
+            pair = sum(x * m for x, m in zip(bd, mu))
+            nu = mu
             while True:
-                nu = tuple(m + k * f for m, f in zip(mu, fw[b]))
+                nu = tuple(n + f for n, f in zip(nu, fw))
+                pair += step
                 nd, _ = rs.dominant_representative(nu, subset)
-                mnu = dom_mult.get(nd, 0)
-                if mnu == 0 and not _leq_in_root_cone(rs, nd, lam0, subset):
+                if nd not in below:
                     break
-                if mnu:
-                    acc += mnu * rs.inner(nu, rs.root_to_weight(b.coords))
-                k += 1
-        mr = tuple(m + r for m, r in zip(mu, rho))
-        denom = norm_top - rs.inner(mr, mr)
-        if denom == 0:
-            dom_mult[mu] = 0
-            continue
-        val = 2 * acc / denom
-        if val.denominator != 1:
+                acc += dom_mult[nd] * pair
+        # (lam0 + rho)^2 - (mu + rho)^2 with the full rho works for the Levi
+        # too, since lam0 - mu lies in the span of the subset roots
+        denom = sum(c * di * (l + m + 2 * r) for c, di, l, m, r
+                    in zip(below[mu], d, lam0, mu, rs.rho))
+        if denom <= 0 or 2 * acc % denom:
             raise InvariantViolation(
                 f"Freudenthal multiplicity of {mu} in the module of "
-                f"{lam0} is not an integer: {val}")
-        dom_mult[mu] = int(val)
+                f"{lam0} is not an integer over a positive denominator: "
+                f"{2 * acc}/{denom}")
+        dom_mult[mu] = 2 * acc // denom
 
     # expand Weyl orbits
+    mult: dict[tuple, int] = {}
     for mu, m in dom_mult.items():
-        if m == 0:
-            continue
         orbit = {mu}
         frontier = [mu]
         while frontier:
@@ -318,17 +301,6 @@ def freudenthal(rs: RootSystem, lam0, subset=None) -> dict:
         for nu in orbit:
             mult[nu] = m
     return mult
-
-
-def _leq_in_root_cone(rs: RootSystem, mu, lam0, subset) -> bool:
-    """lam0 - mu a non-negative integral combination of subset simple roots."""
-    c = rs.weight_to_root_coords(tuple(l - m for l, m in zip(lam0, mu)))
-    for i, ci in enumerate(c):
-        if ci.denominator != 1 or ci < 0:
-            return False
-        if ci > 0 and i not in subset:
-            return False
-    return True
 
 
 def _kostant_partition_count(rs: RootSystem, target) -> int:

@@ -7,6 +7,9 @@ numbered 1..rank in the deterministic ordering printed by
 Exit codes: 0 success, 2 argument or parse error, 3 invalid mathematical
 input (non-ample weight, bad localization vector, out-of-range indices),
 4 enumeration size cap exceeded, 5 internal cross-check failure.
+
+A reader that closes stdout early (e.g. `flagheight scan ... | head`) is
+not an error: the rest of the output is discarded and the exit code is 0.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -98,6 +102,18 @@ def _emit(doc: dict, fmt: str, rows=None) -> str:
     width = max(len(k) for k in doc)
     return "".join(f"{k.ljust(width)}  {_textval(v)}\n"
                    for k, v in doc.items())
+
+
+def _write(text: str) -> None:
+    """Write text to stdout.  If the reader has closed the pipe, point
+    stdout at os.devnull, so that the flush at shutdown does not raise."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _flatten(doc: dict, prefix: str = "") -> dict:
@@ -250,15 +266,19 @@ def build_argument_parser() -> argparse.ArgumentParser:
                            help="1-based simple indices of the Levi, comma "
                                 "list; empty for the Borel")
 
-    p = sub.add_parser("height", parents=[common, theta_opt, lam_opt],
-                       help="height of (G/P_theta, L_lambda)")
-    p.add_argument("--method", default="all",
-                   choices=["all", "substitution", "fixed-point",
-                            "harmo-bott"])
-    p.add_argument("--y", default="",
-                   help="localization vector (alpha_i(Y) values), comma list")
-    p.add_argument("--check-conjecture", action="store_true",
-                   help="also print the conjectural denominator verdict")
+    height_opts = argparse.ArgumentParser(add_help=False)
+    height_opts.add_argument("--method", default="all",
+                             choices=["all", "substitution", "fixed-point",
+                                      "harmo-bott"])
+    height_opts.add_argument("--y", default="",
+                             help="localization vector (alpha_i(Y) values), "
+                                  "comma list")
+    height_opts.add_argument("--check-conjecture", action="store_true",
+                             help="also print the conjectural denominator "
+                                  "verdict")
+
+    sub.add_parser("height", parents=[common, theta_opt, lam_opt, height_opts],
+                   help="height of (G/P_theta, L_lambda)")
 
     sub.add_parser("jantzen-rhs", parents=[common, theta_opt, lam_opt],
                    help="prime-indexed character table of the sum formula")
@@ -269,13 +289,8 @@ def build_argument_parser() -> argparse.ArgumentParser:
     sub.add_parser("bwb", parents=[common, lam_opt],
                    help="dotted-action normal form (cohomology degree, "
                         "dominant weight)")
-    p = sub.add_parser("scan", parents=[common],
-                       help="heights of all maximal parabolics of a group")
-    p.add_argument("--method", default="all",
-                   choices=["all", "substitution", "fixed-point",
-                            "harmo-bott"])
-    p.add_argument("--y", default="")
-    p.add_argument("--check-conjecture", action="store_true")
+    sub.add_parser("scan", parents=[common, height_opts],
+                   help="heights of all maximal parabolics of a group")
     return parser
 
 
@@ -296,21 +311,18 @@ def main(argv=None) -> int:
         return EXIT_PARSE
 
     if args.print_numbering:
-        print(rs.numbering_table())
+        _write(rs.numbering_table() + "\n")
         return EXIT_OK
 
     try:
         if args.command == "scan":
             docs = _scan_docs(args, rs)
-            rows = [_flatten(d) for d in docs]
             if args.output == "json":
-                print(json.dumps(docs, indent=2, sort_keys=True))
+                _write(json.dumps(docs, indent=2, sort_keys=True) + "\n")
             elif args.output == "csv":
-                sys.stdout.write(_emit(docs[0], "csv", rows))
+                _write(_emit(docs[0], "csv", [_flatten(d) for d in docs]))
             else:
-                for d in docs:
-                    sys.stdout.write(_emit(d, "text"))
-                    print()
+                _write("".join(_emit(d, "text") + "\n" for d in docs))
             return EXIT_OK
 
         lam_raw = _parse_int_list(args.lam, "--lambda")
@@ -342,7 +354,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
 
-    sys.stdout.write(_emit(doc, args.output))
+    _write(_emit(doc, args.output))
     return EXIT_OK
 
 

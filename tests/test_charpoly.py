@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from flagheight.charpoly import (
     BivariatePolynomial,
@@ -203,6 +203,55 @@ def test_freudenthal_vs_kostant_b2(b2):
         table = freudenthal(b2, lam0)
         for mu, m in table.items():
             assert kostant_multiplicity(b2, lam0, mu) == m
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "C3"])
+def test_freudenthal_vs_kostant_rank3(spec):
+    rs = build_root_system(spec)
+    # dominant weights only: the Levi test below checks W-invariance
+    for lam0 in itertools.product(range(2), repeat=3):
+        for mu, m in freudenthal(rs, lam0).items():
+            if rs.is_dominant(mu):
+                assert kostant_multiplicity(rs, lam0, mu) == m
+
+
+@pytest.mark.parametrize("spec,lam0,ones,zero_mult", [
+    ("F4", (0, 0, 0, 1), 24, 2),
+    ("E6", (0, 1, 0, 0, 0, 0), 72, 6),  # the adjoint representation
+    ("E7", (0, 0, 0, 0, 0, 0, 1), 56, 0),
+])
+def test_freudenthal_exceptional_tables(spec, lam0, ones, zero_mult):
+    rs = build_root_system(spec)
+    table = freudenthal(rs, lam0)
+    zero = (0,) * rs.rank
+    assert table.get(zero, 0) == zero_mult
+    assert sorted(m for mu, m in table.items() if mu != zero) == [1] * ones
+
+
+_LEVI_SPECS = ["A2", "A3", "A4", "B3", "C3", "D4", "G2", "F4"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_freudenthal_levi_dim_and_invariance(data):
+    rs = build_root_system(data.draw(st.sampled_from(_LEVI_SPECS)))
+    n = rs.rank
+    theta = data.draw(st.sets(st.integers(0, n - 1)))
+    # small lam0: at most 2 on theta in total, anything in -2..2 off it
+    on = data.draw(st.lists(st.sampled_from(sorted(theta)), max_size=2)
+                   if theta else st.just([]))
+    off = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    lam0 = tuple(on.count(i) if i in theta else off[i] for i in range(n))
+    table = freudenthal(rs, lam0, subset=theta)
+    lr = tuple(l + r for l, r in zip(lam0, rs.rho))
+    levi = [b for b in rs.positive_roots
+            if all(i in theta for i, c in enumerate(b.coords) if c)]
+    dim = math.prod(Fraction(rs.coroot_pairing(lr, b),
+                             rs.coroot_pairing(rs.rho, b)) for b in levi)
+    assert sum(table.values()) == dim
+    for i in theta:
+        assert {rs.simple_reflect_weight(i, mu): m
+                for mu, m in table.items()} == table
 
 
 def test_levi_character(b2):

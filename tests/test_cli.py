@@ -191,6 +191,31 @@ def test_coset_count_check_survives_python_O():
     assert proc.stdout == ""
 
 
+_AFTER_STDIN_EOF = textwrap.dedent("""
+    import sys
+    from flagheight import cli
+
+    sys.stdin.read()  # wait until the reader of stdout has gone
+    sys.exit(cli.main(sys.argv[1:]))
+""")
+
+
+def test_closed_stdout_is_not_an_error():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _AFTER_STDIN_EOF, "scan", "--group", "G2",
+         "--output", "text"],
+        env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    proc.stdin.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_OK, err
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
 def test_cache_dir_is_gone(capsys):
     assert run(capsys, "height", "--group", "A1", "--theta", "",
                "--lambda", "1", "--cache-dir", "x")[0] == EXIT_PARSE
