@@ -46,6 +46,7 @@ from .charpoly import (
 )
 from .height import (
     HeightResult,
+    LocalizationData,
     MethodDisagreement,
     NotRegularY,
     closed_form,
@@ -61,6 +62,7 @@ from .height import (
     height_quadric_odd,
     height_substitution,
     ht_coefficient,
+    localization_data,
 )
 from .jantzen import (
     LogCharacterCombo,

@@ -6,7 +6,10 @@ numbered 1..rank in the deterministic ordering printed by
 
 Exit codes: 0 success, 2 argument or parse error, 3 invalid mathematical
 input (non-ample weight, bad localization vector, out-of-range indices),
-4 enumeration size cap exceeded, 5 internal cross-check failure.
+4 enumeration size cap exceeded, 5 internal cross-check failure.  When the
+height methods disagree, the `error:` line on stderr is followed by one
+JSON line with the instance (group, theta, lambda, y) and the values of
+substitution, fixed_point and harmo_bott.
 
 A reader that closes stdout early (e.g. `flagheight scan ... | head`) is
 not an error: the rest of the output is discarded and the exit code is 0.
@@ -25,6 +28,7 @@ from fractions import Fraction
 
 from .charpoly import freudenthal, weyl_dim
 from .height import (
+    MethodDisagreement,
     NotRegularY,
     denominator_check,
     height_all_methods,
@@ -178,6 +182,19 @@ def _height_doc(args, rs, theta, lam) -> dict:
         doc["conjecture_note"] = (
             f"prime powers in denom(2h) vs bound {c - 1}: "
             f"{'ok' if doc['conjecture_ok'] else 'exceeded'}")
+    return doc
+
+
+def _disagreement_doc(exc: MethodDisagreement) -> dict:
+    """The instance and every method's value, for the stderr diagnostic."""
+    doc = {
+        "group": str(exc.pd.rs.spec),
+        "theta": sorted(i + 1 for i in exc.pd.theta),
+        "lambda": list(exc.lam),
+        "y": [_rational(v) for v in exc.y],
+    }
+    doc.update((method, _rational(value))
+               for method, value in exc.values.items())
     return doc
 
 
@@ -349,6 +366,9 @@ def main(argv=None) -> int:
         return EXIT_CAP
     except InvariantViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, MethodDisagreement):
+            print(json.dumps(_disagreement_doc(exc), sort_keys=True),
+                  file=sys.stderr)
         return EXIT_CROSSCHECK
     except (NotAmple, NotRegularY, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

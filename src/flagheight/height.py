@@ -18,7 +18,7 @@ from .charpoly import dim_polynomial_parts
 from .jantzen import prime_factorization
 from .parabolic import NotAmple, ParabolicData, check_ample, psi_grading
 from .rootsys import InvariantViolation, RootSystem
-from .weyl import coset_representatives, DEFAULT_CAP
+from .weyl import DEFAULT_CAP, coset_orbit
 
 
 class NotRegularY(ValueError):
@@ -26,7 +26,17 @@ class NotRegularY(ValueError):
 
 
 class MethodDisagreement(InvariantViolation):
-    """The independent height algorithms produced different values."""
+    """The independent height algorithms produced different values.  The
+    instance (pd, lam, y) and each method's value are kept for a
+    diagnostic."""
+
+    def __init__(self, pd: ParabolicData, lam, y, values: dict):
+        self.pd = pd
+        self.lam = tuple(lam)
+        self.y = tuple(Fraction(v) for v in y)
+        self.values = dict(values)
+        super().__init__("height methods disagree: " + ", ".join(
+            f"{method}={value}" for method, value in self.values.items()))
 
 
 @dataclass(frozen=True)
@@ -98,35 +108,75 @@ def default_y(rs: RootSystem) -> tuple:
     return tuple(Fraction(1) for _ in range(rs.rank))
 
 
-def _check_regular_y(rs: RootSystem, Y):
-    for beta in rs.positive_roots:
-        if sum(Fraction(y) * c for y, c in zip(Y, beta.coords)) == 0:
-            raise NotRegularY(
-                f"Y is not regular: vanishes on root {beta.coords}")
+@dataclass(frozen=True)
+class LocalizationData:
+    """The torus-fixed points of G/P for one ample lam and one regular Y,
+    with Y scaled to sY so that every value is an integer.
+
+    `cosets` holds, per minimal coset representative w of W_G/W_Theta,
+    (phi, thetas) with phi = (w lam)(sY) and thetas[a] = (w alpha_a)(sY)
+    for the roots alpha_a of Psi; `grades[a]` = <alpha_a^vee, lam>.  The
+    height has degree 0 in Y, so the scale s does not change it."""
+
+    grades: tuple[int, ...]
+    cosets: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-def _fixed_point_data(pd: ParabolicData, lam, Y, cap, cosets=None):
-    """Per coset representative w: (phi, [(theta, j)]) with phi = (w lam)(Y)
-    and theta = (w alpha)(Y), j = <alpha^vee, lam> for alpha in Psi."""
+def localization_data(pd: ParabolicData, lam, Y=None,
+                      cap: int = DEFAULT_CAP) -> LocalizationData:
+    """Walk the W-orbit of lam once (its stabilizer is W_Theta, so each
+    point is one coset), carrying the images w(Psi) as indices into the
+    list of all roots and phi through phi(s_i w) = phi(w) - (w lam)_i Y_i.
+
+    Y is scaled by s, the lcm of the denominators of lam(Y) and of the
+    entries of Y; then every root value and every phi is an integer."""
     rs = pd.rs
+    lam = tuple(lam)
     Y = default_y(rs) if Y is None else tuple(Fraction(y) for y in Y)
-    _check_regular_y(rs, Y)
+    lam_y = sum(c * y for c, y in zip(rs.weight_to_root_coords(lam), Y))
+    s = math.lcm(lam_y.denominator, *(y.denominator for y in Y))
+    ys = [int(s * y) for y in Y]
+    positive = [beta.coords for beta in rs.positive_roots]
+    roots = positive + [tuple(-c for c in coords) for coords in positive]
+    value = [sum(c * y for c, y in zip(coords, ys)) for coords in roots]
+    if 0 in value:
+        raise NotRegularY(
+            f"Y is not regular: vanishes on root {roots[value.index(0)]}")
     if not check_ample(pd, lam):
         raise NotAmple(f"{lam} is not ample for theta={sorted(pd.theta)}")
-    grades = {alpha: rs._pairing(lam, alpha) for alpha in pd.psi}
-    if cosets is None:
-        cosets = coset_representatives(rs, pd.theta, cap)
-    data = []
-    for w in cosets.reps:
-        phi = sum(c * y for c, y in
-                  zip(rs.weight_to_root_coords(w.act_weight(tuple(lam))), Y))
-        angles = []
-        for alpha in pd.psi:
-            walpha = w.act_root(rs, alpha)
-            theta = sum(Fraction(c) * y for c, y in zip(walpha.coords, Y))
-            angles.append((theta, grades[alpha]))
-        data.append((phi, angles))
-    return data
+    index = {coords: k for k, coords in enumerate(positive)}
+    nodes = coset_orbit(rs, lam, roots,
+                        [index[alpha.coords] for alpha in pd.psi], cap)
+    cosets = []
+    for _, parent, i, images in nodes:
+        phi = int(s * lam_y) if parent < 0 else \
+            cosets[parent][0] - nodes[parent][0][i] * ys[i]
+        cosets.append((phi, tuple([value[r] for r in images])))
+    return LocalizationData(
+        grades=tuple(rs._pairing(lam, alpha) for alpha in pd.psi),
+        cosets=tuple(cosets))
+
+
+def _localization_sum(data: LocalizationData, coeffs, x) -> Fraction:
+    """sum_w (prod_a theta_a)^{-1} sum_a j_a sum_e coeffs[e] x_a^e phi^{N-e}
+    over the cosets w of `data`, with N = len(coeffs) - 1 and
+    x_a = x(phi, theta_a, j_a).  Each coset is one integer, by Horner's
+    rule in x_a, over the integer prod_a theta_a."""
+    N = len(coeffs) - 1
+    total = Fraction(0)
+    for phi, thetas in data.cosets:
+        scaled = [c * phi ** (N - e) for e, c in enumerate(coeffs)]
+        scaled.reverse()
+        num, prod = 0, 1
+        for theta, j in zip(thetas, data.grades):
+            xa = x(phi, theta, j)
+            acc = 0
+            for c in scaled:
+                acc = acc * xa + c
+            num += j * acc
+            prod *= theta
+        total += Fraction(num, prod)
+    return total
 
 
 # ---------------------------------------------------------------------
@@ -135,28 +185,30 @@ def _fixed_point_data(pd: ParabolicData, lam, Y, cap, cosets=None):
 
 
 def height_fixed_point(pd: ParabolicData, lam, Y=None,
-                       cap: int = DEFAULT_CAP, cosets=None) -> HeightResult:
-    """Exact rational fixed-point sum over W_G/W_K:
+                       cap: int = DEFAULT_CAP,
+                       data: LocalizationData | None = None) -> HeightResult:
+    """Exact fixed-point sum over W_G/W_K:
 
         sum_w (prod_a theta_wa)^{-1} sum_{l=1}^{N+1} sum_a
             (phi^{N+1} - phi^{N+1-l} (phi - j theta_wa)^l) / (2 l theta_wa)
 
     with phi = (w lam)(Y), theta_wa = (w a)(Y) and j the grading index of a;
-    phi - j theta_wa is the reflected angle S_{wa}(w lam)(Y)."""
+    r = phi - j theta_wa is the reflected angle S_{wa}(w lam)(Y).
+
+    With Y scaled to integer values (see localization_data),
+    (phi^l - r^l) / theta_wa = j h_{l-1}(phi, r), h the complete
+    homogeneous polynomial, so with L = lcm(1..N+1) the inner sum is
+    sum_a j sum_e C_e r^e phi^{N-e} / (2L), C_e = sum_{l>e} L/l: one
+    integer per coset over prod_a theta_wa, and one division by 2L at the
+    end.  `data` is reused when given (Y and cap are then ignored)."""
     N = pd.dim
-    total = Fraction(0)
-    for phi, angles in _fixed_point_data(pd, lam, Y, cap, cosets):
-        prod = Fraction(1)
-        for theta, _ in angles:
-            prod *= theta
-        inner = Fraction(0)
-        for l in range(1, N + 2):
-            for theta, j in angles:
-                refl = phi - j * theta
-                inner += (phi ** (N + 1) - phi ** (N + 1 - l) * refl ** l) \
-                    / (2 * l * theta)
-        total += inner / prod
-    return _result(pd, total, "fixed_point")
+    if data is None:
+        data = localization_data(pd, lam, Y, cap)
+    L = math.lcm(*range(1, N + 2))
+    suffix = list(itertools.accumulate(L // l for l in range(N + 1, 0, -1)))
+    total = _localization_sum(data, suffix[::-1],
+                              lambda phi, theta, j: phi - j * theta)
+    return _result(pd, total / (2 * L), "fixed_point")
 
 
 # ---------------------------------------------------------------------
@@ -165,42 +217,45 @@ def height_fixed_point(pd: ParabolicData, lam, Y=None,
 
 
 def height_harmo_bott(pd: ParabolicData, lam, Y=None,
-                      cap: int = DEFAULT_CAP, cosets=None) -> HeightResult:
+                      cap: int = DEFAULT_CAP,
+                      data: LocalizationData | None = None) -> HeightResult:
     """Bott residues of the additive-class integrand:
 
         sum_w sum_{l=0}^{N} (-1)^l/(2(l+1)) C(N+1, l+1)
             sum_a j_a^{l+1} theta_wa^l phi^{N-l} / prod_b theta_wb
-    """
+
+    With Y scaled to integer values (see localization_data) and
+    L = lcm(1..N+1), the coefficients K_l = (-1)^l (L/(l+1)) C(N+1, l+1)
+    are integers, the inner sum is sum_a j_a sum_l K_l (j_a theta_wa)^l
+    phi^{N-l} / (2L): one integer per coset over prod_b theta_wb, and one
+    division by 2L at the end.  `data` is reused when given (Y and cap are
+    then ignored)."""
     N = pd.dim
-    total = Fraction(0)
-    for phi, angles in _fixed_point_data(pd, lam, Y, cap, cosets):
-        prod = Fraction(1)
-        for theta, _ in angles:
-            prod *= theta
-        inner = Fraction(0)
-        for l in range(0, N + 1):
-            pref = Fraction((-1) ** l, 2 * (l + 1)) * math.comb(N + 1, l + 1)
-            s = Fraction(0)
-            for theta, j in angles:
-                s += Fraction(j) ** (l + 1) * theta ** l
-            inner += pref * s * phi ** (N - l)
-        total += inner / prod
-    return _result(pd, total, "harmo_bott")
+    if data is None:
+        data = localization_data(pd, lam, Y, cap)
+    L = math.lcm(*range(1, N + 2))
+    coeffs = [(-1) ** l * (L // (l + 1)) * math.comb(N + 1, l + 1)
+              for l in range(N + 1)]
+    total = _localization_sum(data, coeffs, lambda phi, theta, j: j * theta)
+    return _result(pd, total / (2 * L), "harmo_bott")
 
 
 def height_all_methods(pd: ParabolicData, lam, Y=None,
                        cap: int = DEFAULT_CAP) -> HeightResult:
-    """Run all three algorithms and insist on exact agreement.  The cosets
-    are enumerated once, first, so that a cap is hit before any work."""
-    cosets = coset_representatives(pd.rs, pd.theta, cap)
-    h1 = height_substitution(pd, lam)
-    h2 = height_fixed_point(pd, lam, Y, cap, cosets)
-    h3 = height_harmo_bott(pd, lam, Y, cap, cosets)
-    if not (h1.value == h2.value == h3.value):
+    """Run all three algorithms and insist on exact agreement.  The orbit
+    of lam is walked once, first, so that a cap is hit before any kernel
+    starts, and its data is shared by fixed-point and harmo-bott."""
+    data = localization_data(pd, lam, Y, cap)
+    values = {
+        "substitution": height_substitution(pd, lam),
+        "fixed_point": height_fixed_point(pd, lam, data=data),
+        "harmo_bott": height_harmo_bott(pd, lam, data=data),
+    }
+    if len({res.value for res in values.values()}) > 1:
         raise MethodDisagreement(
-            f"height methods disagree: substitution={h1.value}, "
-            f"fixed_point={h2.value}, harmo_bott={h3.value}")
-    return h1
+            pd, lam, default_y(pd.rs) if Y is None else Y,
+            {method: res.value for method, res in values.items()})
+    return values["substitution"]
 
 
 # ---------------------------------------------------------------------

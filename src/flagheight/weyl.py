@@ -3,7 +3,10 @@
 Every enumeration is one breadth-first search over the orbit of a weight
 under left multiplication by simple reflections, tried in increasing index
 order.  Read from right to left, the word it gives each element is the
-lexicographically least of that element's reduced words.
+lexicographically least of that element's reduced words.  The search
+records parent pointers only; Weyl elements with their matrices are built
+afterwards in BFS order, and the orbit of an ample weight walked for the
+height kernels builds none.
 """
 
 from __future__ import annotations
@@ -110,39 +113,64 @@ def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_CAP) -> list[WeylElement]:
     if order > cap:
         raise GroupTooLarge(
             f"Weyl group of {rs.spec} has order {order}, exceeding the cap {cap}")
-    return _orbit_bfs(rs, rs.rho, range(rs.rank), cap)
+    return _elements(rs, _orbit_bfs(rs, rs.rho, range(rs.rank), cap))
 
 
-def _orbit_bfs(rs: RootSystem, xi, generators, cap) -> list[WeylElement]:
-    """One element per point of the orbit of the weight xi under the
-    subgroup W' generated by the given simple reflections: the
-    minimal-length representatives of W' / Stab(xi), in BFS order from the
-    identity.  Points are reached by left multiplication, s_i w xi, and any
-    left descent of a minimal representative is again one, so every point
-    is reached through a reduced word."""
-    smats = {i: _simple_matrix(rs, i) for i in generators}
-    start = identity_element(rs)
+def _orbit_bfs(rs: RootSystem, xi, generators, cap, table=None, start=()):
+    """The orbit of the weight xi under the subgroup W' generated by the
+    given simple reflections, one node per point, in BFS order from xi.
+
+    A node is (point, parent, letter, images): point = s_letter(parent's
+    point), with parent the index of the parent's node (-1 for xi).  The
+    node of w xi stands for the minimal-length representative w of
+    w Stab(xi) in W'/Stab(xi), and w = s_letter * (parent's w).  Points are
+    reached by left multiplication, and any left descent of a minimal
+    representative is again one, so every point is reached through a
+    reduced word.  If a table of permutations is given (table[i] is the
+    permutation of some index set by s_i), images = table[letter] applied
+    to the parent's images, starting from `start` at xi: the images under
+    w of the indices in `start`."""
+    nodes = [(xi, -1, -1, tuple(start))]
     seen = {xi}
-    out = [start]
-    frontier = [(start, xi)]
-    while frontier:
-        nxt = []
-        for w, point in frontier:
-            for i in generators:
-                point2 = rs.simple_reflect_weight(i, point)
-                if point2 in seen:
-                    continue
-                seen.add(point2)
-                w2 = WeylElement((i,) + w.word, _matmul(smats[i], w.matrix),
-                                 w.length + 1)
-                out.append(w2)
-                nxt.append((w2, point2))
-                if cap is not None and len(out) > cap:
-                    raise GroupTooLarge(
-                        f"W/Stab({list(xi)}) has more than {cap} cosets, "
-                        f"exceeding the cap {cap}")
-        frontier = nxt
+    # the loop runs on over the nodes it appends: a FIFO queue
+    for k, (point, _, _, images) in enumerate(nodes):
+        for i in generators:
+            point2 = rs.simple_reflect_weight(i, point)
+            if point2 in seen:
+                continue
+            seen.add(point2)
+            carried = images if table is None else \
+                tuple([table[i][r] for r in images])
+            nodes.append((point2, k, i, carried))
+            if cap is not None and len(nodes) > cap:
+                raise GroupTooLarge(
+                    f"W/Stab({list(xi)}) has more than {cap} cosets, "
+                    f"exceeding the cap {cap}")
+    return nodes
+
+
+def _elements(rs: RootSystem, nodes) -> list[WeylElement]:
+    """The Weyl elements of the nodes of _orbit_bfs, in the same order."""
+    smats = {}
+    out = []
+    for _, parent, i, _ in nodes:
+        if parent < 0:
+            out.append(identity_element(rs))
+            continue
+        if i not in smats:
+            smats[i] = _simple_matrix(rs, i)
+        w = out[parent]
+        out.append(WeylElement((i,) + w.word, _matmul(smats[i], w.matrix),
+                               w.length + 1))
     return out
+
+
+def _check_coset_count(rs: RootSystem, theta, count: int) -> None:
+    order = weyl_order(rs)
+    if order % count:
+        raise InvariantViolation(
+            f"the {count} cosets of W_Theta, theta={sorted(theta)}, "
+            f"do not divide |W| = {order} for {rs.spec}")
 
 
 @dataclass(frozen=True)
@@ -162,13 +190,42 @@ def coset_representatives(rs: RootSystem, theta, cap: int = DEFAULT_CAP) -> Cose
     if not theta <= set(range(rs.rank)):
         raise ValueError(f"theta {sorted(theta)} out of range")
     xi = tuple(0 if i in theta else 1 for i in range(rs.rank))
-    reps = _orbit_bfs(rs, xi, range(rs.rank), cap)
-    order = weyl_order(rs)
-    if order % len(reps):
-        raise InvariantViolation(
-            f"the {len(reps)} cosets of W_Theta, theta={sorted(theta)}, "
-            f"do not divide |W| = {order} for {rs.spec}")
+    reps = _elements(rs, _orbit_bfs(rs, xi, range(rs.rank), cap))
+    _check_coset_count(rs, theta, len(reps))
     return CosetList(theta=theta, reps=tuple(reps))
+
+
+def _root_index_table(rs: RootSystem, roots) -> list[list[int]]:
+    """table[i][k] = the index in `roots` of s_i(roots[k]), for a list of
+    simple-root coordinate tuples closed under the Weyl group."""
+    index = {c: k for k, c in enumerate(roots)}
+    table = []
+    for i, row in enumerate(rs.cartan_matrix):
+        perm = []
+        for c in roots:
+            # s_i(beta) = beta - <beta, alpha_i^vee> alpha_i
+            image = list(c)
+            image[i] -= sum(a * x for a, x in zip(row, c))
+            perm.append(index[tuple(image)])
+        table.append(perm)
+    return table
+
+
+def coset_orbit(rs: RootSystem, lam, roots, start, cap: int = DEFAULT_CAP):
+    """The W-orbit of a dominant weight lam, whose stabilizer is W_Theta
+    with Theta = {i : lam_i = 0}: one node (w lam, parent, letter, images)
+    of _orbit_bfs per coset w W_Theta, in the order of
+    coset_representatives(rs, Theta).  `images` lists the indices in
+    `roots` (all roots, as simple-root coordinates) of w(roots[k]) for k in
+    `start`.  No Weyl element is built."""
+    lam = tuple(lam)
+    if not rs.is_dominant(lam):
+        raise ValueError(f"weight {list(lam)} is not dominant")
+    nodes = _orbit_bfs(rs, lam, range(rs.rank), cap,
+                       _root_index_table(rs, roots), start)
+    _check_coset_count(rs, {i for i, c in enumerate(lam) if c == 0},
+                       len(nodes))
+    return nodes
 
 
 # -- dotted action ----------------------------------------------------

@@ -5,6 +5,9 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
+from flagheight import height
 from flagheight.cli import (
     EXIT_CAP,
     EXIT_CROSSCHECK,
@@ -191,6 +194,42 @@ def test_coset_count_check_survives_python_O():
     assert proc.stdout == ""
 
 
+_WRONG_HARMO_BOTT = textwrap.dedent("""
+    import dataclasses
+    import sys
+    from flagheight import cli, height
+
+    right = height.height_harmo_bott
+
+    def wrong(*args, **kwargs):
+        res = right(*args, **kwargs)
+        return dataclasses.replace(res, value=res.value + 1)
+
+    height.height_harmo_bott = wrong
+    sys.exit(cli.main(sys.argv[1:]))
+""")
+
+
+def test_method_disagreement_diagnostic():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WRONG_HARMO_BOTT, "height", "--group", "B2",
+         "--theta", "2", "--lambda", "1,0", "--y", "1/2,3"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_CROSSCHECK, proc.stderr
+    assert proc.stdout == ""
+    error, diagnostic = proc.stderr.splitlines()
+    assert error.startswith("error: height methods disagree")
+    doc = json.loads(diagnostic)
+    assert doc["group"] == "B2" and doc["theta"] == [2]
+    assert doc["lambda"] == [1, 0]
+    assert doc["y"] == [{"num": "1", "den": "2"}, {"num": "3", "den": "1"}]
+    assert doc["substitution"] == {"num": "17", "den": "3"}
+    assert doc["fixed_point"] == {"num": "17", "den": "3"}
+    assert doc["harmo_bott"] == {"num": "20", "den": "3"}
+
+
 _AFTER_STDIN_EOF = textwrap.dedent("""
     import sys
     from flagheight import cli
@@ -260,3 +299,24 @@ def test_text_output(capsys):
     _, out, _ = run(capsys, "height", "--group", "A1", "--theta", "",
                     "--lambda", "1", "--output", "text")
     assert "1/2" in out
+
+
+@pytest.mark.parametrize("method", ["fixed-point", "harmo-bott"])
+def test_cap_exceeded_localization_methods(capsys, method):
+    code, out, err = run(capsys, "height", "--group", "E6", "--theta", "",
+                         "--lambda", "1,1,1,1,1,1", "--method", method,
+                         "--cap", "100")
+    assert code == EXIT_CAP
+    assert "100" in err and out == ""
+
+
+def test_cap_exceeded_before_substitution(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("substitution started before the cap check")
+
+    monkeypatch.setattr(height, "height_substitution", refuse)
+    code, out, err = run(capsys, "height", "--group", "E6", "--theta", "",
+                         "--lambda", "1,1,1,1,1,1", "--method", "all",
+                         "--cap", "100")
+    assert code == EXIT_CAP
+    assert "100" in err and out == ""

@@ -1,8 +1,10 @@
+import functools
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from flagheight.height import (
     NotRegularY,
@@ -19,10 +21,12 @@ from flagheight.height import (
     height_quadric_odd,
     height_substitution,
     ht_coefficient,
+    localization_data,
 )
 from flagheight.charpoly import f_j
 from flagheight.parabolic import NotAmple, build_parabolic, psi_grading
 from flagheight.rootsys import build_root_system
+from flagheight.weyl import GroupTooLarge, coset_orbit, coset_representatives
 
 
 def proj_parabolic(n):
@@ -178,12 +182,15 @@ def test_substitution_matches_fixed_point_exceptional(spec):
             height_fixed_point(pd, lam).value
 
 
-@pytest.mark.parametrize("spec,node,value", [
+GOLDEN = [
     ("E7", 1, Fraction(562664108411709, 48620)),
     ("E7", 7, Fraction(178661786363, 255255)),
     # equal to the fixed-point sum over the 240 cosets of E8/P8
     ("E8", 8, Fraction(2081127677005873362797621, 99533742)),
-])
+]
+
+
+@pytest.mark.parametrize("spec,node,value", GOLDEN)
 def test_substitution_golden_values(spec, node, value):
     pd, lam = list(maximal_parabolics(spec))[node - 1]
     res = height_substitution(pd, lam)
@@ -191,10 +198,120 @@ def test_substitution_golden_values(spec, node, value):
     assert res.dim_plus_one == pd.dim + 1
 
 
+@pytest.mark.parametrize("spec,node,value", GOLDEN)
+def test_golden_values_all_methods(spec, node, value):
+    pd, lam = list(maximal_parabolics(spec))[node - 1]
+    assert height_all_methods(pd, lam).value == value
+
+
 def test_substitution_on_a_point_is_zero():
     rs = build_root_system("A2")
     pd = build_parabolic(rs, {0, 1})
     assert height_substitution(pd, (0, 0)).value == 0
+
+
+# -- the integer localization kernels against Fraction oracles ---------
+
+
+def _localization_by_fractions(pd, lam, Y):
+    """Per coset representative w: (phi, [(theta, j)]) with phi = (w lam)(Y),
+    theta = (w alpha)(Y) and j = <alpha^vee, lam> for alpha in Psi, from
+    Weyl matrices, word replay on roots and Fraction root coordinates."""
+    rs = pd.rs
+    Y = default_y(rs) if Y is None else tuple(Fraction(y) for y in Y)
+    data = []
+    for w in coset_representatives(rs, pd.theta).reps:
+        phi = sum(c * y for c, y in
+                  zip(rs.weight_to_root_coords(w.act_weight(lam)), Y))
+        angles = []
+        for alpha in pd.psi:
+            walpha = w.act_root(rs, alpha)
+            theta = sum(Fraction(c) * y for c, y in zip(walpha.coords, Y))
+            angles.append((theta, rs._pairing(lam, alpha)))
+        data.append((phi, angles))
+    return data
+
+
+def fixed_point_by_fractions(pd, lam, Y=None):
+    """The fixed-point sum with a Fraction for every operation:
+    sum_w (prod theta)^{-1} sum_{l=1}^{N+1} sum_a
+        (phi^{N+1} - phi^{N+1-l} (phi - j theta)^l) / (2 l theta)."""
+    N = pd.dim
+    total = Fraction(0)
+    for phi, angles in _localization_by_fractions(pd, lam, Y):
+        prod = Fraction(1)
+        for theta, _ in angles:
+            prod *= theta
+        inner = Fraction(0)
+        for l in range(1, N + 2):
+            for theta, j in angles:
+                refl = phi - j * theta
+                inner += (phi ** (N + 1) - phi ** (N + 1 - l) * refl ** l) \
+                    / (2 * l * theta)
+        total += inner / prod
+    return total
+
+
+def harmo_bott_by_fractions(pd, lam, Y=None):
+    """The Bott-residue sum with a Fraction for every operation:
+    sum_w sum_{l=0}^{N} (-1)^l/(2(l+1)) C(N+1, l+1)
+        sum_a j^{l+1} theta^l phi^{N-l} / prod theta."""
+    N = pd.dim
+    total = Fraction(0)
+    for phi, angles in _localization_by_fractions(pd, lam, Y):
+        prod = Fraction(1)
+        for theta, _ in angles:
+            prod *= theta
+        inner = Fraction(0)
+        for l in range(0, N + 1):
+            pref = Fraction((-1) ** l, 2 * (l + 1)) * math.comb(N + 1, l + 1)
+            s = Fraction(0)
+            for theta, j in angles:
+                s += Fraction(j) ** (l + 1) * theta ** l
+            inner += pref * s * phi ** (N - l)
+        total += inner / prod
+    return total
+
+
+def all_parabolics(spec):
+    """(P_theta, lam) for every subset theta, lam ample with grades 1, 2."""
+    rs = build_root_system(spec)
+    for size in range(rs.rank + 1):
+        for theta in itertools.combinations(range(rs.rank), size):
+            lam = tuple(0 if i in theta else 1 + i % 2 for i in range(rs.rank))
+            yield build_parabolic(rs, theta), lam
+
+
+ORACLE_YS = {
+    "default": lambda rank: None,
+    "2,3,..": lambda rank: tuple(range(2, rank + 2)),
+    "signed fractions": lambda rank: (Fraction(-1, 2), Fraction(5, 3),
+                                      Fraction(7, 4))[:rank],
+}
+
+
+@pytest.mark.parametrize("y", sorted(ORACLE_YS))
+@pytest.mark.parametrize("spec", ["A3", "B3", "C3", "G2", "B2xA1"])
+def test_localization_kernels_match_fraction_oracles(spec, y):
+    for pd, lam in all_parabolics(spec):
+        Y = ORACLE_YS[y](pd.rs.rank)
+        assert height_fixed_point(pd, lam, Y).value == \
+            fixed_point_by_fractions(pd, lam, Y)
+        assert height_harmo_bott(pd, lam, Y).value == \
+            harmo_bott_by_fractions(pd, lam, Y)
+
+
+def test_localization_data_is_integral():
+    # Y = (1/3, 2) on G2 Borel at lam = (1, 1): the scale is the lcm of the
+    # denominators of lam(Y) and of Y
+    rs = build_root_system("G2")
+    pd = build_parabolic(rs, set())
+    data = localization_data(pd, (1, 1), (Fraction(1, 3), 2))
+    assert len(data.cosets) == 12
+    assert data.grades == tuple(rs._pairing((1, 1), a) for a in pd.psi)
+    for phi, thetas in data.cosets:
+        assert isinstance(phi, int) and len(thetas) == pd.dim
+        assert all(isinstance(t, int) and t != 0 for t in thetas)
 
 
 # -- localization properties -------------------------------------------
@@ -261,3 +378,40 @@ def test_methods_agree_on_b2_full_flag(x, y):
     pd = build_parabolic(rs, set())
     res = height_all_methods(pd, (x, y))
     assert res.method == "substitution"
+
+
+@functools.cache
+def _cheap_thetas(spec, bound=300):
+    """The subsets theta whose G/P_theta has at most `bound` cosets."""
+    rs = build_root_system(spec)
+    out = []
+    for size in range(rs.rank + 1):
+        for theta in itertools.combinations(range(rs.rank), size):
+            xi = tuple(0 if i in theta else 1 for i in range(rs.rank))
+            try:
+                coset_orbit(rs, xi, [], [], cap=bound)
+            except GroupTooLarge:
+                continue
+            out.append(theta)
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_methods_agree_on_exceptional_types(data):
+    spec = data.draw(st.sampled_from(["D4", "E6", "F4"]))
+    theta = data.draw(st.sampled_from(_cheap_thetas(spec)))
+    rs = build_root_system(spec)
+    pd = build_parabolic(rs, theta)
+    grades = data.draw(st.lists(st.integers(1, 2), min_size=rs.rank,
+                                max_size=rs.rank))
+    lam = tuple(0 if i in theta else g for i, g in enumerate(grades))
+    Y = tuple(data.draw(st.lists(st.integers(-1000, 1000), min_size=rs.rank,
+                                 max_size=rs.rank)))
+    assume(all(sum(c * y for c, y in zip(beta.coords, Y))
+               for beta in rs.positive_roots))
+    h = height_all_methods(pd, lam).value
+    assert height_fixed_point(pd, lam, Y).value == h
+    assert height_harmo_bott(pd, lam, Y).value == h
+    doubled = tuple(2 * x for x in lam)
+    assert height_substitution(pd, doubled).value == 2 ** (pd.dim + 1) * h

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from flagheight.rootsys import build_root_system
 from flagheight.weyl import (
     GroupTooLarge,
+    coset_orbit,
     coset_representatives,
     dotted_act,
     element_from_word,
@@ -90,6 +91,32 @@ def test_coset_reps_distinct_orbits(b2):
     xi = tuple(0 if i in theta else 1 for i in range(b2.rank))
     keys = {w.act_weight(xi) for w in coset_representatives(b2, theta).reps}
     assert len(keys) == 4
+
+
+@pytest.mark.parametrize("spec,lam", [
+    ("A3", (0, 2, 0)), ("B3", (1, 0, 2)), ("C3", (1, 1, 1)),
+    ("G2", (1, 1)), ("G2", (0, 3)), ("B2xA1", (0, 1, 1)),
+])
+def test_coset_orbit_matches_coset_representatives(spec, lam):
+    # the orbit walk of lam gives the cosets in the same order, w lam, and
+    # w(beta) for every root beta, without building a Weyl element
+    rs = build_root_system(spec)
+    roots = list(rs.positive_roots) + [-beta for beta in rs.positive_roots]
+    coords = [beta.coords for beta in roots]
+    nodes = coset_orbit(rs, lam, coords, range(len(roots)))
+    theta = {i for i, c in enumerate(lam) if c == 0}
+    reps = coset_representatives(rs, theta).reps
+    assert len(nodes) == len(reps)
+    for (point, _, _, images), w in zip(nodes, reps):
+        assert point == w.act_weight(lam)
+        assert [coords[k] for k in images] == \
+            [w.act_root(rs, beta).coords for beta in roots]
+
+
+def test_coset_orbit_rejects_non_dominant():
+    rs = build_root_system("A2")
+    with pytest.raises(ValueError):
+        coset_orbit(rs, (1, -1), [], [])
 
 
 def test_group_too_large():
