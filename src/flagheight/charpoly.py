@@ -202,6 +202,7 @@ def skew_symmetry_holds(pd: ParabolicData, lam, alpha: Root) -> bool:
 def weyl_dim(rs: RootSystem, lam0) -> int:
     """Dimension of the irreducible with highest weight lam0 (dominant):
     product over Sigma+ of <a^vee, rho + lam0> / <a^vee, rho>."""
+    lam0 = rs.check_weight(lam0)
     if not rs.is_dominant(lam0):
         raise ValueError(f"{lam0} is not dominant")
     shifted = tuple(l + r for l, r in zip(lam0, rs.rho))
@@ -228,11 +229,16 @@ def freudenthal(rs: RootSystem, lam0, subset=None) -> dict:
     mu among dominant weights, lam - mu is a positive root (Stembridge, The
     partial order of dominant weights, Adv. Math. 1998).  The closure carries
     the root coordinates of lam0 - mu, so the recursion runs on integers.
+
+    Each Weyl orbit is walked once, from its dominant point, as a tree: the
+    parent of an orbit point nu that is not dominant is s_j nu, with j the
+    least subset index where nu_j < 0 (Moody-Patera, Bull. AMS 7, 1982).
+    So no point is built twice and no visited set is kept.
     """
+    lam0 = rs.check_weight(lam0)
     subset = tuple(range(rs.rank)) if subset is None else tuple(sorted(subset))
     if not rs.is_dominant(lam0, subset):
         raise ValueError(f"{lam0} is not dominant on {subset}")
-    lam0 = tuple(lam0)
     d = rs._symmetrizer
     # per positive root b of the subset: b in fw coordinates, the
     # coefficients of (b, nu) = sum_i b_i d_i nu_i, and (b, b)
@@ -284,22 +290,32 @@ def freudenthal(rs: RootSystem, lam0, subset=None) -> dict:
                 f"{2 * acc}/{denom}")
         dom_mult[mu] = 2 * acc // denom
 
-    # expand Weyl orbits
+    # expand Weyl orbits: p is the parent of s_i p exactly when p_i > 0 and
+    # (s_i p)_k = p_k - p_i A[k][i] >= 0 for every k < i in the subset; s_i
+    # moves coordinate i and its neighbours, which may lie outside the subset
+    A = rs.cartan_matrix
+    steps = [(i, [(k, A[k][i]) for k in subset if k < i],
+              [(k, A[k][i]) for k in range(rs.rank) if k != i and A[k][i]])
+             for i in subset]
     mult: dict[tuple, int] = {}
     for mu, m in dom_mult.items():
-        orbit = {mu}
-        frontier = [mu]
-        while frontier:
-            nxt = []
-            for nu in frontier:
-                for i in subset:
-                    r = rs.simple_reflect_weight(i, nu)
-                    if r not in orbit:
-                        orbit.add(r)
-                        nxt.append(r)
-            frontier = nxt
-        for nu in orbit:
-            mult[nu] = m
+        stack = [mu]
+        while stack:
+            p = stack.pop()
+            mult[p] = m
+            for i, lower, neighbours in steps:
+                pi = p[i]
+                if pi <= 0:
+                    continue
+                for k, a in lower:  # a loop, not all(): this is the hot path
+                    if p[k] < pi * a:
+                        break
+                else:
+                    child = list(p)
+                    child[i] = -pi
+                    for k, a in neighbours:
+                        child[k] -= pi * a
+                    stack.append(tuple(child))
     return mult
 
 

@@ -84,6 +84,7 @@ def height_substitution(pd: ParabolicData, lam) -> HeightResult:
     so only that part is formed, as integers over the common denominator
     R (see dim_polynomial_parts).  With L = lcm(1..N+1) the sum is one
     integer over 2 L^2 R, and the only Fraction is the final value."""
+    lam = pd.rs.check_weight(lam)
     grading = psi_grading(pd, lam)
     N = pd.dim
     L = math.lcm(*range(1, N + 2))
@@ -131,7 +132,7 @@ def localization_data(pd: ParabolicData, lam, Y=None,
     Y is scaled by s, the lcm of the denominators of lam(Y) and of the
     entries of Y; then every root value and every phi is an integer."""
     rs = pd.rs
-    lam = tuple(lam)
+    lam = rs.check_weight(lam)
     Y = default_y(rs) if Y is None else tuple(Fraction(y) for y in Y)
     lam_y = sum(c * y for c, y in zip(rs.weight_to_root_coords(lam), Y))
     s = math.lcm(lam_y.denominator, *(y.denominator for y in Y))

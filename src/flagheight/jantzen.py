@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .charpoly import formal_character
+from .charpoly import formal_character, freudenthal
 from .parabolic import ParabolicData, build_parabolic
 from .rootsys import RootSystem
 from .weyl import longest_element, to_dominant_dotted
@@ -91,23 +91,38 @@ def jantzen_rhs(pd: ParabolicData, lam) -> LogCharacterCombo:
     """- sum_{a in Psi+} sum_{k=1}^{<a^vee, rho+lam> - 1} chi_{rho+lam-ka} log k
        + sum_{a in Psi-} sum_{k=1}^{<-a^vee, rho+lam> - 1} chi_{rho+lam+ka} log k
 
-    with chi the signed formal character (zero on singular arguments)."""
+    with chi the signed formal character (zero on singular arguments).
+
+    Coefficients first: each term is reduced by to_dominant_dotted to
+    +-chi of one dominant lam0, and its sign times the exponent of p in k
+    is added to an integer c[lam0][p].  Many terms share a lam0, so the
+    Freudenthal table of each lam0 with some c != 0 is built once and
+    added c times into the bucket of p."""
     rs = pd.rs
+    lam = rs.check_weight(lam)
     nu = tuple(l + r for l, r in zip(lam, rs.rho))
-    combo = LogCharacterCombo()
+    coeff: dict[tuple, dict[int, int]] = {}
     plus, minus = psi_signs(pd, lam)
-    for alpha in plus:
-        fw = rs.root_to_weight(alpha.coords)
-        top = rs._pairing(nu, alpha)
-        for k in range(1, top):
-            arg = tuple(n - k * f for n, f in zip(nu, fw))
-            combo.add_character(k, formal_character(rs, arg), scale=-1)
-    for alpha in minus:
-        fw = rs.root_to_weight(alpha.coords)
-        top = -rs._pairing(nu, alpha)
-        for k in range(1, top):
-            arg = tuple(n + k * f for n, f in zip(nu, fw))
-            combo.add_character(k, formal_character(rs, arg), scale=+1)
+    for alphas, scale in ((plus, -1), (minus, +1)):
+        for alpha in alphas:
+            fw = rs.root_to_weight(alpha.coords)
+            top = -scale * rs._pairing(nu, alpha)
+            for k in range(2, top):  # log 1 = 0
+                # chi_{rho+lam-/+k alpha}: the dotted form takes it less rho
+                res = to_dominant_dotted(
+                    rs, tuple(l + scale * k * f for l, f in zip(lam, fw)))
+                if res is None:
+                    continue
+                w, lam0 = res
+                per_prime = coeff.setdefault(lam0, {})
+                for p, e in prime_factorization(k).items():
+                    per_prime[p] = per_prime.get(p, 0) + scale * w.sign * e
+    combo = LogCharacterCombo()
+    for lam0, per_prime in coeff.items():
+        if any(per_prime.values()):
+            table = freudenthal(rs, lam0)
+            for p, c in per_prime.items():
+                combo.add_character(p, table, scale=c)  # log p, p prime
     return combo
 
 

@@ -197,6 +197,15 @@ class RootSystem:
 
     # -- coordinate conversions ---------------------------------------
 
+    def check_weight(self, mu) -> tuple:
+        """mu as a tuple; ValueError unless it has one coordinate per
+        simple root."""
+        mu = tuple(mu)
+        if len(mu) != self.rank:
+            raise ValueError(
+                f"weight {mu} has {len(mu)} coordinates, rank is {self.rank}")
+        return mu
+
     def root_to_weight(self, coords) -> tuple:
         """Simple-root coordinates -> fundamental-weight coordinates (A @ c)."""
         A = self.cartan_matrix

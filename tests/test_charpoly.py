@@ -181,6 +181,16 @@ def test_weyl_dims_known():
     assert weyl_dim(build_root_system("G2"), (0, 1)) == 14
 
 
+def test_wrong_length_weight_rejected():
+    a3 = build_root_system("A3")
+    with pytest.raises(ValueError, match="rank is 3"):
+        weyl_dim(a3, (1, 1))
+    with pytest.raises(ValueError, match="rank is 3"):
+        freudenthal(a3, (1, 1))
+    with pytest.raises(ValueError, match="rank is 3"):
+        freudenthal(a3, (1, 1, 1, 1), subset={0})
+
+
 def test_freudenthal_adjoint_a2(a2):
     table = freudenthal(a2, (1, 1))
     assert table[(0, 0)] == 2
@@ -252,6 +262,59 @@ def test_freudenthal_levi_dim_and_invariance(data):
     for i in theta:
         assert {rs.simple_reflect_weight(i, mu): m
                 for mu, m in table.items()} == table
+
+
+def _bfs_orbit_expansion(rs, table, subset):
+    """The orbit expansion freudenthal used to run, as an oracle: a BFS with
+    a set from each subset-dominant weight of `table`, reflecting every
+    point by every simple index of the subset."""
+    mult = {}
+    for mu, m in table.items():
+        if not rs.is_dominant(mu, subset):
+            continue
+        orbit = {mu}
+        frontier = [mu]
+        while frontier:
+            nxt = []
+            for nu in frontier:
+                for i in subset:
+                    r = rs.simple_reflect_weight(i, nu)
+                    if r not in orbit:
+                        orbit.add(r)
+                        nxt.append(r)
+            frontier = nxt
+        for nu in orbit:
+            mult[nu] = m
+    return mult
+
+
+def _orbit_walk_cases():
+    """Every subset of the rank-3 types and B2xA1, and rank-3 subsets of
+    D4 and F4 whose roots have neighbours outside the subset."""
+    for spec in ["A3", "B3", "C3", "G2", "B2xA1"]:
+        n = build_root_system(spec).rank
+        for r in range(n + 1):
+            yield from ((spec, subset)
+                        for subset in itertools.combinations(range(n), r))
+    yield from [("D4", (0, 1, 2)), ("D4", (0, 2, 3)), ("D4", (1, 2, 3)),
+                ("F4", (0, 1, 2)), ("F4", (1, 2, 3)), ("F4", (0, 2, 3))]
+
+
+@pytest.mark.parametrize("spec,subset", [
+    pytest.param(spec, subset, id=f"{spec}-{''.join(map(str, subset))}")
+    for spec, subset in _orbit_walk_cases()])
+def test_freudenthal_orbit_walk_matches_bfs(spec, subset):
+    rs = build_root_system(spec)
+    box = 2 if len(subset) < 3 else 1
+    for on in itertools.product(range(box + 1), repeat=len(subset)):
+        for off in (0, -1, -2):
+            # off-subset coordinates are negative and unequal, so that the
+            # reflections push them around
+            lam0 = [off - i % 2 if off else 0 for i in range(rs.rank)]
+            for i, v in zip(subset, on):
+                lam0[i] = v
+            table = freudenthal(rs, tuple(lam0), subset)
+            assert table == _bfs_orbit_expansion(rs, table, subset)
 
 
 def test_levi_character(b2):

@@ -351,6 +351,17 @@ def test_non_ample_rejected():
         height_substitution(pd, (0, 0))
 
 
+@pytest.mark.parametrize("lam", [(1, 1), (1, 1, 1, 1)])
+def test_wrong_length_weight_rejected(lam):
+    pd = build_parabolic(build_root_system("A3"), set())
+    with pytest.raises(ValueError, match="rank is 3"):
+        height_substitution(pd, lam)
+    with pytest.raises(ValueError, match="rank is 3"):
+        localization_data(pd, lam)
+    with pytest.raises(ValueError, match="rank is 3"):
+        height_all_methods(pd, lam)
+
+
 @pytest.mark.parametrize("a", [2, 3])
 def test_homogeneity(a):
     # height(a lam) = a^{dim+1} height(lam)

@@ -2,11 +2,14 @@ import itertools
 
 import pytest
 
+from flagheight import jantzen
+from flagheight.charpoly import formal_character, freudenthal
 from flagheight.jantzen import (
     LogCharacterCombo,
     jantzen_rhs,
     lambda0_component,
     prime_factorization,
+    psi_signs,
     verify_parabolic_independence,
     verify_w0_transform,
 )
@@ -101,3 +104,62 @@ def test_rhs_nontrivial_b2():
     for p, bucket in combo.terms.items():
         assert prime_factorization(p) == {p: 1}
         assert all(isinstance(c, int) and c for c in bucket.values())
+
+
+def _jantzen_rhs_termwise(pd, lam):
+    """The term-by-term sum jantzen_rhs used to compute, as an oracle: one
+    formal character per (alpha, k)."""
+    rs = pd.rs
+    nu = tuple(l + r for l, r in zip(lam, rs.rho))
+    combo = LogCharacterCombo()
+    plus, minus = psi_signs(pd, lam)
+    for alpha in plus:
+        fw = rs.root_to_weight(alpha.coords)
+        top = rs._pairing(nu, alpha)
+        for k in range(1, top):
+            arg = tuple(n - k * f for n, f in zip(nu, fw))
+            combo.add_character(k, formal_character(rs, arg), scale=-1)
+    for alpha in minus:
+        fw = rs.root_to_weight(alpha.coords)
+        top = -rs._pairing(nu, alpha)
+        for k in range(1, top):
+            arg = tuple(n + k * f for n, f in zip(nu, fw))
+            combo.add_character(k, formal_character(rs, arg), scale=+1)
+    return combo
+
+
+@pytest.mark.parametrize("spec,box", [
+    ("A2", 4), ("B2", 4), ("G2", 3), ("A3", 2), ("B3", 1), ("B2xA1", 2)])
+def test_rhs_matches_termwise_sum(spec, box):
+    rs = build_root_system(spec)
+    for lam in itertools.product(range(-2, box + 1), repeat=rs.rank):
+        zeros = [i for i, l in enumerate(lam) if l == 0]
+        # the Borel, one zero of lam, and all of them
+        for theta in {(), tuple(zeros[:1]), tuple(zeros)}:
+            pd = build_parabolic(rs, set(theta))
+            assert jantzen_rhs(pd, lam) == _jantzen_rhs_termwise(pd, lam)
+
+
+@pytest.mark.parametrize("spec,lam,runs", [
+    # the term-by-term sum runs Freudenthal 20 times for these 10 weights
+    ("D4", (1, 1, 1, 1), 10),
+    # the terms reach 11 weights, and the coefficients of one cancel
+    ("G2", (1, 3), 10),
+])
+def test_rhs_runs_freudenthal_once_per_weight(monkeypatch, spec, lam, runs):
+    calls = []
+
+    def counted(rs, lam0, subset=None):
+        calls.append(lam0)
+        return freudenthal(rs, lam0, subset)
+
+    monkeypatch.setattr(jantzen, "freudenthal", counted)
+    pd = build_parabolic(build_root_system(spec), set())
+    assert jantzen_rhs(pd, lam) == _jantzen_rhs_termwise(pd, lam)
+    assert len(calls) == len(set(calls)) == runs
+
+
+def test_rhs_rejects_wrong_length_weight():
+    pd = build_parabolic(build_root_system("A3"), set())
+    with pytest.raises(ValueError, match="rank is 3"):
+        jantzen_rhs(pd, (1, 1))
