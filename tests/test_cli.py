@@ -301,6 +301,57 @@ def test_text_output(capsys):
     assert "1/2" in out
 
 
+def test_text_and_csv_of_record_lists(capsys):
+    """Lists of records print as compact JSON with sorted keys."""
+    char = ("char", "--group", "A2", "--lambda", "1,0")
+    weights = ('[{"mult": 1, "weight": [1, 0]}, '
+               '{"mult": 1, "weight": [0, -1]}, '
+               '{"mult": 1, "weight": [-1, 1]}]')
+    assert run(capsys, *char, "--output", "text")[1] == (
+        "group    A2\n"
+        "lambda   1,0\n"
+        "dim      3\n"
+        f"weights  {weights}\n")
+    assert run(capsys, *char, "--output", "csv")[1] == (
+        "group,lambda,dim,weights\r\n"
+        'A2,"1,0",3,"' + weights.replace('"', '""') + '"\r\n')
+
+    jantzen = ("jantzen-rhs", "--group", "A2", "--theta", "",
+               "--lambda", "2,1")
+    bucket = ('[{"coeff": 1, "weight": [-2, 0]}, '
+              '{"coeff": 3, "weight": [-1, 1]}, '
+              '{"coeff": 3, "weight": [0, -1]}, '
+              '{"coeff": 1, "weight": [0, 2]}, '
+              '{"coeff": 3, "weight": [1, 0]}, '
+              '{"coeff": 1, "weight": [2, -2]}]')
+    assert run(capsys, *jantzen, "--output", "text")[1] == (
+        "group                   A2\n"
+        "theta                   \n"
+        "lambda                  2,1\n"
+        f'primes                  {{"2": {bucket}}}\n'
+        "lambda0_component_zero  True\n")
+    assert run(capsys, *jantzen, "--output", "csv")[1] == (
+        "group,theta,lambda,primes_2,lambda0_component_zero\r\n"
+        'A2,,"2,1","' + bucket.replace('"', '""') + '",True\r\n')
+
+
+@pytest.mark.parametrize("argv", [
+    ("height", "--group", "B2", "--theta", "", "--lambda", "2,1"),
+    ("height", "--group", "A3", "--theta", "1,3", "--lambda", "0,1,0"),
+    ("scan", "--group", "G2"),
+    ("char", "--group", "B3", "--lambda", "1,1,1"),
+    ("jantzen-rhs", "--group", "B2", "--theta", "", "--lambda", "3,2"),
+    ("jantzen-rhs", "--group", "A2", "--theta", "1", "--lambda", "0,3"),
+    ("dim", "--group", "F4", "--lambda", "1,0,0,1"),
+    ("bwb", "--group", "A2", "--lambda=-1,0"),
+    ("bwb", "--group", "A2", "--lambda=-4,1"),
+])
+def test_json_is_json_dumps_indent_2_sorted(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("method", ["fixed-point", "harmo-bott"])
 def test_cap_exceeded_localization_methods(capsys, method):
     code, out, err = run(capsys, "height", "--group", "E6", "--theta", "",
