@@ -361,7 +361,7 @@ def kostant_multiplicity(rs: RootSystem, lam0, mu) -> int:
     mr = tuple(m + r for m, r in zip(mu, rs.rho))
     total = 0
     for w in enumerate_weyl(rs):
-        diff = tuple(a - b for a, b in zip(w.act_weight(lr), mr))
+        diff = tuple(a - b for a, b in zip(w.act_weight(rs, lr), mr))
         c = rs.weight_to_root_coords(diff)
         if any(x.denominator != 1 for x in c):
             continue
@@ -425,7 +425,7 @@ def char_value(rs: RootSystem, nu, X) -> complex:
     check_regular_point(rs, X)
     num = 0j
     for w in enumerate_weyl(rs):
-        val = _weight_at_point(rs, w.act_weight(tuple(nu)), X)
+        val = _weight_at_point(rs, w.act_weight(rs, nu), X)
         num += w.sign * cmath.exp(2j * cmath.pi * float(val))
     den = 1 + 0j
     for beta in rs.positive_roots:
@@ -438,7 +438,7 @@ def character_sum_value(rs: RootSystem, table: dict, X, w=None) -> complex:
     out = 0j
     for mu, m in table.items():
         if w is not None:
-            mu = w.act_weight(mu)
+            mu = w.act_weight(rs, mu)
         out += m * cmath.exp(2j * cmath.pi * float(_weight_at_point(rs, mu, X)))
     return out
 

@@ -408,10 +408,27 @@ def build_argument_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv) -> list:
+    """Write `--lambda -1,0` as `--lambda=-1,0`, and so for --y and the
+    abbreviations of --lambda: argparse takes a value that starts with '-'
+    and is not a lone number for an option."""
+    out = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if (prev == "--y" or len(prev) > 2 and "--lambda".startswith(prev)) \
+                and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_argument_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     if args.command is None:

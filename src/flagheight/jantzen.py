@@ -57,25 +57,6 @@ class LogCharacterCombo:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def map_weights(self, fn) -> "LogCharacterCombo":
-        out = LogCharacterCombo()
-        for p, bucket in self.terms.items():
-            nb: dict = {}
-            for mu, c in bucket.items():
-                key = tuple(fn(mu))
-                nb[key] = nb.get(key, 0) + c
-            nb = {m: c for m, c in nb.items() if c}
-            if nb:
-                out.terms[p] = nb
-        return out
-
-    def scaled(self, s: int) -> "LogCharacterCombo":
-        if s == 0:
-            return LogCharacterCombo()
-        return LogCharacterCombo(
-            {p: {mu: s * c for mu, c in bucket.items()}
-             for p, bucket in self.terms.items()})
-
 
 def psi_signs(pd: ParabolicData, lam):
     """Split Psi into Psi+ (pairing with rho+lam >= 0) and Psi-."""
@@ -155,7 +136,7 @@ def verify_w0_transform(rs: RootSystem, lam) -> bool:
     pd = build_parabolic(rs, set())
     w0 = longest_element(rs)
     nu = tuple(l + r for l, r in zip(lam, rs.rho))
-    w0nu = w0.act_weight(nu)
+    w0nu = w0.act_weight(rs, nu)
     combo = LogCharacterCombo()
     plus, minus = psi_signs(pd, lam)
     for alpha in plus:

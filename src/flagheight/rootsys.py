@@ -250,10 +250,6 @@ class RootSystem:
         """s_i(beta), transforming root and coroot coordinates together."""
         return _simple_reflect_root(self.cartan_matrix, i, beta)
 
-    def simple_root(self, i: int) -> Root:
-        e = tuple(int(j == i) for j in range(self.rank))
-        return Root(e, e)
-
     # -- dominance ----------------------------------------------------
 
     def is_dominant(self, mu, subset=None) -> bool:

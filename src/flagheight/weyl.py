@@ -4,9 +4,13 @@ Every enumeration is one breadth-first search over the orbit of a weight
 under left multiplication by simple reflections, tried in increasing index
 order.  Read from right to left, the word it gives each element is the
 lexicographically least of that element's reduced words.  The search
-records parent pointers only; Weyl elements with their matrices are built
-afterwards in BFS order, and the orbit of an ample weight walked for the
-height kernels builds none.
+records parent pointers only; Weyl elements are built afterwards in BFS
+order, and the orbit of an ample weight walked for the height kernels
+builds none.
+
+A Weyl element is a word in the simple reflections and its length.  It
+acts on weights, on roots and, through rho, by the dotted action, by
+replaying the word one simple reflection at a time.
 """
 
 from __future__ import annotations
@@ -25,61 +29,37 @@ class GroupTooLarge(ValueError):
 
 @dataclass(frozen=True)
 class WeylElement:
-    """A Weyl group element: reduced word (0-based simple indices) and its
-    integral action matrix on fundamental-weight coordinates."""
+    """A Weyl group element as a word in the simple reflections (0-based
+    indices), w = s_{word[0]} ... s_{word[-1]}, and its length.  It acts on
+    weights and roots by replaying the word from right to left."""
 
     word: tuple[int, ...]
-    matrix: tuple[tuple[int, ...], ...]
     length: int
 
     @property
     def sign(self) -> int:
         return -1 if self.length % 2 else 1
 
-    def act_weight(self, mu) -> tuple:
-        return tuple(sum(row[j] * mu[j] for j in range(len(mu)))
-                     for row in self.matrix)
+    def act_weight(self, rs: RootSystem, mu) -> tuple:
+        mu = tuple(mu)
+        for i in reversed(self.word):
+            mu = rs.simple_reflect_weight(i, mu)
+        return mu
 
     def act_root(self, rs: RootSystem, beta: Root) -> Root:
-        # apply the word right-to-left: w = s_{i1}...s_{ik} acts as
-        # s_{i1}(s_{i2}(...(v)))
         for i in reversed(self.word):
             beta = rs.simple_reflect_root(i, beta)
         return beta
-
-
-def _identity_matrix(n):
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def _simple_matrix(rs: RootSystem, i: int):
-    n = rs.rank
-    A = rs.cartan_matrix
-    return tuple(tuple(int(r == j) - (A[r][i] if j == i else 0) for j in range(n))
-                 for r in range(n))
-
-
-def _matmul(M, N):
-    n = len(M)
-    return tuple(tuple(sum(M[i][k] * N[k][j] for k in range(n)) for j in range(n))
-                 for i in range(n))
-
-
-def identity_element(rs: RootSystem) -> WeylElement:
-    return WeylElement((), _identity_matrix(rs.rank), 0)
 
 
 def element_from_word(rs: RootSystem, word) -> WeylElement:
     """Build an element from any word, reduced or not.  The length is the
     number of positive roots beta with <beta^vee, w rho> < 0, which equals
     len(word) iff the word is reduced."""
-    M = _identity_matrix(rs.rank)
-    for i in word:
-        M = _matmul(M, _simple_matrix(rs, i))
-    w = WeylElement(tuple(word), M, 0)
-    wrho = w.act_weight(rs.rho)
+    word = tuple(word)
+    wrho = WeylElement(word, 0).act_weight(rs, rs.rho)
     length = sum(1 for beta in rs.positive_roots if rs._pairing(wrho, beta) < 0)
-    return WeylElement(w.word, M, length)
+    return WeylElement(word, length)
 
 
 _WEYL_ORDER = {
@@ -113,7 +93,7 @@ def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_CAP) -> list[WeylElement]:
     if order > cap:
         raise GroupTooLarge(
             f"Weyl group of {rs.spec} has order {order}, exceeding the cap {cap}")
-    return _elements(rs, _orbit_bfs(rs, rs.rho, range(rs.rank), cap))
+    return _elements(_orbit_bfs(rs, rs.rho, range(rs.rank), cap))
 
 
 def _orbit_bfs(rs: RootSystem, xi, generators, cap, table=None, start=()):
@@ -149,19 +129,15 @@ def _orbit_bfs(rs: RootSystem, xi, generators, cap, table=None, start=()):
     return nodes
 
 
-def _elements(rs: RootSystem, nodes) -> list[WeylElement]:
+def _elements(nodes) -> list[WeylElement]:
     """The Weyl elements of the nodes of _orbit_bfs, in the same order."""
-    smats = {}
     out = []
     for _, parent, i, _ in nodes:
         if parent < 0:
-            out.append(identity_element(rs))
-            continue
-        if i not in smats:
-            smats[i] = _simple_matrix(rs, i)
-        w = out[parent]
-        out.append(WeylElement((i,) + w.word, _matmul(smats[i], w.matrix),
-                               w.length + 1))
+            out.append(WeylElement((), 0))
+        else:
+            w = out[parent]
+            out.append(WeylElement((i,) + w.word, w.length + 1))
     return out
 
 
@@ -190,7 +166,7 @@ def coset_representatives(rs: RootSystem, theta, cap: int = DEFAULT_CAP) -> Cose
     if not theta <= set(range(rs.rank)):
         raise ValueError(f"theta {sorted(theta)} out of range")
     xi = tuple(0 if i in theta else 1 for i in range(rs.rank))
-    reps = _elements(rs, _orbit_bfs(rs, xi, range(rs.rank), cap))
+    reps = _elements(_orbit_bfs(rs, xi, range(rs.rank), cap))
     _check_coset_count(rs, theta, len(reps))
     return CosetList(theta=theta, reps=tuple(reps))
 
@@ -234,7 +210,7 @@ def coset_orbit(rs: RootSystem, lam, roots, start, cap: int = DEFAULT_CAP):
 def dotted_act(rs: RootSystem, w: WeylElement, mu) -> tuple:
     """w . mu = w(mu + rho) - rho."""
     shifted = tuple(m + r for m, r in zip(mu, rs.rho))
-    return tuple(x - r for x, r in zip(w.act_weight(shifted), rs.rho))
+    return tuple(x - r for x, r in zip(w.act_weight(rs, shifted), rs.rho))
 
 
 def to_dominant_dotted(rs: RootSystem, lam):

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -371,3 +372,45 @@ def test_cap_exceeded_before_substitution(capsys, monkeypatch):
                          "--cap", "100")
     assert code == EXIT_CAP
     assert "100" in err and out == ""
+
+
+@pytest.mark.parametrize("spaced,joined", [
+    (("bwb", "--group", "A2", "--lambda", "-1,0"),
+     ("bwb", "--group", "A2", "--lambda=-1,0")),
+    (("bwb", "--group", "A2", "--lam", "-4,1"),
+     ("bwb", "--group", "A2", "--lambda=-4,1")),
+    (("height", "--group", "B2", "--theta", "", "--lambda", "1,1",
+      "--method", "fixed-point", "--y", "-1,3"),
+     ("height", "--group", "B2", "--theta", "", "--lambda", "1,1",
+      "--method", "fixed-point", "--y=-1,3")),
+])
+def test_negative_values_after_a_space(capsys, spaced, joined):
+    outs = []
+    for argv in (spaced, joined):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_OK, err
+        outs.append(re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out))
+    assert outs[0] == outs[1]
+
+
+def _readme_commands():
+    """The flagheight lines of the sh blocks under README's `## CLI` and
+    `## Batteries and tables` headings."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as f:
+        sections = re.split(r"^## ", f.read(), flags=re.M)
+    commands = []
+    for section in sections:
+        if section.startswith(("CLI\n", "Batteries and tables\n")):
+            for block in re.findall(r"^```sh\n(.*?)^```", section,
+                                    flags=re.M | re.S):
+                commands += [line.split(" #")[0].rstrip()
+                             for line in block.splitlines()
+                             if line.startswith("flagheight ")]
+    return commands
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_examples_run(capsys, line):
+    code, _, err = run(capsys, *shlex.split(line)[1:])
+    assert code == EXIT_OK, err

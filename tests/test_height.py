@@ -216,13 +216,13 @@ def test_substitution_on_a_point_is_zero():
 def _localization_by_fractions(pd, lam, Y):
     """Per coset representative w: (phi, [(theta, j)]) with phi = (w lam)(Y),
     theta = (w alpha)(Y) and j = <alpha^vee, lam> for alpha in Psi, from
-    Weyl matrices, word replay on roots and Fraction root coordinates."""
+    word replay on weights and roots and Fraction root coordinates."""
     rs = pd.rs
     Y = default_y(rs) if Y is None else tuple(Fraction(y) for y in Y)
     data = []
     for w in coset_representatives(rs, pd.theta).reps:
         phi = sum(c * y for c, y in
-                  zip(rs.weight_to_root_coords(w.act_weight(lam)), Y))
+                  zip(rs.weight_to_root_coords(w.act_weight(rs, lam)), Y))
         angles = []
         for alpha in pd.psi:
             walpha = w.act_root(rs, alpha)

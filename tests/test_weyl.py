@@ -9,7 +9,6 @@ from flagheight.weyl import (
     dotted_act,
     element_from_word,
     enumerate_weyl,
-    identity_element,
     longest_element,
     subgroup_order,
     to_dominant_dotted,
@@ -40,8 +39,8 @@ def test_enumeration_matches_closed_form(spec):
     rs = build_root_system(spec)
     elems = enumerate_weyl(rs)
     assert len(elems) == weyl_order(rs)
-    # faithful: distinct matrices
-    assert len({w.matrix for w in elems}) == len(elems)
+    # faithful: distinct images of the regular weight rho
+    assert len({w.act_weight(rs, rs.rho) for w in elems}) == len(elems)
 
 
 def test_lengths_via_poincare_b2(b2):
@@ -52,8 +51,8 @@ def test_lengths_via_poincare_b2(b2):
 def test_words_are_reduced(b2):
     for w in enumerate_weyl(b2):
         rebuilt = element_from_word(b2, w.word)
-        assert rebuilt.matrix == w.matrix
-        assert rebuilt.length == len(w.word)
+        assert rebuilt.word == w.word
+        assert rebuilt.length == w.length == len(w.word)
 
 
 def test_sign_sum_vanishes():
@@ -89,7 +88,8 @@ def test_coset_cardinalities(spec, theta, count):
 def test_coset_reps_distinct_orbits(b2):
     theta = frozenset({1})
     xi = tuple(0 if i in theta else 1 for i in range(b2.rank))
-    keys = {w.act_weight(xi) for w in coset_representatives(b2, theta).reps}
+    keys = {w.act_weight(b2, xi)
+            for w in coset_representatives(b2, theta).reps}
     assert len(keys) == 4
 
 
@@ -108,7 +108,7 @@ def test_coset_orbit_matches_coset_representatives(spec, lam):
     reps = coset_representatives(rs, theta).reps
     assert len(nodes) == len(reps)
     for (point, _, _, images), w in zip(nodes, reps):
-        assert point == w.act_weight(lam)
+        assert point == w.act_weight(rs, lam)
         assert [coords[k] for k in images] == \
             [w.act_root(rs, beta).coords for beta in roots]
 
@@ -129,7 +129,7 @@ def test_group_too_large():
 def test_longest_element(b2):
     w0 = longest_element(b2)
     assert w0.length == 4
-    assert w0.act_weight(b2.rho) == (-1, -1)
+    assert w0.act_weight(b2, b2.rho) == (-1, -1)
 
 
 @pytest.mark.parametrize("spec,length", [("E7", 63), ("E8", 120)])
@@ -137,16 +137,35 @@ def test_longest_element_exceptional(spec, length):
     rs = build_root_system(spec)
     w0 = longest_element(rs)
     assert w0.length == length
-    assert w0.act_weight(rs.rho) == tuple(-r for r in rs.rho)
+    assert w0.act_weight(rs, rs.rho) == tuple(-r for r in rs.rho)
+
+
+@pytest.mark.parametrize("spec", ["G2", "B3", "B2xA1"])
+def test_word_action_on_weights_matches_roots(spec):
+    # replaying a word on the weight of a root gives the weight of the
+    # replayed root, and the action preserves <beta^vee, mu>
+    rs = build_root_system(spec)
+    n = rs.rank
+    mus = [rs.rho, tuple(2 - 3 * k for k in range(n)),
+           tuple((-1) ** k * (k + 1) for k in range(n))]
+    roots = list(rs.positive_roots) + [-beta for beta in rs.positive_roots]
+    for w in enumerate_weyl(rs):
+        for beta in roots:
+            wbeta = w.act_root(rs, beta)
+            assert rs.root_to_weight(wbeta.coords) == \
+                w.act_weight(rs, rs.root_to_weight(beta.coords))
+            for mu in mus:
+                assert rs._pairing(w.act_weight(rs, mu), wbeta) == \
+                    rs._pairing(mu, beta)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(["B2", "G2"]), st.lists(st.integers(0, 1), max_size=12))
 def test_word_length_matches_enumeration(spec, word):
     rs = build_root_system(spec)
-    lengths = {w.matrix: w.length for w in enumerate_weyl(rs)}
+    lengths = {w.act_weight(rs, rs.rho): w.length for w in enumerate_weyl(rs)}
     w = element_from_word(rs, word)
-    assert w.length == lengths[w.matrix]
+    assert w.length == lengths[w.act_weight(rs, rs.rho)]
 
 
 word_st = st.lists(st.integers(0, 1), max_size=6)
@@ -186,6 +205,6 @@ def test_to_dominant_dotted_normal_form(x, y):
 
 
 def test_identity(b2):
-    e = identity_element(b2)
+    e = element_from_word(b2, ())
     assert e.length == 0 and e.sign == 1
-    assert e.act_weight((3, -2)) == (3, -2)
+    assert e.act_weight(b2, (3, -2)) == (3, -2)
