@@ -38,11 +38,13 @@ from .charpoly import (
     dim_polynomial_parts,
     f_j,
     formal_character,
+    graded_part,
     freudenthal,
     kostant_multiplicity,
     lefschetz_localized_character,
     skew_symmetry_holds,
     weyl_dim,
+    weyl_product,
 )
 from .height import (
     HeightResult,

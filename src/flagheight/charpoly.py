@@ -4,9 +4,16 @@ and formal/numeric Weyl characters.
 
 The two indeterminates are the scaling variable m of the line bundle and
 the shift variable k along an isotropy root.  Products of the linear
-dimension factors run on integers (dim_polynomial_parts), keeping only the
-homogeneous parts asked for; BivariatePolynomial holds the exact sparse
-result over Fraction.
+dimension factors run on integers, keeping only the homogeneous parts asked
+for (dim_polynomial_parts, graded_part); BivariatePolynomial holds the
+exact sparse result over Fraction.
+
+Each homogeneous part sum_i e_i m^{d-i} k^i is held as one int, its
+k-polynomial evaluated at k = 2^B (Kronecker substitution), so a linear
+factor updates a part with three big-int operations instead of one per
+coefficient.  B is the bit length of the coefficient sum of the product
+with every coefficient made non-negative, plus a sign bit; the e_i are
+then the balanced base-2^B digits of the final int, unpacked once.
 """
 
 from __future__ import annotations
@@ -107,6 +114,75 @@ class BivariatePolynomial:
 # ---------------------------------------------------------------------
 
 
+def _pairings(rs: RootSystem, lam) -> list:
+    """(beta^vee, <beta^vee, rho>, <beta^vee, lam>) per positive root beta:
+    the parts of the linear factors that do not depend on alpha."""
+    return [(beta.coroot, rs._pairing(rs.rho, beta), rs._pairing(lam, beta))
+            for beta in rs.positive_roots]
+
+
+def _packed_sum(rs: RootSystem, pairings, alphas, low: int, top: int):
+    """The one product routine.  Returns (B, packed): packed[d - low] is the
+    homogeneous part of degree d, low <= d <= top, of R times the sum of
+    the dimension polynomials of alphas, packed as the integer
+    sum_i e_i 2^{B i} (e_i the coefficient of m^{d-i} k^i).
+
+    Multiplying by r + a m + c k sends the packed part P[d] to
+    r P[d] + a P[d-1] + (c P[d-1] << B): three big-int operations per
+    degree.  Every |e_i| is at most the bound
+    sum_alpha prod_beta (r + |a| + |c|), the coefficient sum of the product
+    with |a|, |c| in place of a, c; B is its bit length plus a sign bit, so
+    the balanced base-2^B digits of the result are the e_i.  Evaluation at
+    k = 2^B is a ring homomorphism, so only the final digits need to fit;
+    intermediate products may carry between digits."""
+    jobs, bound = [], 0
+    for alpha in alphas:
+        walpha = rs.root_to_weight(alpha.coords)
+        scale, size, factors = 1, 1, []
+        for coroot, r, a in pairings:
+            c = -sum(x * w for x, w in zip(coroot, walpha))
+            if a or c:
+                factors.append((r, a, c))
+                size *= r + abs(a) + abs(c)
+            else:
+                scale *= r  # the factor is the constant r
+        jobs.append((scale, factors))
+        bound += scale * size
+    width = bound.bit_length() + 1
+    total = [0] * (top - low + 1)
+    for scale, factors in jobs:
+        n = len(factors)
+        parts = [0] * (top + 1)
+        parts[0] = scale
+        for t, (r, a, c) in enumerate(factors, 1):
+            # only degrees that the remaining n - t factors can still lift
+            # to `low`; descending d, so that parts[d - 1] is still the
+            # previous product
+            floor = max(low - n + t, 0)
+            for d in range(min(t, top), max(floor, 1) - 1, -1):
+                prev = parts[d - 1]
+                parts[d] = r * parts[d] + a * prev + (c * prev << width)
+            if not floor:
+                parts[0] *= r
+        for d in range(low, top + 1):
+            total[d - low] += parts[d]
+    return width, total
+
+
+def _unpack(x: int, count: int, width: int) -> list:
+    """The `count` balanced base-2^width digits of x, lowest first."""
+    full = 1 << width
+    half, mask = full >> 1, full - 1
+    digits = []
+    for _ in range(count):
+        e = x & mask
+        if e >= half:
+            e -= full
+        digits.append(e)
+        x = (x - e) >> width
+    return digits
+
+
 def dim_polynomial_parts(pd: ParabolicData, lam, alpha: Root,
                          low: int = 0, top: int | None = None):
     """The dimension polynomial of alpha (see dim_polynomial) as R^{-1}
@@ -120,42 +196,26 @@ def dim_polynomial_parts(pd: ParabolicData, lam, alpha: Root,
     are never formed: after t of n factors only the degrees that the
     remaining n - t factors can still lift to `low` are kept."""
     rs = pd.rs
-    walpha = rs.root_to_weight(alpha.coords)
-    scale, denom, factors = 1, 1, []
-    for beta in rs.positive_roots:
-        r = rs._pairing(rs.rho, beta)
-        a = rs._pairing(lam, beta)
-        c = -rs._pairing(walpha, beta)
-        denom *= r
-        if a or c:
-            factors.append((r, a, c))
-        else:
-            scale *= r  # the factor is the constant r
-    n = len(factors)
-    top = len(rs.positive_roots) if top is None else top
-    parts = [[0] * (d + 1) for d in range(top + 1)]
-    parts[0][0] = scale
-    for t, (r, a, c) in enumerate(factors, 1):
-        # descending d, so that parts[d - 1] is still the previous product
-        for d in range(min(t, top), max(low - n + t, 0) - 1, -1):
-            cur = parts[d]
-            if d == 0:
-                cur[0] *= r
-                continue
-            prev = parts[d - 1]
-            if not c:
-                new = [r * x + a * p for x, p in zip(cur, prev)]
-                new.append(r * cur[d])
-            elif not a:
-                new = [r * x + c * q for x, q in zip(cur[1:], prev)]
-                new.insert(0, r * cur[0])
-            else:
-                new = [r * x + a * p + c * q
-                       for x, p, q in zip(cur[1:], prev[1:], prev)]
-                new.insert(0, r * cur[0] + a * prev[0])
-                new.append(r * cur[d] + c * prev[d - 1])
-            parts[d] = new
-    return denom, parts[low:]
+    top = rs.num_positive_roots if top is None else top
+    pairings = _pairings(rs, lam)
+    width, packed = _packed_sum(rs, pairings, (alpha,), low, top)
+    return (math.prod(r for _, r, _ in pairings),
+            [_unpack(x, d + 1, width) for d, x in enumerate(packed, low)])
+
+
+def graded_part(pd: ParabolicData, lam, d: int):
+    """R and, per grading index j, the degree-d part [e_0, ..., e_d] of
+    R f_j (see f_j and dim_polynomial_parts).  The pairings with rho and
+    lam are taken once; the packed parts of one bucket are added before a
+    single unpack."""
+    rs = pd.rs
+    buckets = psi_grading(pd, lam).buckets
+    pairings = _pairings(rs, lam)
+    parts = {}
+    for j, bucket in buckets.items():
+        width, (x,) = _packed_sum(rs, pairings, bucket, d, d)
+        parts[j] = _unpack(x, d + 1, width)
+    return math.prod(r for _, r, _ in pairings), parts
 
 
 def dim_polynomial(pd: ParabolicData, lam, alpha: Root) -> BivariatePolynomial:
@@ -199,15 +259,22 @@ def skew_symmetry_holds(pd: ParabolicData, lam, alpha: Root) -> bool:
 # ---------------------------------------------------------------------
 
 
-def weyl_dim(rs: RootSystem, lam0) -> int:
-    """Dimension of the irreducible with highest weight lam0 (dominant):
-    product over Sigma+ of <a^vee, rho + lam0> / <a^vee, rho>."""
+def weyl_product(rs: RootSystem, lam0) -> tuple[int, int]:
+    """(num, den), the products over Sigma+ of <a^vee, rho + lam0> and of
+    <a^vee, rho>: the Weyl dimension of lam0 (dominant) is num / den."""
     lam0 = rs.check_weight(lam0)
     if not rs.is_dominant(lam0):
         raise ValueError(f"{lam0} is not dominant")
     shifted = tuple(l + r for l, r in zip(lam0, rs.rho))
     num = math.prod(rs._pairing(shifted, beta) for beta in rs.positive_roots)
     den = math.prod(rs._pairing(rs.rho, beta) for beta in rs.positive_roots)
+    return num, den
+
+
+def weyl_dim(rs: RootSystem, lam0) -> int:
+    """Dimension of the irreducible with highest weight lam0 (dominant):
+    product over Sigma+ of <a^vee, rho + lam0> / <a^vee, rho>."""
+    num, den = weyl_product(rs, lam0)
     dim, rem = divmod(num, den)
     if rem:
         raise InvariantViolation(

@@ -6,7 +6,8 @@ numbered 1..rank in the deterministic ordering printed by
 
 Exit codes: 0 success, 2 argument or parse error, 3 invalid mathematical
 input (non-ample weight, bad localization vector, out-of-range indices),
-4 enumeration size cap exceeded, 5 internal cross-check failure.  When the
+4 enumeration size cap exceeded (for char: the module's dimension, which
+bounds its weight table), 5 internal cross-check failure.  When the
 height methods disagree, the `error:` line on stderr is followed by one
 JSON line with the instance (group, theta, lambda, y) and the values of
 substitution, fixed_point and harmo_bott.
@@ -30,7 +31,7 @@ import time
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 
-from .charpoly import freudenthal, weyl_dim
+from .charpoly import freudenthal, weyl_dim, weyl_product
 from .height import (
     MethodDisagreement,
     NotRegularY,
@@ -313,6 +314,13 @@ def _jantzen_doc(args, rs, theta, lam) -> dict:
 def _char_doc(args, rs, lam) -> dict:
     if not rs.is_dominant(lam):
         raise ValueError(f"lambda {list(lam)} is not dominant")
+    # the module's dimension num/den bounds the number of weights in the
+    # table; its integrality is left to freudenthal's own check
+    num, den = weyl_product(rs, lam)
+    if num > args.cap * den:
+        raise GroupTooLarge(
+            f"the module of {list(lam)} has dimension {num // den}, "
+            f"exceeding the cap {args.cap}")
     table = freudenthal(rs, lam)
     return {
         "group": str(rs.spec),
@@ -366,7 +374,8 @@ def build_argument_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", choices=["json", "csv", "text"],
                         default="json")
     common.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                        help="abort if a Weyl enumeration exceeds this size")
+                        help="abort if a Weyl enumeration, or for char the "
+                             "dimension of the module, exceeds this size")
     common.add_argument("--print-numbering", action="store_true",
                         help="print the simple-root numbering table and exit")
 

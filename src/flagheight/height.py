@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charpoly import dim_polynomial_parts
+from .charpoly import graded_part
 from .jantzen import prime_factorization
-from .parabolic import NotAmple, ParabolicData, check_ample, psi_grading
+from .parabolic import NotAmple, ParabolicData, check_ample
 from .rootsys import InvariantViolation, RootSystem
 from .weyl import DEFAULT_CAP, coset_orbit
 
@@ -82,19 +82,16 @@ def height_substitution(pd: ParabolicData, lam) -> HeightResult:
 
     Only the degree-N part of each dimension polynomial reaches m^{N+1},
     so only that part is formed, as integers over the common denominator
-    R (see dim_polynomial_parts).  With L = lcm(1..N+1) the sum is one
-    integer over 2 L^2 R, and the only Fraction is the final value."""
+    R, and summed per bucket (see graded_part).  With L = lcm(1..N+1) the
+    sum is one integer over 2 L^2 R, and the only Fraction is the final
+    value."""
     lam = pd.rs.check_weight(lam)
-    grading = psi_grading(pd, lam)
     N = pd.dim
     L = math.lcm(*range(1, N + 2))
-    total, R = 0, 1  # Psi empty: G/P is a point and the height is 0
-    for j, bucket in grading.buckets.items():
-        # k^l -> j^{l+1} L^2 / (l+1)^2, over 2 L^2
-        images = [j ** (l + 1) * (L // (l + 1)) ** 2 for l in range(N + 1)]
-        for alpha in bucket:
-            R, (part,) = dim_polynomial_parts(pd, lam, alpha, N, N)
-            total += sum(e * x for e, x in zip(part, images))
+    R, parts = graded_part(pd, lam, N)
+    # k^l -> j^{l+1} L^2 / (l+1)^2, over 2 L^2
+    total = sum(e * j ** (l + 1) * (L // (l + 1)) ** 2
+                for j, part in parts.items() for l, e in enumerate(part))
     value = Fraction(total * math.factorial(N + 1), 2 * L * L * R)
     return _result(pd, value, "substitution")
 

@@ -20,6 +20,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 FAMILIES = "ABCDEFG"
 
@@ -173,7 +174,6 @@ class RootSystem:
     rho: tuple[int, ...]
     coxeter_numbers: tuple[int, ...]  # one per simple factor
     factor_of_index: tuple[int, ...]  # simple index -> factor number
-    _cartan_inverse: tuple[tuple[Fraction, ...], ...]
     _symmetrizer: tuple[int, ...]  # d_i with d_i A[i][j] symmetric
     _root_coord_set: frozenset  # coordinates of all roots, both signs
 
@@ -194,6 +194,12 @@ class RootSystem:
 
     def is_root(self, alpha: Root) -> bool:
         return alpha.coords in self._root_coord_set
+
+    @cached_property
+    def _cartan_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
+        """A^{-1} over Fraction, formed on first use: only
+        weight_to_root_coords reads it."""
+        return tuple(tuple(row) for row in _invert_rational(self.cartan_matrix))
 
     # -- coordinate conversions ---------------------------------------
 
@@ -304,21 +310,34 @@ class RootSystem:
 
 
 def _symmetrizer_for(A: list[list[int]], blocks) -> list[int]:
-    """Minimal positive integers d with d_i A[i][j] = d_j A[j][i]."""
-    n = len(A)
-    d = [Fraction(0)] * n
+    """Positive integers d with d_i A[i][j] = d_j A[j][i]: on each block
+    the least such d times a factor, chosen so that the first indices of
+    the blocks all carry the lcm of their least values."""
+    d = [0] * len(A)
     for block in blocks:
-        start = block[0]
-        d[start] = Fraction(1)
-        todo = [start]
+        d[block[0]] = 1
+        todo = [block[0]]
         while todo:
             i = todo.pop()
             for j in block:
                 if A[i][j] != 0 and i != j and d[j] == 0:
-                    d[j] = d[i] * Fraction(A[i][j], A[j][i])
+                    # d_j = d_i A[i][j] / A[j][i], both entries negative
+                    num, den = d[i] * A[i][j], A[j][i]
+                    if num % den:
+                        for k in block:
+                            d[k] *= -den
+                        num *= -den
+                    d[j] = num // den
                     todo.append(j)
-    lcm_den = math.lcm(*(x.denominator for x in d))
-    return [int(x * lcm_den) for x in d]
+        g = math.gcd(*(d[k] for k in block))
+        for k in block:
+            d[k] //= g
+    lead = math.lcm(*(d[block[0]] for block in blocks))
+    for block in blocks:
+        f = lead // d[block[0]]
+        for k in block:
+            d[k] *= f
+    return d
 
 
 def build_root_system(spec: CartanSpec | str) -> RootSystem:
@@ -378,7 +397,6 @@ def build_root_system(spec: CartanSpec | str) -> RootSystem:
         rho=tuple([1] * rank),
         coxeter_numbers=tuple(cox),
         factor_of_index=tuple(factor_of_index),
-        _cartan_inverse=tuple(tuple(row) for row in _invert_rational(A)),
         _symmetrizer=tuple(_symmetrizer_for(A, blocks)),
         _root_coord_set=frozenset(r.coords for r in positive)
         | frozenset(tuple(-c for c in r.coords) for r in positive),

@@ -108,6 +108,10 @@ def _dim_polynomial_by_fractions(pd, lam, alpha):
     ("C3", {1, 2}, (2, 0, 0)),
     ("G2", set(), (1, 1)),
     ("B2xA1", {1}, (1, 0, 1)),
+    # wide packed digits, and negative c
+    ("G2", set(), (37, 53)),
+    ("B3", {0}, (0, 41, 3)),
+    ("F4", {1, 2}, (9, 0, 0, 11)),
 ])
 def test_dim_polynomial_matches_fraction_product(spec, theta, lam):
     rs = build_root_system(spec)
@@ -120,6 +124,9 @@ def test_dim_polynomial_matches_fraction_product(spec, theta, lam):
 @pytest.mark.parametrize("spec,theta,lam", [
     ("B3", set(), (1, 1, 1)),
     ("D4", {0, 2, 3}, (0, 1, 0, 0)),
+    ("G2", set(), (37, 53)),
+    ("B3", {0}, (0, 41, 3)),
+    ("F4", {1, 2}, (9, 0, 0, 11)),
 ])
 def test_truncated_parts_match_full_product(spec, theta, lam):
     rs = build_root_system(spec)

@@ -8,7 +8,7 @@ import textwrap
 
 import pytest
 
-from flagheight import height
+from flagheight import cli, height
 from flagheight.cli import (
     EXIT_CAP,
     EXIT_CROSSCHECK,
@@ -294,6 +294,27 @@ def test_cap_exceeded(capsys):
                        "--lambda", "1,1,1,1,1,1", "--cap", "100")
     assert code == EXIT_CAP
     assert "100" in err
+
+
+def test_char_cap_checked_before_freudenthal(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("freudenthal started before the cap check")
+
+    monkeypatch.setattr(cli, "freudenthal", refuse)
+    code, out, err = run(capsys, "char", "--group", "A1",
+                         "--lambda", "100000000")
+    assert code == EXIT_CAP
+    assert "100000001" in err and out == ""
+
+
+def test_char_cap_is_the_dimension(capsys):
+    code, out, _ = run(capsys, "char", "--group", "A2", "--lambda", "1,1",
+                       "--cap", "8")
+    assert code == EXIT_OK and json.loads(out)["dim"] == 8
+    code, out, err = run(capsys, "char", "--group", "A2", "--lambda", "1,1",
+                         "--cap", "7")
+    assert code == EXIT_CAP
+    assert "7" in err and out == ""
 
 
 def test_text_output(capsys):

@@ -204,6 +204,25 @@ def test_golden_values_all_methods(spec, node, value):
     assert height_all_methods(pd, lam).value == value
 
 
+def test_substitution_e8_p1():
+    # N = 78; all three methods give this value, but fixed-point and
+    # harmo-bott take seconds over the 2160 cosets, so it is not in GOLDEN
+    pd, lam = next(maximal_parabolics("E8"))
+    assert pd.dim == 78
+    assert height_substitution(pd, lam).value == Fraction(
+        180047184579941168027593778646497538998293080, 873103)
+
+
+@pytest.mark.parametrize("spec,node", [("E6", 2), ("F4", 4)])
+def test_substitution_homogeneity_wide(spec, node):
+    # h(64 omega) = 64^(N+1) h(omega): the packed digits of 64 omega are
+    # wide, so this guards their width
+    pd, lam = list(maximal_parabolics(spec))[node - 1]
+    wide = tuple(64 * x for x in lam)
+    assert height_substitution(pd, wide).value == \
+        64 ** (pd.dim + 1) * height_substitution(pd, lam).value
+
+
 def test_substitution_on_a_point_is_zero():
     rs = build_root_system("A2")
     pd = build_parabolic(rs, {0, 1})
