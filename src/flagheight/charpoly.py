@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .parabolic import NotAmple, ParabolicData, check_ample, psi_grading
 from .rootsys import InvariantViolation, Root, RootSystem
-from .weyl import enumerate_weyl, to_dominant_dotted
+from .weyl import enumerate_weyl, orbit, to_dominant_dotted, weyl_order
 
 
 # ---------------------------------------------------------------------
@@ -297,10 +297,9 @@ def freudenthal(rs: RootSystem, lam0, subset=None) -> dict:
     partial order of dominant weights, Adv. Math. 1998).  The closure carries
     the root coordinates of lam0 - mu, so the recursion runs on integers.
 
-    Each Weyl orbit is walked once, from its dominant point, as a tree: the
-    parent of an orbit point nu that is not dominant is s_j nu, with j the
-    least subset index where nu_j < 0 (Moody-Patera, Bull. AMS 7, 1982).
-    So no point is built twice and no visited set is kept.
+    The table is then one weyl.orbit walk over the orbits of all the
+    dominant weights under the subset's reflections, which builds each
+    point once, from its parent; each point has its parent's multiplicity.
     """
     lam0 = rs.check_weight(lam0)
     subset = tuple(range(rs.rank)) if subset is None else tuple(sorted(subset))
@@ -357,33 +356,12 @@ def freudenthal(rs: RootSystem, lam0, subset=None) -> dict:
                 f"{2 * acc}/{denom}")
         dom_mult[mu] = 2 * acc // denom
 
-    # expand Weyl orbits: p is the parent of s_i p exactly when p_i > 0 and
-    # (s_i p)_k = p_k - p_i A[k][i] >= 0 for every k < i in the subset; s_i
-    # moves coordinate i and its neighbours, which may lie outside the subset
-    A = rs.cartan_matrix
-    steps = [(i, [(k, A[k][i]) for k in subset if k < i],
-              [(k, A[k][i]) for k in range(rs.rank) if k != i and A[k][i]])
-             for i in subset]
-    mult: dict[tuple, int] = {}
-    for mu, m in dom_mult.items():
-        stack = [mu]
-        while stack:
-            p = stack.pop()
-            mult[p] = m
-            for i, lower, neighbours in steps:
-                pi = p[i]
-                if pi <= 0:
-                    continue
-                for k, a in lower:  # a loop, not all(): this is the hot path
-                    if p[k] < pi * a:
-                        break
-                else:
-                    child = list(p)
-                    child[i] = -pi
-                    for k, a in neighbours:
-                        child[k] -= pi * a
-                    stack.append(tuple(child))
-    return mult
+    seeds = list(dom_mult)
+    points, links = orbit(rs, seeds, subset, weyl_order(rs) * len(seeds))
+    mults = [dom_mult[mu] for mu in seeds]
+    for parent, _ in links[len(seeds):]:
+        mults.append(mults[parent])
+    return dict(zip(points, mults))
 
 
 def _kostant_partition_count(rs: RootSystem, target) -> int:

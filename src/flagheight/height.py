@@ -143,13 +143,13 @@ def localization_data(pd: ParabolicData, lam, Y=None,
     if not check_ample(pd, lam):
         raise NotAmple(f"{lam} is not ample for theta={sorted(pd.theta)}")
     index = {coords: k for k, coords in enumerate(positive)}
-    nodes = coset_orbit(rs, lam, roots,
-                        [index[alpha.coords] for alpha in pd.psi], cap)
+    points, links, images = coset_orbit(
+        rs, lam, roots, [index[alpha.coords] for alpha in pd.psi], cap)
     cosets = []
-    for _, parent, i, images in nodes:
+    for (parent, i), images_w in zip(links, images):
         phi = int(s * lam_y) if parent < 0 else \
-            cosets[parent][0] - nodes[parent][0][i] * ys[i]
-        cosets.append((phi, tuple([value[r] for r in images])))
+            cosets[parent][0] - points[parent][i] * ys[i]
+        cosets.append((phi, tuple([value[r] for r in images_w])))
     return LocalizationData(
         grades=tuple(rs._pairing(lam, alpha) for alpha in pd.psi),
         cosets=tuple(cosets))

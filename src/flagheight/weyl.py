@@ -1,11 +1,12 @@
 """Weyl group enumeration, dotted action, and minimal coset representatives.
 
-Every enumeration is one breadth-first search over the orbit of a weight
-under left multiplication by simple reflections, tried in increasing index
-order.  Read from right to left, the word it gives each element is the
-lexicographically least of that element's reduced words.  The search
-records parent pointers only; Weyl elements are built afterwards in BFS
-order, and the orbit of an ample weight walked for the height kernels
+Every enumeration is one length-first walk, `orbit`, with the parent rule
+of Moody and Patera (Bull. AMS 7, 1982): the parent of an orbit point nu
+that is not dominant is s_j nu, j the least index with nu_j < 0.  So no
+visited set is kept, and the word w = s_j * (parent's w) of each element,
+read from left to right, is the lexicographically least of its reduced
+words.  The walk records parent links only; Weyl elements are built
+afterwards, and the orbit of an ample weight walked for the height kernels
 builds none.
 
 A Weyl element is a word in the simple reflections and its length.  It
@@ -84,7 +85,7 @@ def weyl_order(rs: RootSystem) -> int:
 def subgroup_order(rs: RootSystem, theta) -> int:
     """|W_Theta| for the standard Levi of type theta (0-based indices),
     as the size of the W_Theta-orbit of rho."""
-    return len(_orbit_bfs(rs, rs.rho, sorted(theta), cap=None))
+    return len(orbit(rs, [rs.rho], theta, weyl_order(rs))[0])
 
 
 def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_CAP) -> list[WeylElement]:
@@ -93,46 +94,59 @@ def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_CAP) -> list[WeylElement]:
     if order > cap:
         raise GroupTooLarge(
             f"Weyl group of {rs.spec} has order {order}, exceeding the cap {cap}")
-    return _elements(_orbit_bfs(rs, rs.rho, range(rs.rank), cap))
+    _, links = orbit(rs, [rs.rho], range(rs.rank), cap)
+    return _elements(links)
 
 
-def _orbit_bfs(rs: RootSystem, xi, generators, cap, table=None, start=()):
-    """The orbit of the weight xi under the subgroup W' generated by the
-    given simple reflections, one node per point, in BFS order from xi.
-
-    A node is (point, parent, letter, images): point = s_letter(parent's
-    point), with parent the index of the parent's node (-1 for xi).  The
-    node of w xi stands for the minimal-length representative w of
-    w Stab(xi) in W'/Stab(xi), and w = s_letter * (parent's w).  Points are
-    reached by left multiplication, and any left descent of a minimal
-    representative is again one, so every point is reached through a
-    reduced word.  If a table of permutations is given (table[i] is the
-    permutation of some index set by s_i), images = table[letter] applied
-    to the parent's images, starting from `start` at xi: the images under
-    w of the indices in `start`."""
-    nodes = [(xi, -1, -1, tuple(start))]
-    seen = {xi}
-    # the loop runs on over the nodes it appends: a FIFO queue
-    for k, (point, _, _, images) in enumerate(nodes):
-        for i in generators:
-            point2 = rs.simple_reflect_weight(i, point)
-            if point2 in seen:
+def orbit(rs: RootSystem, seeds, generators, cap: int):
+    """The orbits of the seeds (tuples, each dominant on `generators`, no
+    two in one orbit) under the group W' those simple reflections generate:
+    (points, links), the seeds first, then length-first.  links[n] =
+    (parent, letter) with points[n] = s_letter(points[parent]), and
+    (-1, -1) for a seed.  The point w xi stands for the minimal-length
+    representative w = s_letter * (parent's w) of w Stab(xi) in W'/Stab(xi).
+    GroupTooLarge once there are more than cap points."""
+    A = rs.cartan_matrix
+    gens = sorted(generators)
+    # s_i moves coordinate i and its neighbours, even outside the generators
+    moves = [[(k, A[k][i]) for k in range(rs.rank) if k != i and A[k][i]]
+             for i in range(rs.rank)]
+    # p has the child s_i p iff p_i > 0 and p_k >= p_i A[k][i] for every
+    # generator k < i.  steps[l] lists the i to try on a point whose letter
+    # is l, with the k to check: p_k >= 0 for k < l, so an i < l needs none,
+    # and p_l < 0, so an i > l must be a neighbour of l.  The last entry, for
+    # the letter -1, is a seed's, which is dominant.
+    steps = [[(i, [(k, A[k][i]) for k in gens if k < i] if i > l else (),
+               moves[i]) for i in gens if i < l or i > l and A[l][i]]
+             for l in range(rs.rank)] + [[(i, (), moves[i]) for i in gens]]
+    points = list(seeds)
+    links = [(-1, -1)] * len(seeds)
+    # the loop runs on over the points it appends: a FIFO queue
+    for n, p in enumerate(points):
+        for i, lower, neighbours in steps[links[n][1]]:
+            pi = p[i]
+            if pi <= 0:
                 continue
-            seen.add(point2)
-            carried = images if table is None else \
-                tuple([table[i][r] for r in images])
-            nodes.append((point2, k, i, carried))
-            if cap is not None and len(nodes) > cap:
-                raise GroupTooLarge(
-                    f"W/Stab({list(xi)}) has more than {cap} cosets, "
-                    f"exceeding the cap {cap}")
-    return nodes
+            for k, a in lower:  # a loop, not all(): this is the hot path
+                if p[k] < pi * a:
+                    break
+            else:
+                child = list(p)
+                child[i] = -pi
+                for k, a in neighbours:
+                    child[k] -= pi * a
+                points.append(tuple(child))
+                links.append((n, i))
+        if len(points) > cap:
+            raise GroupTooLarge(f"the orbits of {seeds} have more than "
+                                f"{cap} points, exceeding the cap {cap}")
+    return points, links
 
 
-def _elements(nodes) -> list[WeylElement]:
-    """The Weyl elements of the nodes of _orbit_bfs, in the same order."""
+def _elements(links) -> list[WeylElement]:
+    """The Weyl elements of the points of `orbit`, from its links."""
     out = []
-    for _, parent, i, _ in nodes:
+    for parent, i in links:
         if parent < 0:
             out.append(WeylElement((), 0))
         else:
@@ -157,7 +171,8 @@ class CosetList:
 
 def coset_representatives(rs: RootSystem, theta, cap: int = DEFAULT_CAP) -> CosetList:
     """Minimal-length representatives of W_G / W_Theta (theta 0-based), one
-    per coset, in BFS (length-first) order starting from the identity.
+    per coset, in the length-first order of `orbit` starting from the
+    identity.
 
     Left cosets w W_Theta biject with the orbit of the weight xi (zero on
     theta, one elsewhere) whose stabilizer is exactly W_Theta, so only one
@@ -166,7 +181,8 @@ def coset_representatives(rs: RootSystem, theta, cap: int = DEFAULT_CAP) -> Cose
     if not theta <= set(range(rs.rank)):
         raise ValueError(f"theta {sorted(theta)} out of range")
     xi = tuple(0 if i in theta else 1 for i in range(rs.rank))
-    reps = _elements(_orbit_bfs(rs, xi, range(rs.rank), cap))
+    _, links = orbit(rs, [xi], range(rs.rank), cap)
+    reps = _elements(links)
     _check_coset_count(rs, theta, len(reps))
     return CosetList(theta=theta, reps=tuple(reps))
 
@@ -189,19 +205,23 @@ def _root_index_table(rs: RootSystem, roots) -> list[list[int]]:
 
 def coset_orbit(rs: RootSystem, lam, roots, start, cap: int = DEFAULT_CAP):
     """The W-orbit of a dominant weight lam, whose stabilizer is W_Theta
-    with Theta = {i : lam_i = 0}: one node (w lam, parent, letter, images)
-    of _orbit_bfs per coset w W_Theta, in the order of
-    coset_representatives(rs, Theta).  `images` lists the indices in
-    `roots` (all roots, as simple-root coordinates) of w(roots[k]) for k in
-    `start`.  No Weyl element is built."""
+    with Theta = {i : lam_i = 0}: (points, links, images), with the points
+    w lam and their links as in `orbit`, one per coset w W_Theta, in the
+    order of coset_representatives(rs, Theta).  images[n] lists the indices
+    in `roots` (all roots, as simple-root coordinates) of w(roots[k]) for k
+    in `start`, for the w of points[n].  No Weyl element is built."""
     lam = tuple(lam)
     if not rs.is_dominant(lam):
         raise ValueError(f"weight {list(lam)} is not dominant")
-    nodes = _orbit_bfs(rs, lam, range(rs.rank), cap,
-                       _root_index_table(rs, roots), start)
+    points, links = orbit(rs, [lam], range(rs.rank), cap)
     _check_coset_count(rs, {i for i, c in enumerate(lam) if c == 0},
-                       len(nodes))
-    return nodes
+                       len(points))
+    table = _root_index_table(rs, roots)
+    images = [tuple(start)]
+    for parent, i in links[1:]:
+        perm = table[i]
+        images.append(tuple([perm[r] for r in images[parent]]))
+    return points, links, images
 
 
 # -- dotted action ----------------------------------------------------
@@ -232,8 +252,9 @@ def to_dominant_dotted(rs: RootSystem, lam):
                 break
         else:
             break
-    # nu = s_{ik}...s_{i1}(rho+lam), so w = s_{i1}...s_{ik}
-    w = element_from_word(rs, tuple(word))
+    # nu = s_{ik}...s_{i1}(rho+lam), so w = s_{i1}...s_{ik}; each step
+    # reflects in a wall that nu lies beyond, so the word is reduced
+    w = WeylElement(tuple(word), len(word))
     lam0 = tuple(c - r for c, r in zip(nu, rs.rho))
     return w, lam0
 

@@ -383,6 +383,17 @@ def test_cap_exceeded_localization_methods(capsys, method):
     assert "100" in err and out == ""
 
 
+def test_cap_is_the_coset_count(capsys):
+    # E6/P1 has 27 cosets
+    argv = ("height", "--group", "E6", "--theta", "2,3,4,5,6",
+            "--lambda", "1,0,0,0,0,0", "--method", "fixed-point")
+    code, out, _ = run(capsys, *argv, "--cap", "27")
+    assert code == EXIT_OK and json.loads(out)["dim"] == 16
+    code, out, err = run(capsys, *argv, "--cap", "26")
+    assert code == EXIT_CAP
+    assert "26" in err and out == ""
+
+
 def test_cap_exceeded_before_substitution(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise RuntimeError("substitution started before the cap check")

@@ -1,5 +1,7 @@
+import itertools
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from flagheight.rootsys import build_root_system
 from flagheight.weyl import (
@@ -103,14 +105,62 @@ def test_coset_orbit_matches_coset_representatives(spec, lam):
     rs = build_root_system(spec)
     roots = list(rs.positive_roots) + [-beta for beta in rs.positive_roots]
     coords = [beta.coords for beta in roots]
-    nodes = coset_orbit(rs, lam, coords, range(len(roots)))
+    points, _, all_images = coset_orbit(rs, lam, coords, range(len(roots)))
     theta = {i for i, c in enumerate(lam) if c == 0}
     reps = coset_representatives(rs, theta).reps
-    assert len(nodes) == len(reps)
-    for (point, _, _, images), w in zip(nodes, reps):
+    assert len(points) == len(all_images) == len(reps)
+    for point, images, w in zip(points, all_images, reps):
         assert point == w.act_weight(rs, lam)
         assert [coords[k] for k in images] == \
             [w.act_root(rs, beta).coords for beta in roots]
+
+
+def _least_reduced_words(rs):
+    """w rho -> the lexicographically least reduced word of w, by a
+    depth-first search over all reduced words in lexicographic order."""
+    least = {}
+
+    def extend(word):
+        w = element_from_word(rs, word)
+        if w.length < len(word):
+            return
+        least.setdefault(w.act_weight(rs, rs.rho), word)
+        for i in range(rs.rank):
+            extend(word + (i,))
+
+    extend(())
+    return least
+
+
+@pytest.mark.parametrize("spec", ["B2", "G2", "A3", "B3", "B2xA1"])
+def test_coset_words_are_least_reduced_words(spec):
+    # read left to right, each representative's word is the least of its
+    # reduced words, and the representatives come length-first
+    rs = build_root_system(spec)
+    least = _least_reduced_words(rs)
+    for size in range(rs.rank + 1):
+        for theta in itertools.combinations(range(rs.rank), size):
+            reps = coset_representatives(rs, theta).reps
+            for w in reps:
+                assert w.word == least[w.act_weight(rs, rs.rho)]
+                assert w.length == len(w.word)
+            lengths = [w.length for w in reps]
+            assert lengths == sorted(lengths)
+
+
+@pytest.mark.parametrize("spec,theta", [
+    ("A3", {1}), ("B3", set()), ("G2", {0}), ("E6", {1, 2, 3, 4, 5}),
+])
+def test_cap_is_the_coset_count(spec, theta):
+    rs = build_root_system(spec)
+    xi = tuple(0 if i in theta else 1 for i in range(rs.rank))
+    count = weyl_order(rs) // subgroup_order(rs, theta)
+    assert len(coset_orbit(rs, xi, [], [], cap=count)[0]) == count
+    assert len(coset_representatives(rs, theta, cap=count).reps) == count
+    with pytest.raises(GroupTooLarge):
+        coset_orbit(rs, xi, [], [], cap=count - 1)
+    with pytest.raises(GroupTooLarge):
+        coset_representatives(rs, theta, cap=count - 1)
 
 
 def test_coset_orbit_rejects_non_dominant():
@@ -202,6 +252,19 @@ def test_to_dominant_dotted_normal_form(x, y):
         # idempotence
         w2, again = to_dominant_dotted(rs, lam0)
         assert again == lam0 and w2.length == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["B2", "G2", "B3", "F4"]), st.data())
+def test_dotted_reduction_word_is_reduced(spec, data):
+    # to_dominant_dotted takes the length of its word without replaying it
+    rs = build_root_system(spec)
+    lam = data.draw(st.lists(st.integers(-9, 9), min_size=rs.rank,
+                             max_size=rs.rank))
+    res = to_dominant_dotted(rs, lam)
+    assume(res is not None)
+    w, _ = res
+    assert w.length == len(w.word) == element_from_word(rs, w.word).length
 
 
 def test_identity(b2):
