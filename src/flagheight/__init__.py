@@ -20,6 +20,7 @@ from .weyl import (
     longest_element,
     subgroup_order,
     to_dominant_dotted,
+    w0_negates,
     weyl_order,
 )
 from .parabolic import (
@@ -69,6 +70,7 @@ from .height import (
 from .jantzen import (
     LogCharacterCombo,
     jantzen_rhs,
+    jantzen_sizes,
     lambda0_component,
     verify_parabolic_independence,
     verify_w0_transform,

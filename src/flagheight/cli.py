@@ -7,10 +7,13 @@ numbered 1..rank in the deterministic ordering printed by
 Exit codes: 0 success, 2 argument or parse error, 3 invalid mathematical
 input (non-ample weight, bad localization vector, out-of-range indices),
 4 enumeration size cap exceeded (for char: the module's dimension, which
-bounds its weight table), 5 internal cross-check failure.  When the
-height methods disagree, the `error:` line on stderr is followed by one
-JSON line with the instance (group, theta, lambda, y) and the values of
-substitution, fixed_point and harmo_bott.
+bounds its weight table; for jantzen-rhs: its number of k-loop terms, or
+the dimension that bounds each of its weight tables), 5 internal
+cross-check failure.  When the height methods disagree, the `error:` line
+on stderr is followed by one JSON line with the instance (group, theta,
+lambda, y), the values of substitution, fixed_point and harmo_bott, and
+w0_paired, true when the localisation sums counted only half of the
+cosets (w0 Y = -Y).
 
 JSON output (the default) is `json.dumps(doc, indent=2, sort_keys=True)`
 plus a newline, byte for byte; only `elapsed_ms` differs between runs.
@@ -41,7 +44,7 @@ from .height import (
     height_harmo_bott,
     height_substitution,
 )
-from .jantzen import jantzen_rhs, lambda0_component
+from .jantzen import jantzen_rhs, jantzen_sizes, lambda0_component
 from .parabolic import NotAmple, build_parabolic
 from .rootsys import InvalidCartanSpec, InvariantViolation, \
     build_root_system, parse_cartan_spec
@@ -290,6 +293,7 @@ def _disagreement_doc(exc: MethodDisagreement) -> dict:
         "theta": sorted(i + 1 for i in exc.pd.theta),
         "lambda": list(exc.lam),
         "y": [_rational(v) for v in exc.y],
+        "w0_paired": exc.w0_paired,
     }
     doc.update((method, _rational(value))
                for method, value in exc.values.items())
@@ -298,6 +302,14 @@ def _disagreement_doc(exc: MethodDisagreement) -> dict:
 
 def _jantzen_doc(args, rs, theta, lam) -> dict:
     pd = build_parabolic(rs, theta)
+    terms, dim = jantzen_sizes(pd, lam)
+    if terms > args.cap:
+        raise GroupTooLarge(f"the sum at {list(lam)} has {terms} terms, "
+                            f"exceeding the cap {args.cap}")
+    if dim > args.cap:
+        raise GroupTooLarge(
+            f"the weight tables of the sum at {list(lam)} are bounded by "
+            f"dimension {dim}, exceeding the cap {args.cap}")
     combo = jantzen_rhs(pd, lam)
     lam0 = lambda0_component(combo, pd, lam)
     return {
@@ -374,8 +386,10 @@ def build_argument_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", choices=["json", "csv", "text"],
                         default="json")
     common.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                        help="abort if a Weyl enumeration, or for char the "
-                             "dimension of the module, exceeds this size")
+                        help="abort if a Weyl enumeration, for char the "
+                             "dimension of the module, or for jantzen-rhs "
+                             "its number of terms or the dimension bounding "
+                             "its weight tables, exceeds this size")
     common.add_argument("--print-numbering", action="store_true",
                         help="print the simple-root numbering table and exit")
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from .charpoly import graded_part
 from .jantzen import prime_factorization
 from .parabolic import NotAmple, ParabolicData, check_ample
 from .rootsys import InvariantViolation, RootSystem
-from .weyl import DEFAULT_CAP, coset_orbit
+from .weyl import DEFAULT_CAP, coset_orbit, w0_negates
 
 
 class NotRegularY(ValueError):
@@ -27,14 +28,16 @@ class NotRegularY(ValueError):
 
 class MethodDisagreement(InvariantViolation):
     """The independent height algorithms produced different values.  The
-    instance (pd, lam, y) and each method's value are kept for a
-    diagnostic."""
+    instance (pd, lam, y), each method's value and whether the localisation
+    sums were halved by the w0 pairing are kept for a diagnostic."""
 
-    def __init__(self, pd: ParabolicData, lam, y, values: dict):
+    def __init__(self, pd: ParabolicData, lam, y, values: dict,
+                 w0_paired: bool):
         self.pd = pd
         self.lam = tuple(lam)
         self.y = tuple(Fraction(v) for v in y)
         self.values = dict(values)
+        self.w0_paired = w0_paired
         super().__init__("height methods disagree: " + ", ".join(
             f"{method}={value}" for method, value in self.values.items()))
 
@@ -114,10 +117,17 @@ class LocalizationData:
     `cosets` holds, per minimal coset representative w of W_G/W_Theta,
     (phi, thetas) with phi = (w lam)(sY) and thetas[a] = (w alpha_a)(sY)
     for the roots alpha_a of Psi; `grades[a]` = <alpha_a^vee, lam>.  The
-    height has degree 0 in Y, so the scale s does not change it."""
+    height has degree 0 in Y, so the scale s does not change it.
+
+    `w0_paired` is True iff w0 Y = -Y.  Then the coset w0 w has phi and
+    every theta_a negated, its term in either localisation sum equals the
+    term of w (numerator and prod theta both have degree N), and the
+    kernels count each coset with phi > 0 twice, each with phi = 0 once and
+    each with phi < 0 not at all."""
 
     grades: tuple[int, ...]
     cosets: tuple[tuple[int, tuple[int, ...]], ...]
+    w0_paired: bool
 
 
 def localization_data(pd: ParabolicData, lam, Y=None,
@@ -127,7 +137,8 @@ def localization_data(pd: ParabolicData, lam, Y=None,
     list of all roots and phi through phi(s_i w) = phi(w) - (w lam)_i Y_i.
 
     Y is scaled by s, the lcm of the denominators of lam(Y) and of the
-    entries of Y; then every root value and every phi is an integer."""
+    entries of Y; then every root value and every phi is an integer, and
+    w0 Y = -Y is decided on the scaled integers."""
     rs = pd.rs
     lam = rs.check_weight(lam)
     Y = default_y(rs) if Y is None else tuple(Fraction(y) for y in Y)
@@ -152,29 +163,62 @@ def localization_data(pd: ParabolicData, lam, Y=None,
         cosets.append((phi, tuple([value[r] for r in images_w])))
     return LocalizationData(
         grades=tuple(rs._pairing(lam, alpha) for alpha in pd.psi),
-        cosets=tuple(cosets))
+        cosets=tuple(cosets),
+        w0_paired=w0_negates(rs, ys))
+
+
+class _PhiRow(dict):
+    """t -> sum_e coeffs[e] x^e phi^{N-e} with x = x(phi, t), for one phi
+    and N = len(coeffs) - 1: each value is formed by Horner's rule in x on
+    its first lookup and kept."""
+
+    def __init__(self, coeffs, phi, x):
+        super().__init__()
+        N = len(coeffs) - 1
+        self.scaled = [c * phi ** (N - e) for e, c in enumerate(coeffs)][::-1]
+        self.phi = phi
+        self.x = x
+
+    def __missing__(self, t):
+        x = self.x(self.phi, t)
+        acc = 0
+        for c in self.scaled:
+            acc = acc * x + c
+        self[t] = acc
+        return acc
 
 
 def _localization_sum(data: LocalizationData, coeffs, x) -> Fraction:
     """sum_w (prod_a theta_a)^{-1} sum_a j_a sum_e coeffs[e] x_a^e phi^{N-e}
     over the cosets w of `data`, with N = len(coeffs) - 1 and
-    x_a = x(phi, theta_a, j_a).  Each coset is one integer, by Horner's
-    rule in x_a, over the integer prod_a theta_a."""
-    N = len(coeffs) - 1
-    total = Fraction(0)
+    x_a = x(phi, j_a theta_a).
+
+    When data.w0_paired, the cosets with phi < 0 are skipped and those with
+    phi > 0 count twice (see LocalizationData).  The inner polynomial
+    depends on (phi, j_a theta_a) only, and few such pairs occur (2842
+    over the 5146 cosets of E7/P4 with phi >= 0, of 53 roots each), so
+    Horner's rule runs once per distinct pair, in one _PhiRow per phi.
+    Each coset is one integer over the integer prod_a theta_a; the integers
+    over equal products are added, and only then divided."""
+    grades = data.grades
+    paired = data.w0_paired
+    mul = operator.mul
+    rows = {}
+    sums = {}  # prod_a theta_a -> the sum of the numerators over it
     for phi, thetas in data.cosets:
-        scaled = [c * phi ** (N - e) for e, c in enumerate(coeffs)]
-        scaled.reverse()
-        num, prod = 0, 1
-        for theta, j in zip(thetas, data.grades):
-            xa = x(phi, theta, j)
-            acc = 0
-            for c in scaled:
-                acc = acc * xa + c
-            num += j * acc
-            prod *= theta
-        total += Fraction(num, prod)
-    return total
+        if paired and phi < 0:
+            continue
+        row = rows.get(phi)
+        if row is None:
+            row = rows[phi] = _PhiRow(coeffs, phi, x)
+        num = sum(map(mul, grades,
+                      map(row.__getitem__, map(mul, grades, thetas))))
+        if paired and phi:
+            num *= 2
+        prod = math.prod(thetas)
+        sums[prod] = sums.get(prod, 0) + num
+    return sum((Fraction(num, prod) for prod, num in sums.items()),
+               Fraction(0))
 
 
 # ---------------------------------------------------------------------
@@ -198,14 +242,17 @@ def height_fixed_point(pd: ParabolicData, lam, Y=None,
     homogeneous polynomial, so with L = lcm(1..N+1) the inner sum is
     sum_a j sum_e C_e r^e phi^{N-e} / (2L), C_e = sum_{l>e} L/l: one
     integer per coset over prod_a theta_wa, and one division by 2L at the
-    end.  `data` is reused when given (Y and cap are then ignored)."""
+    end.  The term of w is homogeneous of degree 0 in (phi, theta), so when
+    w0 Y = -Y the cosets w and w0 w give equal terms and only half of them
+    are summed; the inner polynomial is evaluated once per distinct
+    (phi, j theta_wa) (see _localization_sum).  `data` is reused when given
+    (Y and cap are then ignored)."""
     N = pd.dim
     if data is None:
         data = localization_data(pd, lam, Y, cap)
     L = math.lcm(*range(1, N + 2))
     suffix = list(itertools.accumulate(L // l for l in range(N + 1, 0, -1)))
-    total = _localization_sum(data, suffix[::-1],
-                              lambda phi, theta, j: phi - j * theta)
+    total = _localization_sum(data, suffix[::-1], lambda phi, t: phi - t)
     return _result(pd, total / (2 * L), "fixed_point")
 
 
@@ -226,15 +273,16 @@ def height_harmo_bott(pd: ParabolicData, lam, Y=None,
     L = lcm(1..N+1), the coefficients K_l = (-1)^l (L/(l+1)) C(N+1, l+1)
     are integers, the inner sum is sum_a j_a sum_l K_l (j_a theta_wa)^l
     phi^{N-l} / (2L): one integer per coset over prod_b theta_wb, and one
-    division by 2L at the end.  `data` is reused when given (Y and cap are
-    then ignored)."""
+    division by 2L at the end, with the same w0 pairing and the same one
+    evaluation per distinct (phi, j_a theta_wa) as height_fixed_point.
+    `data` is reused when given (Y and cap are then ignored)."""
     N = pd.dim
     if data is None:
         data = localization_data(pd, lam, Y, cap)
     L = math.lcm(*range(1, N + 2))
     coeffs = [(-1) ** l * (L // (l + 1)) * math.comb(N + 1, l + 1)
               for l in range(N + 1)]
-    total = _localization_sum(data, coeffs, lambda phi, theta, j: j * theta)
+    total = _localization_sum(data, coeffs, lambda phi, t: t)
     return _result(pd, total / (2 * L), "harmo_bott")
 
 
@@ -252,7 +300,8 @@ def height_all_methods(pd: ParabolicData, lam, Y=None,
     if len({res.value for res in values.values()}) > 1:
         raise MethodDisagreement(
             pd, lam, default_y(pd.rs) if Y is None else Y,
-            {method: res.value for method, res in values.items()})
+            {method: res.value for method, res in values.items()},
+            data.w0_paired)
     return values["substitution"]
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .charpoly import formal_character, freudenthal
+from .charpoly import formal_character, freudenthal, weyl_dim
 from .parabolic import ParabolicData, build_parabolic
 from .rootsys import RootSystem
 from .weyl import longest_element, to_dominant_dotted
@@ -107,13 +107,34 @@ def jantzen_rhs(pd: ParabolicData, lam) -> LogCharacterCombo:
     return combo
 
 
+def _lambda0(rs: RootSystem, lam) -> tuple:
+    """The Borel-Weil-Bott normal form lam0 of lam: rho + lam0 is the
+    dominant conjugate of rho + lam.  ValueError if rho + lam is singular."""
+    res = to_dominant_dotted(rs, tuple(lam))
+    if res is None:
+        raise ValueError(f"rho + {lam} is singular; lambda0 undefined")
+    return res[1]
+
+
+def jantzen_sizes(pd: ParabolicData, lam) -> tuple[int, int]:
+    """Two sizes that bound the work of jantzen_rhs(pd, lam), found in
+    O(|Sigma+|) integer operations: the number of its k-loop terms,
+    sum_{a in Psi} (|<a^vee, rho + lam>| - 2)^+, and dim V(lam0), lam0 the
+    normal form of lam.  Each term's argument lies on a segment from
+    rho + lam to a reflection of it, so in the convex hull of the W-orbit
+    of rho + lam0; its own normal form lies below lam0, and every
+    Freudenthal table has at most dim V(lam0) weights.  ValueError if
+    rho + lam is singular."""
+    rs = pd.rs
+    nu = tuple(l + r for l, r in zip(lam, rs.rho))
+    terms = sum(max(abs(rs._pairing(nu, alpha)) - 2, 0) for alpha in pd.psi)
+    return terms, weyl_dim(rs, _lambda0(rs, lam))
+
+
 def lambda0_component(combo: LogCharacterCombo, pd: ParabolicData, lam) -> dict:
     """Coefficient of the Borel-Weil-Bott normal form lam0 per prime; must
     be identically zero for the truncated sums of jantzen_rhs."""
-    res = to_dominant_dotted(pd.rs, tuple(lam))
-    if res is None:
-        raise ValueError(f"rho + {lam} is singular; lambda0 undefined")
-    _, lam0 = res
+    lam0 = _lambda0(pd.rs, lam)
     return {p: combo.terms[p][lam0]
             for p in combo.terms if lam0 in combo.terms[p]}
 

@@ -268,3 +268,18 @@ def longest_element(rs: RootSystem) -> WeylElement:
             f"w0 of {rs.spec} has length {w0.length}, "
             f"not |Sigma+| = {rs.num_positive_roots}")
     return w0
+
+
+def w0_negates(rs: RootSystem, y) -> bool:
+    """True iff w0 Y = -Y for the coweight Y with alpha_i(Y) = y[i], in exact
+    arithmetic: replay a reduced word of w0 on Y, with (s_i Y)(alpha_j) =
+    Y(s_i alpha_j) = y_j - A[i][j] y_i.  w0 is an involution, so the word
+    may be read in either direction.  This holds for Y = rho^vee in every
+    type, and for every Y when -1 is in W."""
+    A = rs.cartan_matrix
+    image = list(y)
+    for i in longest_element(rs).word:
+        yi = image[i]
+        for j, a in enumerate(A[i]):
+            image[j] -= a * yi
+    return all(u == -v for u, v in zip(image, y))

@@ -211,13 +211,18 @@ _WRONG_HARMO_BOTT = textwrap.dedent("""
 """)
 
 
-def test_method_disagreement_diagnostic():
+def _disagree(*argv):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    proc = subprocess.run(
-        [sys.executable, "-c", _WRONG_HARMO_BOTT, "height", "--group", "B2",
-         "--theta", "2", "--lambda", "1,0", "--y", "1/2,3"],
+    return subprocess.run(
+        [sys.executable, "-c", _WRONG_HARMO_BOTT, "height", *argv],
         env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_method_disagreement_diagnostic():
+    # -1 is in the Weyl group of B2, so every Y pairs w with w0 w
+    proc = _disagree("--group", "B2", "--theta", "2", "--lambda", "1,0",
+                     "--y", "1/2,3")
     assert proc.returncode == EXIT_CROSSCHECK, proc.stderr
     assert proc.stdout == ""
     error, diagnostic = proc.stderr.splitlines()
@@ -229,6 +234,17 @@ def test_method_disagreement_diagnostic():
     assert doc["substitution"] == {"num": "17", "den": "3"}
     assert doc["fixed_point"] == {"num": "17", "den": "3"}
     assert doc["harmo_bott"] == {"num": "20", "den": "3"}
+    assert doc["w0_paired"] is True
+
+
+def test_method_disagreement_diagnostic_unpaired():
+    # on A2, w0 swaps alpha_1 and alpha_2 up to sign: Y = (1, 2) is not paired
+    proc = _disagree("--group", "A2", "--theta", "", "--lambda", "1,1",
+                     "--y", "1,2")
+    assert proc.returncode == EXIT_CROSSCHECK, proc.stderr
+    doc = json.loads(proc.stderr.splitlines()[1])
+    assert doc["w0_paired"] is False
+    assert doc["fixed_point"] == doc["substitution"] != doc["harmo_bott"]
 
 
 _AFTER_STDIN_EOF = textwrap.dedent("""
@@ -315,6 +331,38 @@ def test_char_cap_is_the_dimension(capsys):
                          "--cap", "7")
     assert code == EXIT_CAP
     assert "7" in err and out == ""
+
+
+@pytest.mark.parametrize("group,lam,code,message", [
+    # 99999999 terms of the k-loop
+    ("A1", "100000000", EXIT_CAP, "has 99999999 terms"),
+    # 1198 terms, but dim V(lambda) bounds the Freudenthal tables
+    ("A2", "300,300", EXIT_CAP, "dimension 27270901"),
+    ("A2", "-3,1", EXIT_MATH, "rho + (-3, 1) is singular; lambda0 undefined"),
+])
+def test_jantzen_refused_before_the_sum(capsys, monkeypatch, group, lam,
+                                        code, message):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("jantzen_rhs started")
+
+    monkeypatch.setattr(cli, "jantzen_rhs", refuse)
+    exit_code, out, err = run(capsys, "jantzen-rhs", "--group", group,
+                              "--theta", "", f"--lambda={lam}")
+    assert exit_code == code
+    assert message in err and out == ""
+
+
+@pytest.mark.parametrize("group,lam,size", [
+    ("G2", "0,0", 6),  # 6 terms, dimension 1
+    ("A2", "1,1", 8),  # 2 terms, dimension 8
+])
+def test_jantzen_cap_is_the_larger_size(capsys, group, lam, size):
+    argv = ("jantzen-rhs", "--group", group, "--theta", "", "--lambda", lam)
+    code, out, _ = run(capsys, *argv, "--cap", str(size))
+    assert code == EXIT_OK and json.loads(out)["lambda0_component_zero"]
+    code, out, err = run(capsys, *argv, "--cap", str(size - 1))
+    assert code == EXIT_CAP
+    assert f"cap {size - 1}" in err and out == ""
 
 
 def test_text_output(capsys):

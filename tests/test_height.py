@@ -320,6 +320,41 @@ def test_localization_kernels_match_fraction_oracles(spec, y):
             harmo_bott_by_fractions(pd, lam, Y)
 
 
+@pytest.mark.parametrize("spec,theta,lam,Y,paired", [
+    # sigma-symmetric Y, not all ones: the halved sums
+    ("A3", None, None, (2, 5, 2), True),
+    ("A4", (), (1, 1, 1, 1), (1, 2, 2, 1), True),
+    # -1 is not in W(A4), and this Y is not sigma-symmetric: the full sums
+    ("A4", (), (1, 1, 1, 1), (2, 3, 4, 5), False),
+])
+def test_localization_kernels_on_both_paths(spec, theta, lam, Y, paired):
+    # theta None: every parabolic of spec, each at its weight from
+    # all_parabolics
+    cases = all_parabolics(spec) if theta is None else \
+        [(build_parabolic(build_root_system(spec), theta), lam)]
+    for pd, lam in cases:
+        assert localization_data(pd, lam, Y).w0_paired is paired
+        assert height_fixed_point(pd, lam, Y).value == \
+            fixed_point_by_fractions(pd, lam, Y)
+        assert height_harmo_bott(pd, lam, Y).value == \
+            harmo_bott_by_fractions(pd, lam, Y)
+
+
+@pytest.mark.parametrize("spec,theta,lam", [
+    ("D5", (), (1, 1, 1, 1, 1)),  # 1920 cosets
+    ("E6", (0, 1, 2, 4, 5), (0, 0, 0, 1, 0, 0)),  # 720 cosets
+])
+def test_three_methods_agree_on_both_paths(spec, theta, lam):
+    # the opposition involution of D5 and E6 is not trivial, so
+    # Y = (1, 2, ...) takes the full sums and the default Y the halved ones
+    pd = build_parabolic(build_root_system(spec), theta)
+    asymmetric = tuple(range(1, pd.rs.rank + 1))
+    assert localization_data(pd, lam).w0_paired
+    assert not localization_data(pd, lam, asymmetric).w0_paired
+    assert height_all_methods(pd, lam).value == \
+        height_all_methods(pd, lam, asymmetric).value
+
+
 def test_localization_data_is_integral():
     # Y = (1/3, 2) on G2 Borel at lam = (1, 1): the scale is the lcm of the
     # denominators of lam(Y) and of Y

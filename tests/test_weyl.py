@@ -14,6 +14,7 @@ from flagheight.weyl import (
     longest_element,
     subgroup_order,
     to_dominant_dotted,
+    w0_negates,
     weyl_order,
 )
 
@@ -271,3 +272,32 @@ def test_identity(b2):
     e = element_from_word(b2, ())
     assert e.length == 0 and e.sign == 1
     assert e.act_weight(b2, (3, -2)) == (3, -2)
+
+
+def _opposition(rs):
+    """sigma with -w0(alpha_i) = alpha_sigma(i), read off the roots."""
+    w0 = longest_element(rs)
+    simple = [b for b in rs.positive_roots if b.height() == 1]
+    return {b.coords.index(1): (-w0.act_root(rs, b)).coords.index(1)
+            for b in simple}
+
+
+@pytest.mark.parametrize("spec,moved", [
+    ("A2", True), ("A3", True), ("A4", True), ("A5", True), ("B3", False),
+    ("C3", False), ("D4", False), ("D5", True), ("E6", True), ("F4", False),
+    ("G2", False),
+])
+def test_w0_negates_is_opposition_symmetry(spec, moved):
+    # w0 Y = -Y iff Y_sigma(i) = Y_i: at the default Y, at a sigma-symmetric
+    # Y and at Y = (2, 3, ...), which is symmetric iff sigma is trivial
+    rs = build_root_system(spec)
+    sigma = _opposition(rs)
+    assert (sigma != {i: i for i in range(rs.rank)}) == moved
+    ys = [(1,) * rs.rank,
+          tuple(3 * (i + sigma[i]) + 1 for i in range(rs.rank)),
+          tuple(range(2, rs.rank + 2))]
+    for y in ys:
+        expected = all(y[sigma[i]] == y[i] for i in range(rs.rank))
+        assert w0_negates(rs, y) == expected
+    assert w0_negates(rs, ys[0]) and w0_negates(rs, ys[1])
+    assert w0_negates(rs, ys[2]) != moved
