@@ -4,9 +4,10 @@ Subcommands: height, jantzen-rhs, char, dim, bwb, scan.  Simple roots are
 numbered 1..rank in the deterministic ordering printed by
 --print-numbering; --theta and --lambda refer to that numbering.
 
-Exit codes: 0 success, 2 argument or parse error, 3 invalid mathematical
-input (non-ample weight, bad localization vector, out-of-range indices),
-4 enumeration size cap exceeded (for char: the module's dimension, which
+Exit codes: 0 success, 2 argument or parse error (a negative --cap too),
+3 invalid mathematical input (non-ample weight, bad localization vector,
+out-of-range indices, a jantzen-rhs lambda that does not vanish on
+theta), 4 enumeration size cap exceeded (for char: the module's dimension, which
 bounds its weight table; for jantzen-rhs: its number of k-loop terms, or
 the dimension that bounds each of its weight tables), 5 internal
 cross-check failure.  When the height methods disagree, the `error:` line
@@ -301,6 +302,11 @@ def _disagreement_doc(exc: MethodDisagreement) -> dict:
 
 
 def _jantzen_doc(args, rs, theta, lam) -> dict:
+    # the sum over P_theta is the Borel sum only for a line bundle on
+    # G/P_theta, i.e. a lambda that vanishes on theta
+    if any(lam[i] for i in theta):
+        raise ValueError(f"lambda {list(lam)} does not vanish on theta "
+                         f"{sorted(i + 1 for i in theta)}")
     pd = build_parabolic(rs, theta)
     terms, dim = jantzen_sizes(pd, lam)
     if terms > args.cap:
@@ -374,61 +380,116 @@ def _scan_docs(args, rs) -> list:
     return docs
 
 
+def _cap(text: str) -> int:
+    """--cap: an int that is not negative, with argparse's own wording for
+    text that is not an int."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"invalid cap {value}: a size cannot be negative")
+    return value
+
+
+# option groups: (flag, add_argument keywords), in the order of --help
+_OPTION_GROUPS = {
+    "common": (
+        ("--group", dict(required=True,
+                         help="Cartan spec, e.g. A3, B2xA1, D4")),
+        ("--output", dict(choices=["json", "csv", "text"], default="json")),
+        ("--cap", dict(type=_cap, default=DEFAULT_CAP,
+                       help="abort if a Weyl enumeration, for char the "
+                            "dimension of the module, or for jantzen-rhs "
+                            "its number of terms or the dimension bounding "
+                            "its weight tables, exceeds this size")),
+        ("--print-numbering", dict(
+            action="store_true",
+            help="print the simple-root numbering table and exit")),
+    ),
+    "theta": (
+        ("--theta", dict(default="",
+                         help="1-based simple indices of the Levi, comma "
+                              "list; empty for the Borel")),
+    ),
+    "lambda": (
+        ("--lambda", dict(dest="lam", default="",
+                          help="weight in fundamental-weight coordinates, "
+                               "comma list")),
+    ),
+    "height": (
+        ("--method", dict(default="all",
+                          choices=["all", "substitution", "fixed-point",
+                                   "harmo-bott"])),
+        ("--y", dict(default="",
+                     help="localization vector (alpha_i(Y) values), comma "
+                          "list")),
+        ("--check-conjecture", dict(
+            action="store_true",
+            help="also print the conjectural denominator verdict")),
+    ),
+}
+
+# subcommand -> (help line, option groups)
+_SUBCOMMANDS = {
+    "height": ("height of (G/P_theta, L_lambda)",
+               ("common", "theta", "lambda", "height")),
+    "jantzen-rhs": ("prime-indexed character table of the sum formula",
+                    ("common", "theta", "lambda")),
+    "char": ("weight multiplicities of the irreducible module",
+             ("common", "lambda")),
+    "dim": ("dimension of the irreducible module", ("common", "lambda")),
+    "bwb": ("dotted-action normal form (cohomology degree, dominant "
+            "weight)", ("common", "lambda")),
+    "scan": ("heights of all maximal parabolics of a group",
+             ("common", "height")),
+}
+
+
+def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
+    """Add the options of a subcommand to parser."""
+    for group in _SUBCOMMANDS[command][1]:
+        for flag, kwargs in _OPTION_GROUPS[group]:
+            parser.add_argument(flag, **kwargs)
+
+
 def build_argument_parser() -> argparse.ArgumentParser:
+    """The full tree: the top-level parser and one subparser per
+    subcommand."""
     parser = argparse.ArgumentParser(
         prog="flagheight",
         description="Exact heights of flag varieties from root-system data.")
     sub = parser.add_subparsers(dest="command", required=False)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--group", required=True,
-                        help="Cartan spec, e.g. A3, B2xA1, D4")
-    common.add_argument("--output", choices=["json", "csv", "text"],
-                        default="json")
-    common.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                        help="abort if a Weyl enumeration, for char the "
-                             "dimension of the module, or for jantzen-rhs "
-                             "its number of terms or the dimension bounding "
-                             "its weight tables, exceeds this size")
-    common.add_argument("--print-numbering", action="store_true",
-                        help="print the simple-root numbering table and exit")
-
-    lam_opt = argparse.ArgumentParser(add_help=False)
-    lam_opt.add_argument("--lambda", dest="lam", default="",
-                         help="weight in fundamental-weight coordinates, "
-                              "comma list")
-
-    theta_opt = argparse.ArgumentParser(add_help=False)
-    theta_opt.add_argument("--theta", default="",
-                           help="1-based simple indices of the Levi, comma "
-                                "list; empty for the Borel")
-
-    height_opts = argparse.ArgumentParser(add_help=False)
-    height_opts.add_argument("--method", default="all",
-                             choices=["all", "substitution", "fixed-point",
-                                      "harmo-bott"])
-    height_opts.add_argument("--y", default="",
-                             help="localization vector (alpha_i(Y) values), "
-                                  "comma list")
-    height_opts.add_argument("--check-conjecture", action="store_true",
-                             help="also print the conjectural denominator "
-                                  "verdict")
-
-    sub.add_parser("height", parents=[common, theta_opt, lam_opt, height_opts],
-                   help="height of (G/P_theta, L_lambda)")
-
-    sub.add_parser("jantzen-rhs", parents=[common, theta_opt, lam_opt],
-                   help="prime-indexed character table of the sum formula")
-    sub.add_parser("char", parents=[common, lam_opt],
-                   help="weight multiplicities of the irreducible module")
-    sub.add_parser("dim", parents=[common, lam_opt],
-                   help="dimension of the irreducible module")
-    sub.add_parser("bwb", parents=[common, lam_opt],
-                   help="dotted-action normal form (cohomology degree, "
-                        "dominant weight)")
-    sub.add_parser("scan", parents=[common, height_opts],
-                   help="heights of all maximal parabolics of a group")
+    for command, (help_line, _) in _SUBCOMMANDS.items():
+        _add_options(sub.add_parser(command, help=help_line), command)
     return parser
+
+
+def _parse_args(argv):
+    """The parsed arguments, with .command set; None, after printing the
+    top-level help, if no subcommand is named.  Exits as argparse does on
+    -h and on errors.
+
+    A call that names a subcommand first builds only that subcommand's
+    parser, under the prog name the full tree gives it, so its help and
+    errors are the same.  Everything else goes to the full tree: top-level
+    help, no or an unknown subcommand, and leftover arguments, which only
+    the top-level parser reports."""
+    if argv and argv[0] in _SUBCOMMANDS:
+        parser = argparse.ArgumentParser(prog=f"flagheight {argv[0]}")
+        _add_options(parser, argv[0])
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    parser = build_argument_parser()
+    args = parser.parse_args(argv)
+    if args.command is None:
+        parser.print_help()
+        return None
+    return args
 
 
 def _attach_negative_values(argv) -> list:
@@ -447,15 +508,13 @@ def _attach_negative_values(argv) -> list:
 
 
 def main(argv=None) -> int:
-    parser = build_argument_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_attach_negative_values(argv))
+        args = _parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
-    if args.command is None:
-        parser.print_help()
+    if args is None:
         return EXIT_PARSE
 
     try:

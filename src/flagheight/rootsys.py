@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import neg
 
 FAMILIES = "ABCDEFG"
 
@@ -156,19 +157,10 @@ def _invert_rational(M: list[list[int]]) -> list[list[Fraction]]:
     return [row[n:] for row in aug]
 
 
-def _simple_reflect_root(A, i: int, beta: Root) -> Root:
-    """s_i(beta) for the Cartan matrix A, on root and coroot coordinates."""
-    n = len(A)
-    rc = list(beta.coords)
-    rc[i] -= sum(A[i][j] * beta.coords[j] for j in range(n))
-    cc = list(beta.coroot)
-    cc[i] -= sum(beta.coroot[j] * A[j][i] for j in range(n))
-    return Root(tuple(rc), tuple(cc))
-
-
 @dataclass(frozen=True)
 class RootSystem:
     spec: CartanSpec
+    rank: int
     cartan_matrix: tuple[tuple[int, ...], ...]
     positive_roots: tuple[Root, ...]
     rho: tuple[int, ...]
@@ -178,10 +170,6 @@ class RootSystem:
     _root_coord_set: frozenset  # coordinates of all roots, both signs
 
     # -- basics -------------------------------------------------------
-
-    @property
-    def rank(self) -> int:
-        return self.spec.rank
 
     @property
     def coxeter_number(self) -> int:
@@ -254,7 +242,12 @@ class RootSystem:
 
     def simple_reflect_root(self, i: int, beta: Root) -> Root:
         """s_i(beta), transforming root and coroot coordinates together."""
-        return _simple_reflect_root(self.cartan_matrix, i, beta)
+        A, n = self.cartan_matrix, self.rank
+        rc = list(beta.coords)
+        rc[i] -= sum(A[i][j] * beta.coords[j] for j in range(n))
+        cc = list(beta.coroot)
+        cc[i] -= sum(beta.coroot[j] * A[j][i] for j in range(n))
+        return Root(tuple(rc), tuple(cc))
 
     # -- dominance ----------------------------------------------------
 
@@ -341,8 +334,8 @@ def _symmetrizer_for(A: list[list[int]], blocks) -> list[int]:
 
 
 def build_root_system(spec: CartanSpec | str) -> RootSystem:
-    """Construct the root system: Cartan matrix, positive roots (closure of
-    the simple roots under simple reflections), rho, Coxeter numbers."""
+    """Construct the root system: Cartan matrix, positive roots (the simple
+    roots raised by simple reflections), rho, Coxeter numbers."""
     if isinstance(spec, str):
         spec = parse_cartan_spec(spec)
     rank = spec.rank
@@ -363,26 +356,43 @@ def build_root_system(spec: CartanSpec | str) -> RootSystem:
 
     A = tuple(tuple(row) for row in A)
 
-    # breadth-first closure of the simple roots under simple reflections
-    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    frontier = [Root(e, e) for e in units]
-    seen = {r.coords: r for r in frontier}
-    while frontier:
-        nxt = []
-        for beta in frontier:
-            for i in range(rank):
-                g = _simple_reflect_root(A, i, beta)
-                if g.is_positive and g.coords not in seen:
-                    seen[g.coords] = g
-                    nxt.append(g)
-        frontier = nxt
-    positive = tuple(sorted(seen.values(), key=lambda r: r.coords))
+    # raise each positive root beta by the simple roots alpha_i with
+    # p = <beta, alpha_i^vee> < 0: s_i(beta) = beta - p alpha_i is then a
+    # higher root, and every positive root is reached from a simple root by
+    # such steps.  The pairings are the fw coordinates of beta, carried
+    # along; the coroot and the Root are formed for new roots only, with
+    # <alpha_i, beta^vee> from the nonzero entries of column i of A.
+    alpha_fw = [tuple(row[i] for row in A) for i in range(rank)]
+    cols = [[(j, a) for j, a in enumerate(col) if a] for col in alpha_fw]
+    roots = {}
+    todo = []
+    for i in range(rank):
+        e = tuple(int(i == j) for j in range(rank))
+        roots[e] = Root(e, e)
+        todo.append((roots[e], alpha_fw[i]))
+    while todo:
+        beta, fw = todo.pop()
+        c = beta.coords
+        for i, p in enumerate(fw):
+            if p < 0:
+                rc = c[:i] + (c[i] - p,) + c[i + 1:]
+                if rc not in roots:
+                    cv = beta.coroot
+                    q = sum(cv[j] * a for j, a in cols[i])
+                    gamma = Root(rc, cv[:i] + (cv[i] - q,) + cv[i + 1:])
+                    roots[rc] = gamma
+                    todo.append((gamma, tuple(
+                        f - p * a for f, a in zip(fw, alpha_fw[i]))))
+    positive = tuple(roots[c] for c in sorted(roots))
 
-    # Coxeter numbers per factor: c * rank_factor = #roots of factor
+    # Coxeter numbers per factor: c * rank_factor = #roots of factor; a
+    # root lives in the factor of its first nonzero coordinate
+    counts = [0] * len(blocks)
+    for r in positive:
+        first = next(i for i, x in enumerate(r.coords) if x)
+        counts[factor_of_index[first]] += 2
     cox = []
-    for block in blocks:
-        nroots = 2 * sum(1 for r in positive
-                         if any(r.coords[i] for i in block))
+    for block, nroots in zip(blocks, counts):
         c, rem = divmod(nroots, len(block))
         if rem:
             raise InvariantViolation(
@@ -392,12 +402,13 @@ def build_root_system(spec: CartanSpec | str) -> RootSystem:
 
     return RootSystem(
         spec=spec,
+        rank=rank,
         cartan_matrix=A,
         positive_roots=positive,
         rho=tuple([1] * rank),
         coxeter_numbers=tuple(cox),
         factor_of_index=tuple(factor_of_index),
         _symmetrizer=tuple(_symmetrizer_for(A, blocks)),
-        _root_coord_set=frozenset(r.coords for r in positive)
-        | frozenset(tuple(-c for c in r.coords) for r in positive),
+        _root_coord_set=frozenset(roots)
+        | frozenset(tuple(map(neg, c)) for c in roots),
     )

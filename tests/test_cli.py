@@ -365,6 +365,38 @@ def test_jantzen_cap_is_the_larger_size(capsys, group, lam, size):
     assert f"cap {size - 1}" in err and out == ""
 
 
+def test_jantzen_lambda_must_vanish_on_theta(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("jantzen_sizes started")
+
+    monkeypatch.setattr(cli, "jantzen_sizes", refuse)
+    code, out, err = run(capsys, "jantzen-rhs", "--group", "B2",
+                         "--theta", "1", "--lambda", "2,1")
+    assert code == EXIT_MATH and out == ""
+    assert err == "error: lambda [2, 1] does not vanish on theta [1]\n"
+    monkeypatch.undo()
+    # lambda = 3 omega_2 vanishes on theta {1}
+    code, out, _ = run(capsys, "jantzen-rhs", "--group", "A2",
+                       "--theta", "1", "--lambda", "0,3")
+    assert code == EXIT_OK and json.loads(out)["lambda0_component_zero"]
+
+
+@pytest.mark.parametrize("cap", [("--cap", "-5"), ("--cap=-1",)])
+def test_negative_cap_is_a_parse_error(capsys, cap):
+    code, out, err = run(capsys, "height", "--group", "A1", "--theta", "",
+                         "--lambda", "1", *cap)
+    assert code == EXIT_PARSE and out == ""
+    assert "argument --cap: invalid cap -" in err
+    assert "a size cannot be negative" in err
+
+
+def test_cap_zero_is_a_size(capsys):
+    code, out, err = run(capsys, "height", "--group", "A1", "--theta", "",
+                         "--lambda", "1", "--cap", "0")
+    assert code == EXIT_CAP and out == ""
+    assert "cap 0" in err
+
+
 def test_text_output(capsys):
     _, out, _ = run(capsys, "height", "--group", "A1", "--theta", "",
                     "--lambda", "1", "--output", "text")
@@ -494,3 +526,53 @@ def _readme_commands():
 def test_readme_examples_run(capsys, line):
     code, _, err = run(capsys, *shlex.split(line)[1:])
     assert code == EXIT_OK, err
+
+
+def _full_tree_parse(argv):
+    """What main parsed with before the per-subcommand parser: the full
+    tree of build_argument_parser on every argv."""
+    parser = cli.build_argument_parser()
+    args = parser.parse_args(argv)
+    if args.command is None:
+        parser.print_help()
+        return None
+    return args
+
+
+_SUBCOMMANDS = ("height", "jantzen-rhs", "char", "dim", "bwb", "scan")
+_PARSE_BATTERY = (
+    [(cmd, "-h") for cmd in _SUBCOMMANDS]
+    + [("-h",), (), ("heigth", "--group", "A1")]
+    + [("height", "--theta", "", "--lambda", "1"),
+       ("height", "--group", "A1", "--lambda", "1", "--method", "bogus")]
+    + [(cmd, "--group", "A1", "--lambda", "1", "--bogus", "x")
+       for cmd in _SUBCOMMANDS]
+    + [("bwb", "--group", "A2", "--lam", "-4,1"),
+       ("bwb", "--group", "A2", "--lambda", "-1,0"),
+       ("height", "--group", "B2", "--theta", "", "--lambda", "1,1",
+        "--method", "fixed-point", "--y", "-1,3")]
+)
+
+
+@pytest.mark.parametrize("argv", _PARSE_BATTERY,
+                         ids=lambda argv: " ".join(argv) or "no arguments")
+def test_parse_contract(capsys, monkeypatch, argv):
+    """main gives the bytes and exit code of the full tree: help and usage
+    wrap to the terminal width, so both runs see COLUMNS=80."""
+    monkeypatch.setenv("COLUMNS", "80")
+    runs = []
+    for parse in (cli._parse_args, _full_tree_parse):
+        monkeypatch.setattr(cli, "_parse_args", parse)
+        code, out, err = run(capsys, *argv)
+        runs.append(
+            (code, re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out), err))
+    assert runs[0] == runs[1]
+
+
+def test_named_subcommand_builds_only_its_parser(capsys, monkeypatch):
+    def refuse():
+        raise RuntimeError("full parser tree built")
+
+    monkeypatch.setattr(cli, "build_argument_parser", refuse)
+    code, out, _ = run(capsys, "dim", "--group", "A2", "--lambda", "1,1")
+    assert code == EXIT_OK and json.loads(out)["dim"] == 8

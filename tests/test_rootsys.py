@@ -8,6 +8,7 @@ from flagheight.rootsys import (
     build_root_system,
     parse_cartan_spec,
 )
+from oracles import positive_roots_by_closure
 
 SIMPLE_TYPES = {
     "A1": (1, 2), "A2": (3, 3), "A3": (6, 4), "A4": (10, 5),
@@ -152,3 +153,43 @@ def test_negative_roots_are_roots(b2):
     for beta in b2.positive_roots:
         assert b2.is_root(-beta)
         assert not (-beta).is_positive
+
+
+# (|Sigma+|, Coxeter number) in closed form per family and rank
+_CLOSED_FORMS = {
+    "A": lambda n: (n * (n + 1) // 2, n + 1),
+    "B": lambda n: (n * n, 2 * n),
+    "C": lambda n: (n * n, 2 * n),
+    "D": lambda n: (n * (n - 1), 2 * n - 2),
+    "E": lambda n: {6: (36, 12), 7: (63, 18), 8: (120, 30)}[n],
+    "F": lambda n: (24, 12),
+    "G": lambda n: (6, 6),
+}
+CLASSIFICATION = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(3, 9)] + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"])
+
+
+@pytest.mark.parametrize("spec", CLASSIFICATION)
+def test_root_system_against_closed_forms_and_oracle(spec):
+    rs = build_root_system(spec)
+    count, cox = _CLOSED_FORMS[spec[0]](int(spec[1:]))
+    assert rs.num_positive_roots == count
+    assert rs.coxeter_number == cox
+    assert {beta.coords for beta in rs.positive_roots} == \
+        positive_roots_by_closure(rs.cartan_matrix)
+
+    # beta^vee = 2 beta / (beta, beta): with (alpha_i, alpha_j) =
+    # d_i A[i][j] and alpha_i^vee = alpha_i / d_i, its i-th simple-coroot
+    # coordinate is 2 d_i c_i / (beta, beta)
+    A, d = rs.cartan_matrix, rs._symmetrizer
+    n = rs.rank
+    assert all(d[i] * A[i][j] == d[j] * A[j][i]
+               for i in range(n) for j in range(n))
+    for beta in rs.positive_roots:
+        c = beta.coords
+        norm = sum(c[i] * d[i] * A[i][j] * c[j]
+                   for i in range(n) for j in range(n))
+        assert beta.coroot == tuple(Fraction(2 * d[i] * c[i], norm)
+                                    for i in range(n)), (spec, c)
