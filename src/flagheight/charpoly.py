@@ -22,6 +22,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, sub
 
 from .parabolic import NotAmple, ParabolicData, check_ample, psi_grading
 from .rootsys import InvariantViolation, Root, RootSystem
@@ -124,8 +125,8 @@ def _pairings(rs: RootSystem, lam) -> list:
 def _packed_sum(rs: RootSystem, pairings, alphas, low: int, top: int):
     """The one product routine.  Returns (B, packed): packed[d - low] is the
     homogeneous part of degree d, low <= d <= top, of R times the sum of
-    the dimension polynomials of alphas, packed as the integer
-    sum_i e_i 2^{B i} (e_i the coefficient of m^{d-i} k^i).
+    the dimension polynomials of alphas (positive roots), packed as the
+    integer sum_i e_i 2^{B i} (e_i the coefficient of m^{d-i} k^i).
 
     Multiplying by r + a m + c k sends the packed part P[d] to
     r P[d] + a P[d-1] + (c P[d-1] << B): three big-int operations per
@@ -135,12 +136,13 @@ def _packed_sum(rs: RootSystem, pairings, alphas, low: int, top: int):
     the balanced base-2^B digits of the result are the e_i.  Evaluation at
     k = 2^B is a ring homomorphism, so only the final digits need to fit;
     intermediate products may carry between digits."""
+    fws = rs._root_weights
     jobs, bound = [], 0
     for alpha in alphas:
-        walpha = rs.root_to_weight(alpha.coords)
+        walpha = fws[alpha.coords]
         scale, size, factors = 1, 1, []
         for coroot, r, a in pairings:
-            c = -sum(x * w for x, w in zip(coroot, walpha))
+            c = -sum(map(mul, coroot, walpha))
             if a or c:
                 factors.append((r, a, c))
                 size *= r + abs(a) + abs(c)
@@ -185,8 +187,9 @@ def _unpack(x: int, count: int, width: int) -> list:
 
 def dim_polynomial_parts(pd: ParabolicData, lam, alpha: Root,
                          low: int = 0, top: int | None = None):
-    """The dimension polynomial of alpha (see dim_polynomial) as R^{-1}
-    times an integer polynomial, R = prod_beta <beta^vee, rho>.
+    """The dimension polynomial of the positive root alpha (see
+    dim_polynomial) as R^{-1} times an integer polynomial,
+    R = prod_beta <beta^vee, rho>.
 
     Scaling the factor of beta by r = <beta^vee, rho> makes it the integer
     linear form r + a m + c k with a = <beta^vee, lam> and c = -<beta^vee,
@@ -285,7 +288,7 @@ def weyl_dim(rs: RootSystem, lam0) -> int:
 def freudenthal(rs: RootSystem, lam0, subset=None) -> dict:
     """Full weight-multiplicity table (weight -> multiplicity) of the
     irreducible representation with highest weight lam0, by the Freudenthal
-    recursion over dominant weights followed by Weyl-orbit expansion.
+    recursion over dominant weights and one Weyl-orbit walk.
 
     With `subset` given, the representation is the one of the Levi subsystem
     generated by those simple roots (lam0 must be dominant there); this is
@@ -297,23 +300,26 @@ def freudenthal(rs: RootSystem, lam0, subset=None) -> dict:
     partial order of dominant weights, Adv. Math. 1998).  The closure carries
     the root coordinates of lam0 - mu, so the recursion runs on integers.
 
-    The table is then one weyl.orbit walk over the orbits of all the
-    dominant weights under the subset's reflections, which builds each
-    point once, from its parent; each point has its parent's multiplicity.
+    One weyl.orbit walk over the orbits of all the dominant weights under
+    the subset's reflections builds each weight of the module once, from
+    its parent, and records the index of the dominant weight of its orbit.
+    That index is both the recursion's lookup, for every weight on a root
+    string, and, once the multiplicities are known, the table's value.
     """
     lam0 = rs.check_weight(lam0)
     subset = tuple(range(rs.rank)) if subset is None else tuple(sorted(subset))
     if not rs.is_dominant(lam0, subset):
         raise ValueError(f"{lam0} is not dominant on {subset}")
     d = rs._symmetrizer
+    fws = rs._root_weights
     # per positive root b of the subset: b in fw coordinates, the
     # coefficients of (b, nu) = sum_i b_i d_i nu_i, and (b, b)
     pos = []
     for b in rs.positive_roots:
         if all(i in subset for i, c in enumerate(b.coords) if c):
-            fw = rs.root_to_weight(b.coords)
-            bd = tuple(c * di for c, di in zip(b.coords, d))
-            pos.append((b.coords, fw, bd, sum(x * f for x, f in zip(bd, fw))))
+            fw = fws[b.coords]
+            bd = tuple(map(mul, b.coords, d))
+            pos.append((b.coords, fw, bd, sum(map(mul, bd, fw))))
 
     # below[mu]: the root coordinates of lam0 - mu, for every weight mu
     # dominant on the subset with lam0 - mu in the subset's positive cone
@@ -323,28 +329,37 @@ def freudenthal(rs: RootSystem, lam0, subset=None) -> dict:
         nxt = []
         for mu in frontier:
             for coords, fw, _, _ in pos:
-                nu = tuple(m - f for m, f in zip(mu, fw))
+                nu = tuple(map(sub, mu, fw))
                 if nu not in below and all(nu[i] >= 0 for i in subset):
-                    below[nu] = tuple(x + c for x, c in zip(below[mu], coords))
+                    below[nu] = tuple(map(add, below[mu], coords))
                     nxt.append(nu)
         frontier = nxt
 
-    # each mu needs only weights of smaller depth sum(below[mu]); alpha-strings
-    # through weights are unbroken, so a string stops at its first nu whose
-    # dominant representative is not below lam0
-    dom_mult: dict[tuple, int] = {lam0: 1}
-    for mu in sorted(below, key=lambda mu: sum(below[mu]))[1:]:
+    # the dominant weights by depth sum(below[mu]), lam0 first; table maps
+    # each point of their orbits to the index of its orbit's seed
+    seeds = sorted(below, key=lambda mu: sum(below[mu]))
+    points, links = orbit(rs, seeds, subset, weyl_order(rs) * len(seeds))
+    seed_of = list(range(len(seeds)))
+    for parent, _ in links[len(seeds):]:
+        seed_of.append(seed_of[parent])
+    table = dict(zip(points, seed_of))
+
+    # each mu needs only weights of smaller depth, so of smaller seed index;
+    # alpha-strings through weights are unbroken, so a string stops at its
+    # first nu that is not a weight of the module
+    mults = [1]
+    for mu in seeds[1:]:
         acc = 0
         for _, fw, bd, step in pos:
-            pair = sum(x * m for x, m in zip(bd, mu))
+            pair = sum(map(mul, bd, mu))
             nu = mu
             while True:
-                nu = tuple(n + f for n, f in zip(nu, fw))
-                pair += step
-                nd, _ = rs.dominant_representative(nu, subset)
-                if nd not in below:
+                nu = tuple(map(add, nu, fw))
+                s = table.get(nu)
+                if s is None:
                     break
-                acc += dom_mult[nd] * pair
+                pair += step
+                acc += mults[s] * pair
         # (lam0 + rho)^2 - (mu + rho)^2 with the full rho works for the Levi
         # too, since lam0 - mu lies in the span of the subset roots
         denom = sum(c * di * (l + m + 2 * r) for c, di, l, m, r
@@ -354,14 +369,11 @@ def freudenthal(rs: RootSystem, lam0, subset=None) -> dict:
                 f"Freudenthal multiplicity of {mu} in the module of "
                 f"{lam0} is not an integer over a positive denominator: "
                 f"{2 * acc}/{denom}")
-        dom_mult[mu] = 2 * acc // denom
+        mults.append(2 * acc // denom)
 
-    seeds = list(dom_mult)
-    points, links = orbit(rs, seeds, subset, weyl_order(rs) * len(seeds))
-    mults = [dom_mult[mu] for mu in seeds]
-    for parent, _ in links[len(seeds):]:
-        mults.append(mults[parent])
-    return dict(zip(points, mults))
+    for nu, s in table.items():
+        table[nu] = mults[s]
+    return table
 
 
 def _kostant_partition_count(rs: RootSystem, target) -> int:

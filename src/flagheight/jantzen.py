@@ -6,6 +6,7 @@ and independence of the parabolic)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 
 from .charpoly import formal_character, freudenthal, weyl_dim
 from .parabolic import ParabolicData, build_parabolic
@@ -58,6 +59,15 @@ class LogCharacterCombo:
         return not self.terms
 
 
+def _check_vanishes(pd: ParabolicData, lam) -> None:
+    """The sum over P_theta is the Borel sum only for a line bundle on
+    G/P_theta, i.e. a lambda that vanishes on theta: ValueError otherwise,
+    naming theta in the 1-based numbering of the CLI."""
+    if any(lam[i] for i in pd.theta):
+        raise ValueError(f"lambda {list(lam)} does not vanish on theta "
+                         f"{sorted(i + 1 for i in pd.theta)}")
+
+
 def psi_signs(pd: ParabolicData, lam):
     """Split Psi into Psi+ (pairing with rho+lam >= 0) and Psi-."""
     rs = pd.rs
@@ -78,20 +88,24 @@ def jantzen_rhs(pd: ParabolicData, lam) -> LogCharacterCombo:
     +-chi of one dominant lam0, and its sign times the exponent of p in k
     is added to an integer c[lam0][p].  Many terms share a lam0, so the
     Freudenthal table of each lam0 with some c != 0 is built once and
-    added c times into the bucket of p."""
+    added c times into the bucket of p.  ValueError if lam does not vanish
+    on theta."""
     rs = pd.rs
     lam = rs.check_weight(lam)
+    _check_vanishes(pd, lam)
     nu = tuple(l + r for l, r in zip(lam, rs.rho))
+    fws = rs._root_weights
     coeff: dict[tuple, dict[int, int]] = {}
     plus, minus = psi_signs(pd, lam)
     for alphas, scale in ((plus, -1), (minus, +1)):
         for alpha in alphas:
-            fw = rs.root_to_weight(alpha.coords)
+            step = tuple(scale * f for f in fws[alpha.coords])
             top = -scale * rs._pairing(nu, alpha)
+            arg = tuple(map(add, lam, step))
             for k in range(2, top):  # log 1 = 0
                 # chi_{rho+lam-/+k alpha}: the dotted form takes it less rho
-                res = to_dominant_dotted(
-                    rs, tuple(l + scale * k * f for l, f in zip(lam, fw)))
+                arg = tuple(map(add, arg, step))
+                res = to_dominant_dotted(rs, arg)
                 if res is None:
                     continue
                 w, lam0 = res
@@ -124,8 +138,9 @@ def jantzen_sizes(pd: ParabolicData, lam) -> tuple[int, int]:
     rho + lam to a reflection of it, so in the convex hull of the W-orbit
     of rho + lam0; its own normal form lies below lam0, and every
     Freudenthal table has at most dim V(lam0) weights.  ValueError if
-    rho + lam is singular."""
+    lam does not vanish on theta or rho + lam is singular."""
     rs = pd.rs
+    _check_vanishes(pd, lam)
     nu = tuple(l + r for l, r in zip(lam, rs.rho))
     terms = sum(max(abs(rs._pairing(nu, alpha)) - 2, 0) for alpha in pd.psi)
     return terms, weyl_dim(rs, _lambda0(rs, lam))

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import neg
+from operator import mul, neg
 
 FAMILIES = "ABCDEFG"
 
@@ -189,6 +189,15 @@ class RootSystem:
         weight_to_root_coords reads it."""
         return tuple(tuple(row) for row in _invert_rational(self.cartan_matrix))
 
+    @cached_property
+    def _root_weights(self) -> dict:
+        """Simple-root coordinates -> fundamental-weight coordinates
+        (root_to_weight) of every positive root, formed on first use."""
+        A = self.cartan_matrix
+        return {beta.coords: tuple([sum(map(mul, row, beta.coords))
+                                    for row in A])
+                for beta in self.positive_roots}
+
     # -- coordinate conversions ---------------------------------------
 
     def check_weight(self, mu) -> tuple:
@@ -254,21 +263,6 @@ class RootSystem:
     def is_dominant(self, mu, subset=None) -> bool:
         idx = range(self.rank) if subset is None else subset
         return all(mu[i] >= 0 for i in idx)
-
-    def dominant_representative(self, mu, subset=None):
-        """The dominant element of the W-orbit (ordinary action); also the
-        number of simple reflections applied, whose parity is sign(w)."""
-        idx = tuple(range(self.rank)) if subset is None else tuple(subset)
-        mu = tuple(mu)
-        count = 0
-        while True:
-            for i in idx:
-                if mu[i] < 0:
-                    mu = self.simple_reflect_weight(i, mu)
-                    count += 1
-                    break
-            else:
-                return mu, count
 
     # -- invariant bilinear form --------------------------------------
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add, sub
 
 from .rootsys import InvariantViolation, Root, RootSystem
 
@@ -240,22 +241,30 @@ def to_dominant_dotted(rs: RootSystem, lam):
     strictly dominant; the cohomology degree is w.length.  If rho + lam is
     singular return None (all cohomology vanishes).
     """
-    nu = tuple(m + r for m, r in zip(lam, rs.rho))
+    A = rs.cartan_matrix
+    moves = [[(k, A[k][i]) for k in range(rs.rank) if k != i and A[k][i]]
+             for i in range(rs.rank)]
+    nu = list(map(add, lam, rs.rho))
     word = []
     while True:
-        if any(c == 0 for c in nu):
-            return None
-        for i in range(rs.rank):
-            if nu[i] < 0:
-                nu = rs.simple_reflect_weight(i, nu)
-                word.append(i)
+        # one scan for the least i with nu_i <= 0.  A zero coordinate, here
+        # or on the way, means rho + lam is singular; while none appears,
+        # the least nonpositive coordinate is the least negative one
+        for i, c in enumerate(nu):
+            if c <= 0:
                 break
         else:
             break
+        if not c:
+            return None
+        nu[i] = -c
+        for k, a in moves[i]:
+            nu[k] -= c * a
+        word.append(i)
     # nu = s_{ik}...s_{i1}(rho+lam), so w = s_{i1}...s_{ik}; each step
     # reflects in a wall that nu lies beyond, so the word is reduced
     w = WeylElement(tuple(word), len(word))
-    lam0 = tuple(c - r for c, r in zip(nu, rs.rho))
+    lam0 = tuple(map(sub, nu, rs.rho))
     return w, lam0
 
 

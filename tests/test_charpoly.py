@@ -21,7 +21,8 @@ from flagheight.charpoly import (
     weyl_dim,
 )
 from flagheight.parabolic import build_parabolic, psi_grading
-from flagheight.rootsys import build_root_system
+from flagheight.rootsys import RootSystem, build_root_system
+from oracles import freudenthal_by_dominant_lookup
 
 B = BivariatePolynomial
 
@@ -322,6 +323,51 @@ def test_freudenthal_orbit_walk_matches_bfs(spec, subset):
                 lam0[i] = v
             table = freudenthal(rs, tuple(lam0), subset)
             assert table == _bfs_orbit_expansion(rs, table, subset)
+            # the same dict, in the same key order, as the string walk
+            # that looks up dominant representatives
+            expected = freudenthal_by_dominant_lookup(rs, tuple(lam0), subset)
+            assert list(table.items()) == list(expected.items())
+
+
+def _small_dominant_weights(rs, top=2, max_dim=1500):
+    """Dominant weights with coordinate sum at most `top` and Weyl
+    dimension at most `max_dim`."""
+    for lam0 in itertools.product(range(top + 1), repeat=rs.rank):
+        if sum(lam0) <= top and weyl_dim(rs, lam0) <= max_dim:
+            yield lam0
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "A5", "B2", "B3",
+                                  "B4", "C3", "D4", "G2", "F4", "E6"])
+def test_freudenthal_matches_dominant_lookup_oracle(spec):
+    # the same dict, in the same key order
+    rs = build_root_system(spec)
+    for lam0 in _small_dominant_weights(rs):
+        table = freudenthal(rs, lam0)
+        expected = freudenthal_by_dominant_lookup(rs, lam0)
+        assert table == expected
+        assert list(table) == list(expected)
+
+
+def test_freudenthal_finds_no_dominant_representative(monkeypatch):
+    # the root strings are looked up in the orbit walk: with the simple
+    # reflection of a weight, from which a dominant representative is
+    # found, made to raise, freudenthal still runs
+    cases = [("B3", (1, 0, 1), None), ("F4", (1, 0, 0, 1), None),
+             ("C3", (2, -1, 1), (0, 2))]
+    expected = [freudenthal_by_dominant_lookup(build_root_system(spec), lam0,
+                                               subset)
+                for spec, lam0, subset in cases]
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a weight was reflected")
+
+    monkeypatch.setattr(RootSystem, "simple_reflect_weight", refuse)
+    assert not hasattr(RootSystem, "dominant_representative")
+    for (spec, lam0, subset), table in zip(cases, expected):
+        rs = build_root_system(spec)
+        assert list(freudenthal(rs, lam0, subset).items()) == \
+            list(table.items())
 
 
 def test_levi_character(b2):

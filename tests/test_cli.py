@@ -8,7 +8,7 @@ import textwrap
 
 import pytest
 
-from flagheight import cli, height
+from flagheight import cli, height, jantzen
 from flagheight.cli import (
     EXIT_CAP,
     EXIT_CROSSCHECK,
@@ -366,10 +366,12 @@ def test_jantzen_cap_is_the_larger_size(capsys, group, lam, size):
 
 
 def test_jantzen_lambda_must_vanish_on_theta(capsys, monkeypatch):
+    # the library checks lambda before any dotted reduction, the first
+    # work of jantzen_sizes and of the sum
     def refuse(*args, **kwargs):
-        raise RuntimeError("jantzen_sizes started")
+        raise RuntimeError("dotted reduction started")
 
-    monkeypatch.setattr(cli, "jantzen_sizes", refuse)
+    monkeypatch.setattr(jantzen, "to_dominant_dotted", refuse)
     code, out, err = run(capsys, "jantzen-rhs", "--group", "B2",
                          "--theta", "1", "--lambda", "2,1")
     assert code == EXIT_MATH and out == ""

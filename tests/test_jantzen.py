@@ -7,6 +7,7 @@ from flagheight.charpoly import formal_character, freudenthal
 from flagheight.jantzen import (
     LogCharacterCombo,
     jantzen_rhs,
+    jantzen_sizes,
     lambda0_component,
     prime_factorization,
     psi_signs,
@@ -163,3 +164,16 @@ def test_rhs_rejects_wrong_length_weight():
     pd = build_parabolic(build_root_system("A3"), set())
     with pytest.raises(ValueError, match="rank is 3"):
         jantzen_rhs(pd, (1, 1))
+
+
+def test_rhs_and_sizes_require_lambda_vanishing_on_theta():
+    # over P_{1} of B2, lambda (2, 1) would give a sum other than the Borel
+    # sum; the message names theta 1-based, as the CLI prints it
+    pd = build_parabolic(build_root_system("B2"), {0})
+    message = r"^lambda \[2, 1\] does not vanish on theta \[1\]$"
+    for f in (jantzen_rhs, jantzen_sizes):
+        with pytest.raises(ValueError, match=message):
+            f(pd, (2, 1))
+    assert jantzen_sizes(pd, (0, 1)) == (3, 4)
+    assert jantzen_rhs(pd, (0, 3)) == jantzen_rhs(
+        build_parabolic(pd.rs, set()), (0, 3))

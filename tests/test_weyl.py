@@ -17,6 +17,7 @@ from flagheight.weyl import (
     w0_negates,
     weyl_order,
 )
+from oracles import to_dominant_dotted_by_reflection
 
 ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "C3": 48,
           "D4": 192, "F4": 1152, "G2": 12, "E6": 51840, "B2xA1": 16}
@@ -266,6 +267,32 @@ def test_dotted_reduction_word_is_reduced(spec, data):
     assume(res is not None)
     w, _ = res
     assert w.length == len(w.word) == element_from_word(rs, w.word).length
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "C3", "G2", "D4", "F4",
+                                  "B2xA1"])
+def test_to_dominant_dotted_matches_rebuilding_oracle(spec):
+    # the in-place walk gives the same words, degrees and lam0
+    rs = build_root_system(spec)
+    box = range(-4, 3) if rs.rank <= 3 else range(-3, 2)
+    for lam in itertools.product(box, repeat=rs.rank):
+        res = to_dominant_dotted(rs, lam)
+        expected = to_dominant_dotted_by_reflection(rs, lam)
+        if expected is None:
+            assert res is None
+        else:
+            w, lam0 = res
+            assert (w.word, lam0) == expected
+            assert w.length == len(expected[0])
+
+
+def test_longest_element_word_e8():
+    rs = build_root_system("E8")
+    w0 = longest_element(rs)
+    word, lam0 = to_dominant_dotted_by_reflection(
+        rs, tuple(-2 * r for r in rs.rho))
+    assert w0.word == word and w0.length == 120
+    assert lam0 == (0,) * 8
 
 
 def test_identity(b2):
