@@ -251,8 +251,6 @@ def _textval(v):
 def _height_doc(args, rs, theta, lam) -> dict:
     pd = build_parabolic(rs, theta)
     Y = _parse_fraction_list(args.y, "--y") or None
-    if Y is not None and len(Y) != rs.rank:
-        raise ValueError(f"--y has {len(Y)} coordinates, rank is {rs.rank}")
     start = time.monotonic()
     if args.method == "all":
         res = height_all_methods(pd, lam, Y, args.cap)

@@ -138,10 +138,13 @@ def localization_data(pd: ParabolicData, lam, Y=None,
 
     Y is scaled by s, the lcm of the denominators of lam(Y) and of the
     entries of Y; then every root value and every phi is an integer, and
-    w0 Y = -Y is decided on the scaled integers."""
+    w0 Y = -Y is decided on the scaled integers.  ValueError unless Y has
+    one coordinate per simple root."""
     rs = pd.rs
     lam = rs.check_weight(lam)
     Y = default_y(rs) if Y is None else tuple(Fraction(y) for y in Y)
+    if len(Y) != rs.rank:
+        raise ValueError(f"Y has {len(Y)} coordinates, rank is {rs.rank}")
     lam_y = sum(c * y for c, y in zip(rs.weight_to_root_coords(lam), Y))
     s = math.lcm(lam_y.denominator, *(y.denominator for y in Y))
     ys = [int(s * y) for y in Y]

@@ -138,8 +138,10 @@ def jantzen_sizes(pd: ParabolicData, lam) -> tuple[int, int]:
     rho + lam to a reflection of it, so in the convex hull of the W-orbit
     of rho + lam0; its own normal form lies below lam0, and every
     Freudenthal table has at most dim V(lam0) weights.  ValueError if
-    lam does not vanish on theta or rho + lam is singular."""
+    lam has the wrong length, does not vanish on theta or rho + lam is
+    singular."""
     rs = pd.rs
+    lam = rs.check_weight(lam)
     _check_vanishes(pd, lam)
     nu = tuple(l + r for l, r in zip(lam, rs.rho))
     terms = sum(max(abs(rs._pairing(nu, alpha)) - 2, 0) for alpha in pd.psi)

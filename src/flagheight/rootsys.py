@@ -11,7 +11,8 @@ Conventions (fixed once, used everywhere):
 * Simple roots are numbered 1..rank in the Bourbaki ordering per factor
   (chains run left to right; in B_n the last root is short, in C_n long,
   in D_n/E_n the branch node follows Bourbaki, in G2 the first root is
-  short).  `numbering_table` prints this.
+  short).  `_FAMILIES` decides this, one row per family, and
+  `numbering_table` prints it.
 """
 
 from __future__ import annotations
@@ -22,18 +23,46 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul, neg
+from typing import Callable, NamedTuple
 
-FAMILIES = "ABCDEFG"
 
-# rank validity per family
-_RANK_OK = {
-    "A": lambda n: n >= 1,
-    "B": lambda n: n >= 2,
-    "C": lambda n: n >= 2,
-    "D": lambda n: n >= 3,
-    "E": lambda n: n in (6, 7, 8),
-    "F": lambda n: n == 4,
-    "G": lambda n: n == 2,
+class _Family(NamedTuple):
+    """A Dynkin family at rank n, simple roots 0-based in Bourbaki's
+    numbering: the ranks it exists in, its Dynkin edges {i, j}, the root
+    lengths d_i = (alpha_i, alpha_i) / 2 in the least integral scale, and
+    the note of `numbering_table`."""
+
+    rank_ok: Callable[[int], bool]
+    edges: Callable[[int], list]
+    lengths: Callable[[int], list]
+    note: str
+
+
+def _chain(n: int) -> list:
+    return [(i, i + 1) for i in range(n - 1)]
+
+
+def _equal_lengths(n: int) -> list:
+    return [1] * n
+
+
+# Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Plates I-IX.  Every
+# convention of a family is decided here and nowhere else.
+_FAMILIES = {
+    "A": _Family(lambda n: n >= 1, _chain, _equal_lengths, "chain"),
+    "B": _Family(lambda n: n >= 2, _chain, lambda n: [2] * (n - 1) + [1],
+                 "chain, last root short"),
+    "C": _Family(lambda n: n >= 2, _chain, lambda n: [1] * (n - 1) + [2],
+                 "chain, last root long"),
+    "D": _Family(lambda n: n >= 3, lambda n: _chain(n - 1) + [(n - 3, n - 1)],
+                 _equal_lengths, "chain 1..n-2 with fork to n-1 and n"),
+    "E": _Family(lambda n: n in (6, 7, 8),
+                 lambda n: [(0, 2), (1, 3)] + _chain(n)[2:], _equal_lengths,
+                 "Bourbaki: chain 1-3-4-..-n, branch node 2 attached to 4"),
+    "F": _Family(lambda n: n == 4, _chain, lambda n: [2, 2, 1, 1],
+                 "chain, roots 1,2 long and 3,4 short"),
+    "G": _Family(lambda n: n == 2, _chain, lambda n: [1, 3],
+                 "root 1 short, root 2 long"),
 }
 
 
@@ -56,9 +85,9 @@ class CartanSpec:
         if not self.factors:
             raise InvalidCartanSpec("empty Cartan spec")
         for fam, rank in self.factors:
-            if fam not in FAMILIES:
+            if fam not in _FAMILIES:
                 raise InvalidCartanSpec(f"unknown family {fam!r}")
-            if not _RANK_OK[fam](rank):
+            if not _FAMILIES[fam].rank_ok(rank):
                 raise InvalidCartanSpec(f"rank {rank} not allowed for family {fam}")
 
     @property
@@ -105,41 +134,6 @@ class Root:
         return sum(self.coords)
 
 
-def _cartan_matrix(fam: str, n: int) -> list[list[int]]:
-    """Cartan matrix A with A[i][j] = <alpha_j, alpha_i^vee> (0-based)."""
-    A = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def edge(i, j, aij=-1, aji=-1):
-        A[i][j] = aij
-        A[j][i] = aji
-
-    if fam in "ABCF":
-        for i in range(n - 1):
-            edge(i, i + 1)
-    if fam == "B":
-        # alpha_n short: <alpha_{n-1}, alpha_n^vee> = -2
-        A[n - 1][n - 2] = -2
-    elif fam == "C":
-        # alpha_n long: <alpha_n, alpha_{n-1}^vee> = -2
-        A[n - 2][n - 1] = -2
-    elif fam == "D":
-        for i in range(n - 2):
-            edge(i, i + 1)
-        edge(n - 3, n - 1)
-    elif fam == "E":
-        # Bourbaki: chain 1-3-4-5-...-n, branch 2-4
-        for i, j in [(0, 2), (2, 3), (1, 3)] + [(k, k + 1) for k in range(3, n - 1)]:
-            edge(i, j)
-    elif fam == "F":
-        # alpha_1, alpha_2 long; alpha_3, alpha_4 short
-        A[2][1] = -2
-    elif fam == "G":
-        # alpha_1 short, alpha_2 long
-        A[0][1] = -3
-        A[1][0] = -1
-    return A
-
-
 def _invert_rational(M: list[list[int]]) -> list[list[Fraction]]:
     """Exact inverse by Gauss-Jordan over Fraction."""
     n = len(M)
@@ -165,9 +159,7 @@ class RootSystem:
     positive_roots: tuple[Root, ...]
     rho: tuple[int, ...]
     coxeter_numbers: tuple[int, ...]  # one per simple factor
-    factor_of_index: tuple[int, ...]  # simple index -> factor number
     _symmetrizer: tuple[int, ...]  # d_i with d_i A[i][j] symmetric
-    _root_coord_set: frozenset  # coordinates of all roots, both signs
 
     # -- basics -------------------------------------------------------
 
@@ -181,7 +173,8 @@ class RootSystem:
         return len(self.positive_roots)
 
     def is_root(self, alpha: Root) -> bool:
-        return alpha.coords in self._root_coord_set
+        roots = self._root_weights
+        return alpha.coords in roots or tuple(map(neg, alpha.coords)) in roots
 
     @cached_property
     def _cartan_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -197,6 +190,16 @@ class RootSystem:
         return {beta.coords: tuple([sum(map(mul, row, beta.coords))
                                     for row in A])
                 for beta in self.positive_roots}
+
+    @cached_property
+    def _neighbours(self) -> tuple:
+        """_neighbours[i] lists the (k, A[k][i]) with k != i and A[k][i] != 0:
+        s_i negates coordinate i of a weight mu and subtracts mu_i A[k][i]
+        from each such coordinate k, formed on first use."""
+        A = self.cartan_matrix
+        return tuple(tuple((k, A[k][i]) for k in range(self.rank)
+                           if k != i and A[k][i])
+                     for i in range(self.rank))
 
     # -- coordinate conversions ---------------------------------------
 
@@ -282,49 +285,10 @@ class RootSystem:
         offset = 0
         for fam, rank in self.spec.factors:
             idx = ", ".join(str(offset + i + 1) for i in range(rank))
-            note = {
-                "A": "chain",
-                "B": "chain, last root short",
-                "C": "chain, last root long",
-                "D": "chain 1..n-2 with fork to n-1 and n",
-                "E": "Bourbaki: chain 1-3-4-..-n, branch node 2 attached to 4",
-                "F": "chain, roots 1,2 long and 3,4 short",
-                "G": "root 1 short, root 2 long",
-            }[fam]
-            lines.append(f"{fam}{rank}: simple roots {idx} ({note})")
+            lines.append(f"{fam}{rank}: simple roots {idx} "
+                         f"({_FAMILIES[fam].note})")
             offset += rank
         return "\n".join(lines)
-
-
-def _symmetrizer_for(A: list[list[int]], blocks) -> list[int]:
-    """Positive integers d with d_i A[i][j] = d_j A[j][i]: on each block
-    the least such d times a factor, chosen so that the first indices of
-    the blocks all carry the lcm of their least values."""
-    d = [0] * len(A)
-    for block in blocks:
-        d[block[0]] = 1
-        todo = [block[0]]
-        while todo:
-            i = todo.pop()
-            for j in block:
-                if A[i][j] != 0 and i != j and d[j] == 0:
-                    # d_j = d_i A[i][j] / A[j][i], both entries negative
-                    num, den = d[i] * A[i][j], A[j][i]
-                    if num % den:
-                        for k in block:
-                            d[k] *= -den
-                        num *= -den
-                    d[j] = num // den
-                    todo.append(j)
-        g = math.gcd(*(d[k] for k in block))
-        for k in block:
-            d[k] //= g
-    lead = math.lcm(*(d[block[0]] for block in blocks))
-    for block in blocks:
-        f = lead // d[block[0]]
-        for k in block:
-            d[k] *= f
-    return d
 
 
 def build_root_system(spec: CartanSpec | str) -> RootSystem:
@@ -334,20 +298,22 @@ def build_root_system(spec: CartanSpec | str) -> RootSystem:
         spec = parse_cartan_spec(spec)
     rank = spec.rank
 
-    # block-diagonal Cartan matrix
-    A = [[0] * rank for _ in range(rank)]
-    factor_of_index = []
-    blocks = []
-    offset = 0
-    for f, (fam, r) in enumerate(spec.factors):
-        sub = _cartan_matrix(fam, r)
-        for i in range(r):
-            for j in range(r):
-                A[offset + i][offset + j] = sub[i][j]
-        blocks.append(list(range(offset, offset + r)))
-        factor_of_index.extend([f] * r)
-        offset += r
-
+    # block-diagonal Cartan matrix from each factor's edges and root
+    # lengths: on an edge, A[i][j] = -d_j / d_i if alpha_j is the longer
+    # root, else -1; the symmetrizer is each factor's d, scaled so that the
+    # first entries of all factors agree
+    A = [[2 * (i == j) for j in range(rank)] for i in range(rank)]
+    lengths = [_FAMILIES[fam].lengths(r) for fam, r in spec.factors]
+    lead = math.lcm(*(d[0] for d in lengths))
+    symmetrizer = []
+    factor_of_index = []  # simple index -> factor number
+    for f, ((fam, r), d) in enumerate(zip(spec.factors, lengths)):
+        offset = len(symmetrizer)
+        for i, j in _FAMILIES[fam].edges(r):
+            A[offset + i][offset + j] = -max(1, d[j] // d[i])
+            A[offset + j][offset + i] = -max(1, d[i] // d[j])
+        symmetrizer += [x * (lead // d[0]) for x in d]
+        factor_of_index += [f] * r
     A = tuple(tuple(row) for row in A)
 
     # raise each positive root beta by the simple roots alpha_i with
@@ -381,17 +347,17 @@ def build_root_system(spec: CartanSpec | str) -> RootSystem:
 
     # Coxeter numbers per factor: c * rank_factor = #roots of factor; a
     # root lives in the factor of its first nonzero coordinate
-    counts = [0] * len(blocks)
+    counts = [0] * len(spec.factors)
     for r in positive:
         first = next(i for i, x in enumerate(r.coords) if x)
         counts[factor_of_index[first]] += 2
     cox = []
-    for block, nroots in zip(blocks, counts):
-        c, rem = divmod(nroots, len(block))
+    for (_, r), nroots in zip(spec.factors, counts):
+        c, rem = divmod(nroots, r)
         if rem:
             raise InvariantViolation(
                 f"Coxeter identity c * rank = #roots failed for {spec}: "
-                f"{nroots} roots on a factor of rank {len(block)}")
+                f"{nroots} roots on a factor of rank {r}")
         cox.append(c)
 
     return RootSystem(
@@ -401,8 +367,5 @@ def build_root_system(spec: CartanSpec | str) -> RootSystem:
         positive_roots=positive,
         rho=tuple([1] * rank),
         coxeter_numbers=tuple(cox),
-        factor_of_index=tuple(factor_of_index),
-        _symmetrizer=tuple(_symmetrizer_for(A, blocks)),
-        _root_coord_set=frozenset(roots)
-        | frozenset(tuple(map(neg, c)) for c in roots),
+        _symmetrizer=tuple(symmetrizer),
     )

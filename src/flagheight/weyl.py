@@ -110,8 +110,7 @@ def orbit(rs: RootSystem, seeds, generators, cap: int):
     A = rs.cartan_matrix
     gens = sorted(generators)
     # s_i moves coordinate i and its neighbours, even outside the generators
-    moves = [[(k, A[k][i]) for k in range(rs.rank) if k != i and A[k][i]]
-             for i in range(rs.rank)]
+    moves = rs._neighbours
     # p has the child s_i p iff p_i > 0 and p_k >= p_i A[k][i] for every
     # generator k < i.  steps[l] lists the i to try on a point whose letter
     # is l, with the k to check: p_k >= 0 for k < l, so an i < l needs none,
@@ -239,12 +238,11 @@ def to_dominant_dotted(rs: RootSystem, lam):
 
     If rho + lam is regular, return (w, lam0) with w^{-1}(rho+lam) = rho+lam0
     strictly dominant; the cohomology degree is w.length.  If rho + lam is
-    singular return None (all cohomology vanishes).
+    singular return None (all cohomology vanishes).  ValueError unless lam
+    has one coordinate per simple root.
     """
-    A = rs.cartan_matrix
-    moves = [[(k, A[k][i]) for k in range(rs.rank) if k != i and A[k][i]]
-             for i in range(rs.rank)]
-    nu = list(map(add, lam, rs.rho))
+    moves = rs._neighbours
+    nu = list(map(add, rs.check_weight(lam), rs.rho))
     word = []
     while True:
         # one scan for the least i with nu_i <= 0.  A zero coordinate, here

@@ -303,6 +303,11 @@ def test_math_errors(capsys):
     # theta out of range
     assert run(capsys, "height", "--group", "A2", "--theta", "5",
                "--lambda", "1,1")[0] == EXIT_MATH
+    # wrong --y length, refused by the library
+    assert run(capsys, "height", "--group", "A2", "--theta", "",
+               "--lambda", "1,1", "--method", "fixed-point",
+               "--y", "1,2,3") == (EXIT_MATH, "",
+                                   "error: Y has 3 coordinates, rank is 2\n")
 
 
 def test_cap_exceeded(capsys):

@@ -396,6 +396,20 @@ def test_non_regular_y_rejected():
         height_fixed_point(pd, (1, 1), Y=(1, -1))
 
 
+@pytest.mark.parametrize("Y", [(1, 2, 3), (1,)])
+def test_wrong_length_y_rejected(Y):
+    # a Y longer than the rank was truncated by zip, a shorter one was
+    # reported as vanishing on a root
+    pd = build_parabolic(build_root_system("A2"), set())
+    for method in (height_fixed_point, height_harmo_bott, height_all_methods):
+        with pytest.raises(ValueError,
+                           match=f"^Y has {len(Y)} coordinates, rank is 2$"):
+            method(pd, (1, 1), Y)
+    with pytest.raises(ValueError) as exc:
+        localization_data(pd, (1, 1), Y)
+    assert not isinstance(exc.value, NotRegularY)
+
+
 def test_non_ample_rejected():
     rs = build_root_system("B2")
     pd = build_parabolic(rs, {1})

@@ -161,9 +161,12 @@ def test_rhs_runs_freudenthal_once_per_weight(monkeypatch, spec, lam, runs):
 
 
 def test_rhs_rejects_wrong_length_weight():
-    pd = build_parabolic(build_root_system("A3"), set())
-    with pytest.raises(ValueError, match="rank is 3"):
-        jantzen_rhs(pd, (1, 1))
+    # jantzen_sizes took (1, 1, 5) on A2 for (1, 1), whose sizes it returned
+    for spec, lam in (("A3", (1, 1)), ("A2", (1, 1, 5))):
+        pd = build_parabolic(build_root_system(spec), set())
+        for f in (jantzen_rhs, jantzen_sizes):
+            with pytest.raises(ValueError, match=f"rank is {pd.rs.rank}$"):
+                f(pd, lam)
 
 
 def test_rhs_and_sizes_require_lambda_vanishing_on_theta():

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from flagheight.rootsys import (
     InvalidCartanSpec,
+    Root,
     build_root_system,
     parse_cartan_spec,
 )
@@ -65,6 +66,48 @@ def test_cartan_matrix_b2(b2):
 
 def test_cartan_matrix_g2(g2):
     assert g2.cartan_matrix == ((2, -3), (-1, 2))
+
+
+# Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Plates II-VIII, with
+# A[i][j] = <alpha_j, alpha_i^vee>
+BOURBAKI_CARTAN = {
+    "B3": ((2, -1, 0),
+           (-1, 2, -1),
+           (0, -2, 2)),
+    "C3": ((2, -1, 0),
+           (-1, 2, -2),
+           (0, -1, 2)),
+    "D4": ((2, -1, 0, 0),
+           (-1, 2, -1, -1),
+           (0, -1, 2, 0),
+           (0, -1, 0, 2)),
+    "E6": ((2, 0, -1, 0, 0, 0),
+           (0, 2, 0, -1, 0, 0),
+           (-1, 0, 2, -1, 0, 0),
+           (0, -1, -1, 2, -1, 0),
+           (0, 0, 0, -1, 2, -1),
+           (0, 0, 0, 0, -1, 2)),
+    "F4": ((2, -1, 0, 0),
+           (-1, 2, -1, 0),
+           (0, -2, 2, -1),
+           (0, 0, -1, 2)),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(BOURBAKI_CARTAN))
+def test_cartan_matrix_bourbaki(spec):
+    assert build_root_system(spec).cartan_matrix == BOURBAKI_CARTAN[spec]
+
+
+# d_i = (alpha_i, alpha_i) / 2, least integral on each factor; the factors
+# of a product are scaled to agree on their first entries
+@pytest.mark.parametrize("spec,d", [
+    ("A3", (1, 1, 1)), ("B3", (2, 2, 1)), ("C3", (1, 1, 2)),
+    ("D4", (1, 1, 1, 1)), ("E6", (1,) * 6), ("F4", (2, 2, 1, 1)),
+    ("G2", (1, 3)), ("B2xA1", (2, 1, 2)), ("G2xC2", (1, 3, 1, 2)),
+])
+def test_symmetrizer(spec, d):
+    assert build_root_system(spec)._symmetrizer == d
 
 
 def test_rho_is_all_ones(b2, g2):
@@ -147,12 +190,26 @@ def test_dominant_representative_subset(b2):
 def test_numbering_table_mentions_every_type():
     for spec in ("A3", "B3", "C3", "D4", "E6", "F4", "G2"):
         assert spec in build_root_system(spec).numbering_table()
+    table = build_root_system("A3xB3xC3xD4xE6xF4xG2").numbering_table()
+    assert table == (
+        "A3: simple roots 1, 2, 3 (chain)\n"
+        "B3: simple roots 4, 5, 6 (chain, last root short)\n"
+        "C3: simple roots 7, 8, 9 (chain, last root long)\n"
+        "D4: simple roots 10, 11, 12, 13 "
+        "(chain 1..n-2 with fork to n-1 and n)\n"
+        "E6: simple roots 14, 15, 16, 17, 18, 19 "
+        "(Bourbaki: chain 1-3-4-..-n, branch node 2 attached to 4)\n"
+        "F4: simple roots 20, 21, 22, 23 "
+        "(chain, roots 1,2 long and 3,4 short)\n"
+        "G2: simple roots 24, 25 (root 1 short, root 2 long)")
 
 
 def test_negative_roots_are_roots(b2):
     for beta in b2.positive_roots:
         assert b2.is_root(-beta)
         assert not (-beta).is_positive
+    for coords in [(0, 0), (2, 1), (1, -1), (0, 2), (1, 1, 0)]:
+        assert not b2.is_root(Root(coords, coords))
 
 
 # (|Sigma+|, Coxeter number) in closed form per family and rank

@@ -256,6 +256,13 @@ def test_to_dominant_dotted_normal_form(x, y):
         assert again == lam0 and w2.length == 0
 
 
+@pytest.mark.parametrize("lam", [(1,), (1, 1, 5)])
+def test_to_dominant_dotted_rejects_wrong_length(lam):
+    # (1,) came back as its own normal form under the identity
+    with pytest.raises(ValueError, match=f"has {len(lam)} coordinates"):
+        to_dominant_dotted(build_root_system("A2"), lam)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(["B2", "G2", "B3", "F4"]), st.data())
 def test_dotted_reduction_word_is_reduced(spec, data):
