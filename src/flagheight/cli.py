@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -460,20 +461,40 @@ def build_argument_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _subparser(command: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand, under the prog name the full tree
+    gives it, built once per process."""
+    parser = argparse.ArgumentParser(prog=f"flagheight {command}")
+    _add_options(parser, command)
+    return parser
+
+
+# the most root systems _root_system keeps
+_ROOT_SYSTEMS_KEPT = 64
+
+
+@functools.lru_cache(maxsize=_ROOT_SYSTEMS_KEPT)
+def _root_system(group: str):
+    """The root system of a --group text, built once per process while it
+    stays among the last _ROOT_SYSTEMS_KEPT used.  Both names are looked up
+    when a build runs, so a wrapper put on them sees it; an
+    InvalidCartanSpec is raised on every call and never kept."""
+    return build_root_system(parse_cartan_spec(group))
+
+
 def _parse_args(argv):
     """The parsed arguments, with .command set; None, after printing the
     top-level help, if no subcommand is named.  Exits as argparse does on
     -h and on errors.
 
-    A call that names a subcommand first builds only that subcommand's
+    A call that names a subcommand first tries only that subcommand's
     parser, under the prog name the full tree gives it, so its help and
     errors are the same.  Everything else goes to the full tree: top-level
     help, no or an unknown subcommand, and leftover arguments, which only
     the top-level parser reports."""
     if argv and argv[0] in _SUBCOMMANDS:
-        parser = argparse.ArgumentParser(prog=f"flagheight {argv[0]}")
-        _add_options(parser, argv[0])
-        args, extra = parser.parse_known_args(argv[1:])
+        args, extra = _subparser(argv[0]).parse_known_args(argv[1:])
         if not extra:
             args.command = argv[0]
             return args
@@ -486,14 +507,15 @@ def _parse_args(argv):
 
 
 def _attach_negative_values(argv) -> list:
-    """Write `--lambda -1,0` as `--lambda=-1,0`, and so for --y and the
+    """Write `--lambda -1,0` as `--lambda=-1,0`, and so `--y -.5,1` and the
     abbreviations of --lambda: argparse takes a value that starts with '-'
     and is not a lone number for an option."""
     out = []
     for tok in argv:
         prev = out[-1] if out else ""
+        number = tok[1:2].isdigit() or tok[1:2] == "." and tok[2:3].isdigit()
         if (prev == "--y" or len(prev) > 2 and "--lambda".startswith(prev)) \
-                and tok[:1] == "-" and tok[1:2].isdigit():
+                and tok[:1] == "-" and number:
             out[-1] += "=" + tok
         else:
             out.append(tok)
@@ -511,7 +533,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE
 
     try:
-        rs = build_root_system(parse_cartan_spec(args.group))
+        rs = _root_system(args.group)
     except InvalidCartanSpec as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

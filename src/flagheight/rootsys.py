@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -190,6 +191,16 @@ class RootSystem:
         return {beta.coords: tuple([sum(map(mul, row, beta.coords))
                                     for row in A])
                 for beta in self.positive_roots}
+
+    @cached_property
+    def _weyl_order(self) -> int:
+        """|W|, the product of the degrees m_i + 1, formed on first use.  The
+        exponents m_i are the partition conjugate to the numbers of positive
+        roots of each height (Kostant 1959); for a product too, since the
+        conjugate of a sum of partitions is the union of the conjugates."""
+        per_height = Counter(beta.height() for beta in self.positive_roots)
+        return math.prod(1 + sum(n >= i for n in per_height.values())
+                         for i in range(1, self.rank + 1))
 
     @cached_property
     def _neighbours(self) -> tuple:

@@ -16,7 +16,6 @@ replaying the word one simple reflection at a time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from operator import add, sub
 
@@ -64,23 +63,9 @@ def element_from_word(rs: RootSystem, word) -> WeylElement:
     return WeylElement(word, length)
 
 
-_WEYL_ORDER = {
-    "A": lambda n: math.factorial(n + 1),
-    "B": lambda n: 2**n * math.factorial(n),
-    "C": lambda n: 2**n * math.factorial(n),
-    "D": lambda n: 2 ** (n - 1) * math.factorial(n),
-    "E": lambda n: {6: 51840, 7: 2903040, 8: 696729600}[n],
-    "F": lambda n: 1152,
-    "G": lambda n: 12,
-}
-
-
 def weyl_order(rs: RootSystem) -> int:
-    """|W_G| from the classical closed forms, multiplied over the factors."""
-    order = 1
-    for fam, r in rs.spec.factors:
-        order *= _WEYL_ORDER[fam](r)
-    return order
+    """|W_G|, from the heights of the positive roots."""
+    return rs._weyl_order
 
 
 def subgroup_order(rs: RootSystem, theta) -> int:

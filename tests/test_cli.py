@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -502,6 +503,10 @@ def test_cap_exceeded_before_substitution(capsys, monkeypatch):
       "--method", "fixed-point", "--y", "-1,3"),
      ("height", "--group", "B2", "--theta", "", "--lambda", "1,1",
       "--method", "fixed-point", "--y=-1,3")),
+    (("height", "--group", "B2", "--theta", "", "--lambda", "1,1",
+      "--method", "fixed-point", "--y", "-.5,1"),
+     ("height", "--group", "B2", "--theta", "", "--lambda", "1,1",
+      "--method", "fixed-point", "--y=-.5,1")),
 ])
 def test_negative_values_after_a_space(capsys, spaced, joined):
     outs = []
@@ -583,3 +588,80 @@ def test_named_subcommand_builds_only_its_parser(capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_argument_parser", refuse)
     code, out, _ = run(capsys, "dim", "--group", "A2", "--lambda", "1,1")
     assert code == EXIT_OK and json.loads(out)["dim"] == 8
+
+
+@pytest.fixture
+def cold_memos():
+    """main's parser and root-system memos, empty before and after."""
+    cli._subparser.cache_clear()
+    cli._root_system.cache_clear()
+    yield
+    cli._subparser.cache_clear()
+    cli._root_system.cache_clear()
+
+
+# each option that changes a call, then the same call without it; a parse
+# error, help, a bad group, and two spellings of one group
+_MEMO_BATTERY = (
+    ("height", "--group", "B2", "--theta", "", "--lambda", "1,1",
+     "--method", "fixed-point", "--y", "-1,3"),
+    ("height", "--group", "B2", "--theta", "", "--lambda", "1,1",
+     "--method", "fixed-point"),
+    ("height", "--group", "A3", "--theta", "", "--lambda", "1,1,1",
+     "--cap", "5"),
+    ("height", "--group", "A3", "--theta", "", "--lambda", "1,1,1"),
+    ("dim", "--group", "A2", "--lambda", "1,1", "--output", "text"),
+    ("dim", "--group", "A2", "--lambda", "1,1"),
+    ("char", "--group", "A2", "--lambda", "1,0", "--bogus"),
+    ("height", "-h"),
+    ("dim", "--group", "Z9", "--lambda", "1"),
+    ("bwb", "--group", "b2xa1", "--lambda", "1,0,1"),
+    ("bwb", "--group", "B2 x A1", "--lambda", "1,0,1"),
+    ("jantzen-rhs", "--group", "A2", "--theta", "", "--lambda", "1,1"),
+    ("scan", "--group", "A2", "--method", "substitution"),
+)
+
+
+def _zeroed(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    return code, re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out), err
+
+
+def test_memos_do_not_change_any_call(capsys, monkeypatch, cold_memos):
+    """Each call of a sequence, in either order, gives the bytes and exit
+    code it gives with both memos emptied before it."""
+    monkeypatch.setenv("COLUMNS", "80")
+    for order in (_MEMO_BATTERY, _MEMO_BATTERY[::-1]):
+        warm = [_zeroed(capsys, argv) for argv in order]
+        cold = []
+        for argv in order:
+            cli._subparser.cache_clear()
+            cli._root_system.cache_clear()
+            cold.append(_zeroed(capsys, argv))
+        assert warm == cold
+
+
+def test_each_parser_and_root_system_built_once(capsys, monkeypatch,
+                                                cold_memos):
+    parsers, groups = [], []
+
+    def counted_init(self, *args, **kwargs):
+        parsers.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    def counted_build(spec):
+        groups.append(str(spec))
+        return build(spec)
+
+    init, build = argparse.ArgumentParser.__init__, cli.build_root_system
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    monkeypatch.setattr(cli, "build_root_system", counted_build)
+    calls = [("dim", "--group", "A2", "--lambda", "1,1"),
+             ("char", "--group", "A2", "--lambda", "1,0"),
+             ("dim", "--group", "B2", "--lambda", "1,1"),
+             ("bwb", "--group", "b2xa1", "--lambda", "1,0,1")]
+    for argv in calls + calls[::-1]:
+        assert run(capsys, *argv)[0] == EXIT_OK
+    assert sorted(parsers) == ["flagheight bwb", "flagheight char",
+                               "flagheight dim"]
+    assert sorted(groups) == ["A2", "B2", "B2xA1"]

@@ -180,3 +180,16 @@ def test_rhs_and_sizes_require_lambda_vanishing_on_theta():
     assert jantzen_sizes(pd, (0, 1)) == (3, 4)
     assert jantzen_rhs(pd, (0, 3)) == jantzen_rhs(
         build_parabolic(pd.rs, set()), (0, 3))
+
+
+@pytest.mark.parametrize("spec,p", [
+    ("A2", 2), ("A2", 3), ("A3", 2), ("A3", 3), ("B2", 2), ("B2", 3),
+    ("G2", 2), ("G2", 3), ("B3", 2), ("C3", 2), ("D4", 2), ("B2", 5)])
+def test_steinberg_weight_has_no_p_bucket(spec, p):
+    # at lam = (p-1) rho, L(lam) is the Steinberg module, simple over F_p:
+    # every layer V^i, i >= 1, of the Jantzen filtration is zero, and so is
+    # the p-part of the sum; other primes still appear
+    rs = build_root_system(spec)
+    lam = tuple((p - 1) * r for r in rs.rho)
+    combo = jantzen_rhs(build_parabolic(rs, set()), lam)
+    assert p not in combo.terms and combo.terms

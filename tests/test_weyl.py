@@ -20,7 +20,9 @@ from flagheight.weyl import (
 from oracles import to_dominant_dotted_by_reflection
 
 ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "C3": 48,
-          "D4": 192, "F4": 1152, "G2": 12, "E6": 51840, "B2xA1": 16}
+          "D4": 192, "F4": 1152, "G2": 12, "E6": 51840, "B2xA1": 16,
+          "E7": 2903040, "E8": 696729600, "A8": 362880, "B8": 10321920,
+          "C8": 10321920, "D8": 5160960, "G2xC2xA1": 192}
 
 
 @pytest.fixture(scope="module")
