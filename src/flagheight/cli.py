@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import os
@@ -461,26 +460,48 @@ def build_argument_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _subparser(command: str) -> argparse.ArgumentParser:
-    """The parser of one subcommand, under the prog name the full tree
-    gives it, built once per process."""
-    parser = argparse.ArgumentParser(prog=f"flagheight {command}")
-    _add_options(parser, command)
-    return parser
-
-
-# the most root systems _root_system keeps
-_ROOT_SYSTEMS_KEPT = 64
-
-
-@functools.lru_cache(maxsize=_ROOT_SYSTEMS_KEPT)
-def _root_system(group: str):
-    """The root system of a --group text, built once per process while it
-    stays among the last _ROOT_SYSTEMS_KEPT used.  Both names are looked up
-    when a build runs, so a wrapper put on them sees it; an
-    InvalidCartanSpec is raised on every call and never kept."""
-    return build_root_system(parse_cartan_spec(group))
+def _plain_args(command: str, tokens):
+    """The arguments that the subcommand's parser gives for a plain command
+    line, without building that parser; None for any other line.  In a
+    plain line every token is an option of the subcommand spelled in full,
+    --group among them, and each value follows its option after '=' (and is
+    not '--') or as the next token (and does not start with '-'), and
+    passes the option's type and choices.  Help, abbreviations, stray tokens and every error are
+    left to argparse."""
+    options = {flag: kwargs for group in _SUBCOMMANDS[command][1]
+               for flag, kwargs in _OPTION_GROUPS[group]}
+    dests, values = {}, {}
+    for flag, kwargs in options.items():
+        dests[flag] = kwargs.get("dest", flag[2:].replace("-", "_"))
+        values[dests[flag]] = kwargs.get(
+            "default", False if kwargs.get("action") else None)
+    given = set()
+    tokens = iter(tokens)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        kwargs = options.get(flag)
+        if kwargs is None or eq and kwargs.get("action"):
+            return None
+        if kwargs.get("action"):
+            value = True
+        elif not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+        elif value == "--":  # argparse drops it from the value
+            return None
+        if "type" in kwargs:
+            try:
+                value = kwargs["type"](value)
+            except argparse.ArgumentTypeError:
+                return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        values[dests[flag]] = value
+        given.add(flag)
+    if "--group" not in given:
+        return None
+    return argparse.Namespace(**values)
 
 
 def _parse_args(argv):
@@ -488,13 +509,18 @@ def _parse_args(argv):
     top-level help, if no subcommand is named.  Exits as argparse does on
     -h and on errors.
 
-    A call that names a subcommand first tries only that subcommand's
-    parser, under the prog name the full tree gives it, so its help and
-    errors are the same.  Everything else goes to the full tree: top-level
-    help, no or an unknown subcommand, and leftover arguments, which only
-    the top-level parser reports."""
+    A call that names a subcommand reads a plain line without argparse
+    (_plain_args), and otherwise first tries only that subcommand's parser,
+    under the prog name the full tree gives it, so its help and errors are
+    the same.  Everything else goes to the full tree: top-level help, no
+    or an unknown subcommand, and leftover arguments, which only the
+    top-level parser reports."""
     if argv and argv[0] in _SUBCOMMANDS:
-        args, extra = _subparser(argv[0]).parse_known_args(argv[1:])
+        args, extra = _plain_args(argv[0], argv[1:]), None
+        if args is None:
+            parser = argparse.ArgumentParser(prog=f"flagheight {argv[0]}")
+            _add_options(parser, argv[0])
+            args, extra = parser.parse_known_args(argv[1:])
         if not extra:
             args.command = argv[0]
             return args
@@ -533,7 +559,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE
 
     try:
-        rs = _root_system(args.group)
+        rs = build_root_system(parse_cartan_spec(args.group))
     except InvalidCartanSpec as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

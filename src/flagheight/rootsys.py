@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -135,21 +134,23 @@ class Root:
         return sum(self.coords)
 
 
-def _invert_rational(M: list[list[int]]) -> list[list[Fraction]]:
-    """Exact inverse by Gauss-Jordan over Fraction."""
+def _scaled_inverse(M) -> tuple[int, list[list[int]]]:
+    """(det M, det M * M^{-1}), both in int: Gauss-Jordan without fractions
+    (Bareiss), whose every division is exact.  It needs no row swaps, since
+    every leading principal minor of a Cartan matrix of finite type is
+    positive."""
     n = len(M)
-    aug = [[Fraction(M[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
+    aug = [list(M[i]) + [int(i == j) for j in range(n)] for i in range(n)]
+    d = 1
     for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+        p, pivot_row = aug[col][col], aug[col]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
+            if r != col:
                 f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+                aug[r] = [(p * x - f * y) // d
+                          for x, y in zip(aug[r], pivot_row)]
+        d = p
+    return d, [row[n:] for row in aug]
 
 
 @dataclass(frozen=True)
@@ -178,10 +179,11 @@ class RootSystem:
         return alpha.coords in roots or tuple(map(neg, alpha.coords)) in roots
 
     @cached_property
-    def _cartan_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
-        """A^{-1} over Fraction, formed on first use: only
+    def _cartan_inverse(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(d, d A^{-1}) in int, formed on first use: only
         weight_to_root_coords reads it."""
-        return tuple(tuple(row) for row in _invert_rational(self.cartan_matrix))
+        d, scaled = _scaled_inverse(self.cartan_matrix)
+        return d, tuple(map(tuple, scaled))
 
     @cached_property
     def _root_weights(self) -> dict:
@@ -191,16 +193,6 @@ class RootSystem:
         return {beta.coords: tuple([sum(map(mul, row, beta.coords))
                                     for row in A])
                 for beta in self.positive_roots}
-
-    @cached_property
-    def _weyl_order(self) -> int:
-        """|W|, the product of the degrees m_i + 1, formed on first use.  The
-        exponents m_i are the partition conjugate to the numbers of positive
-        roots of each height (Kostant 1959); for a product too, since the
-        conjugate of a sum of partitions is the union of the conjugates."""
-        per_height = Counter(beta.height() for beta in self.positive_roots)
-        return math.prod(1 + sum(n >= i for n in per_height.values())
-                         for i in range(1, self.rank + 1))
 
     @cached_property
     def _neighbours(self) -> tuple:
@@ -231,9 +223,8 @@ class RootSystem:
 
     def weight_to_root_coords(self, mu) -> tuple[Fraction, ...]:
         """Fundamental-weight coordinates -> (rational) simple-root coordinates."""
-        Ainv = self._cartan_inverse
-        return tuple(sum(Ainv[i][j] * mu[j] for j in range(self.rank))
-                     for i in range(self.rank))
+        d, scaled = self._cartan_inverse
+        return tuple(Fraction(sum(map(mul, row, mu)), d) for row in scaled)
 
     # -- pairings and reflections -------------------------------------
 

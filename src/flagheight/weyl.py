@@ -16,6 +16,8 @@ replaying the word one simple reflection at a time.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from operator import add, sub
 
@@ -64,8 +66,13 @@ def element_from_word(rs: RootSystem, word) -> WeylElement:
 
 
 def weyl_order(rs: RootSystem) -> int:
-    """|W_G|, from the heights of the positive roots."""
-    return rs._weyl_order
+    """|W_G|, the product of the degrees m_i + 1.  The exponents m_i are the
+    partition conjugate to the numbers of positive roots of each height
+    (Kostant 1959); for a product too, since the conjugate of a sum of
+    partitions is the union of the conjugates."""
+    per_height = Counter(beta.height() for beta in rs.positive_roots)
+    return math.prod(1 + sum(n >= i for n in per_height.values())
+                     for i in range(1, rs.rank + 1))
 
 
 def subgroup_order(rs: RootSystem, theta) -> int:

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -590,19 +591,10 @@ def test_named_subcommand_builds_only_its_parser(capsys, monkeypatch):
     assert code == EXIT_OK and json.loads(out)["dim"] == 8
 
 
-@pytest.fixture
-def cold_memos():
-    """main's parser and root-system memos, empty before and after."""
-    cli._subparser.cache_clear()
-    cli._root_system.cache_clear()
-    yield
-    cli._subparser.cache_clear()
-    cli._root_system.cache_clear()
-
-
-# each option that changes a call, then the same call without it; a parse
-# error, help, a bad group, and two spellings of one group
-_MEMO_BATTERY = (
+# each option that changes a call, then the same call without it; both
+# spellings of a value; a parse error, help, an abbreviation, a bad group,
+# and two spellings of one group
+_PLAIN_BATTERY = (
     ("height", "--group", "B2", "--theta", "", "--lambda", "1,1",
      "--method", "fixed-point", "--y", "-1,3"),
     ("height", "--group", "B2", "--theta", "", "--lambda", "1,1",
@@ -612,13 +604,18 @@ _MEMO_BATTERY = (
     ("height", "--group", "A3", "--theta", "", "--lambda", "1,1,1"),
     ("dim", "--group", "A2", "--lambda", "1,1", "--output", "text"),
     ("dim", "--group", "A2", "--lambda", "1,1"),
+    ("dim", "--group=A2", "--lambda=1,1", "--output=csv"),
     ("char", "--group", "A2", "--lambda", "1,0", "--bogus"),
+    ("char", "--group", "A2", "--lambda", "1,0", "--cap", "-1"),
     ("height", "-h"),
+    ("dim", "--gr", "A2", "--lam", "1,1"),
     ("dim", "--group", "Z9", "--lambda", "1"),
     ("bwb", "--group", "b2xa1", "--lambda", "1,0,1"),
     ("bwb", "--group", "B2 x A1", "--lambda", "1,0,1"),
+    ("bwb", "--group", "A2", "--lambda", "-1,0"),
     ("jantzen-rhs", "--group", "A2", "--theta", "", "--lambda", "1,1"),
-    ("scan", "--group", "A2", "--method", "substitution"),
+    ("scan", "--group", "A2", "--method", "substitution",
+     "--print-numbering"),
 )
 
 
@@ -627,41 +624,78 @@ def _zeroed(capsys, argv):
     return code, re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out), err
 
 
-def test_memos_do_not_change_any_call(capsys, monkeypatch, cold_memos):
-    """Each call of a sequence, in either order, gives the bytes and exit
-    code it gives with both memos emptied before it."""
+def test_plain_lines_give_what_argparse_gives(capsys, monkeypatch):
+    """Each call gives the bytes and exit code it gives when argparse reads
+    every line."""
     monkeypatch.setenv("COLUMNS", "80")
-    for order in (_MEMO_BATTERY, _MEMO_BATTERY[::-1]):
-        warm = [_zeroed(capsys, argv) for argv in order]
-        cold = []
-        for argv in order:
-            cli._subparser.cache_clear()
-            cli._root_system.cache_clear()
-            cold.append(_zeroed(capsys, argv))
-        assert warm == cold
+    plain = [_zeroed(capsys, argv) for argv in _PLAIN_BATTERY]
+    monkeypatch.setattr(cli, "_plain_args", lambda command, tokens: None)
+    assert [_zeroed(capsys, argv) for argv in _PLAIN_BATTERY] == plain
 
 
-def test_each_parser_and_root_system_built_once(capsys, monkeypatch,
-                                                cold_memos):
-    parsers, groups = [], []
+def _argparse_args(command, tokens):
+    """The subcommand parser's arguments, or None on an error or leftover
+    tokens."""
+    parser = argparse.ArgumentParser(prog=f"flagheight {command}")
+    cli._add_options(parser, command)
+    try:
+        args, extra = parser.parse_known_args(tokens)
+    except SystemExit:
+        return None
+    return None if extra else args
 
-    def counted_init(self, *args, **kwargs):
-        parsers.append(kwargs["prog"])
-        init(self, *args, **kwargs)
 
-    def counted_build(spec):
-        groups.append(str(spec))
-        return build(spec)
+_FLAGS = sorted({flag for group in cli._OPTION_GROUPS.values()
+                 for flag, _ in group})
+_VALUES = ("A2", "b2xa1", "", "1,1", "-1,0", "-3", "0", "5", "x", "json",
+           "text", "all", "substitution", "-h", "--", "--group")
 
-    init, build = argparse.ArgumentParser.__init__, cli.build_root_system
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
-    monkeypatch.setattr(cli, "build_root_system", counted_build)
-    calls = [("dim", "--group", "A2", "--lambda", "1,1"),
-             ("char", "--group", "A2", "--lambda", "1,0"),
-             ("dim", "--group", "B2", "--lambda", "1,1"),
-             ("bwb", "--group", "b2xa1", "--lambda", "1,0,1")]
-    for argv in calls + calls[::-1]:
-        assert run(capsys, *argv)[0] == EXIT_OK
-    assert sorted(parsers) == ["flagheight bwb", "flagheight char",
-                               "flagheight dim"]
-    assert sorted(groups) == ["A2", "B2", "B2xA1"]
+
+def _random_line(rng, flags):
+    """Mostly well-formed option tokens, with some foreign and abbreviated
+    options, '=' spellings and values that start with '-'."""
+    tokens = ["--group", rng.choice(_VALUES[:3])] if rng.random() < 0.8 \
+        else []
+    for _ in range(rng.randrange(4)):
+        flag = rng.choice(flags if rng.random() < 0.9 else _FLAGS)
+        if rng.random() < 0.1:
+            flag = flag[:4]
+        if flag in ("--print-numbering", "--check-conjecture") \
+                and rng.random() < 0.9:
+            tokens.append(flag)
+        elif rng.random() < 0.3:
+            tokens.append(f"{flag}={rng.choice(_VALUES)}")
+        else:
+            tokens += [flag, rng.choice(_VALUES)]
+    rng.shuffle(tokens) if rng.random() < 0.1 else None
+    return tokens
+
+
+def test_plain_args_agree_with_argparse(capsys):
+    """On random lines, every line _plain_args reads gives argparse's
+    arguments, attribute for attribute and in the same order."""
+    rng = random.Random(16)
+    read = 0
+    for command, (_, groups) in cli._SUBCOMMANDS.items():
+        flags = [flag for group in groups
+                 for flag, _ in cli._OPTION_GROUPS[group]]
+        for _ in range(250):
+            tokens = _random_line(rng, flags)
+            args = cli._plain_args(command, tokens)
+            if args is not None:
+                want = _argparse_args(command, tokens)
+                assert want is not None, tokens
+                assert list(vars(args).items()) == list(vars(want).items())
+                read += 1
+    capsys.readouterr()
+    assert read > 300
+
+
+def test_plain_line_builds_no_parser(capsys, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise RuntimeError("argparse parser built")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    code, out, _ = run(capsys, "height", "--group", "A3", "--theta", "",
+                       "--lambda=1,1,1", "--method", "substitution")
+    assert code == EXIT_OK and json.loads(out)["height"]

@@ -127,6 +127,19 @@ def test_root_weight_coordinate_round_trip(a2):
             Fraction(c) for c in beta.coords)
 
 
+@pytest.mark.parametrize("spec", ["A1", "B5", "C4", "D6", "E7", "E8", "F4",
+                                  "G2", "G2xC2xA1", "E6xA2"])
+def test_weight_to_root_coords_inverts_the_cartan_matrix(spec):
+    rs = build_root_system(spec)
+    weights = [tuple(1 if j == i else 0 for j in range(rs.rank))
+               for i in range(rs.rank)]
+    weights += [tuple((-1) ** j * (j + 2) for j in range(rs.rank))]
+    for mu in weights:
+        coords = rs.weight_to_root_coords(mu)
+        assert all(type(c) is Fraction for c in coords)
+        assert rs.root_to_weight(coords) == mu
+
+
 def test_coroot_pairing_against_weight_form(b2):
     # <beta^vee, mu> from the stored coroot coords must match the
     # invariant-form definition 2(beta, mu)/(beta, beta)
