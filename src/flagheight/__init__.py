@@ -15,10 +15,8 @@ from .weyl import (
     WeylElement,
     coset_representatives,
     dotted_act,
-    element_from_word,
     enumerate_weyl,
     longest_element,
-    subgroup_order,
     to_dominant_dotted,
     w0_negates,
     weyl_order,
@@ -33,17 +31,12 @@ from .parabolic import (
 )
 from .charpoly import (
     BivariatePolynomial,
-    NotRegular,
-    char_value,
     dim_polynomial,
     dim_polynomial_parts,
     f_j,
     formal_character,
     graded_part,
     freudenthal,
-    kostant_multiplicity,
-    lefschetz_localized_character,
-    skew_symmetry_holds,
     weyl_dim,
     weyl_product,
 )
@@ -52,12 +45,10 @@ from .height import (
     LocalizationData,
     MethodDisagreement,
     NotRegularY,
-    closed_form,
     default_y,
     denominator_check,
     height_all_methods,
     height_fixed_point,
-    height_grassmannian,
     height_harmo_bott,
     height_hypersurface,
     height_projective,
@@ -72,8 +63,6 @@ from .jantzen import (
     jantzen_rhs,
     jantzen_sizes,
     lambda0_component,
-    verify_parabolic_independence,
-    verify_w0_transform,
 )
 
 __version__ = "0.1.0"

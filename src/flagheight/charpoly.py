@@ -1,6 +1,6 @@
 """Exact Weyl dimension polynomials in two formal variables, weight
-multiplicities (Freudenthal recursion plus a brute-force Kostant oracle),
-and formal/numeric Weyl characters.
+multiplicities by the Freudenthal recursion, and signed formal Weyl
+characters.
 
 The two indeterminates are the scaling variable m of the line bundle and
 the shift variable k along an isotropy root.  Products of the linear
@@ -18,7 +18,6 @@ then the balanced base-2^B digits of the final int, unpacked once.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +25,7 @@ from operator import add, mul, sub
 
 from .parabolic import NotAmple, ParabolicData, check_ample, psi_grading
 from .rootsys import InvariantViolation, Root, RootSystem
-from .weyl import enumerate_weyl, orbit, to_dominant_dotted, weyl_order
+from .weyl import orbit, to_dominant_dotted, weyl_order
 
 
 # ---------------------------------------------------------------------
@@ -244,19 +243,6 @@ def f_j(pd: ParabolicData, lam, j: int) -> BivariatePolynomial:
     return total
 
 
-def skew_symmetry_holds(pd: ParabolicData, lam, alpha: Root) -> bool:
-    """Exact polynomial identity d(m, k + <a^vee, rho + m lam>) = -d(m, -k),
-    with the affine shift <a^vee, rho> + m <a^vee, lam> substituted into k."""
-    rs = pd.rs
-    d = dim_polynomial(pd, lam, alpha)
-    c0 = rs._pairing(rs.rho, alpha)
-    c1 = rs._pairing(lam, alpha)
-    shift = BivariatePolynomial.from_dict({(0, 1): 1, (0, 0): c0, (1, 0): c1})
-    lhs = d.substitute_k(shift)
-    rhs = -d.substitute_k(BivariatePolynomial.from_dict({(0, 1): -1}))
-    return lhs.terms == rhs.terms
-
-
 # ---------------------------------------------------------------------
 # dimensions and multiplicities
 # ---------------------------------------------------------------------
@@ -376,57 +362,6 @@ def freudenthal(rs: RootSystem, lam0, subset=None) -> dict:
     return table
 
 
-def _kostant_partition_count(rs: RootSystem, target) -> int:
-    """Number of ways to write `target` (simple-root coordinates, integers)
-    as a non-negative integer combination of the positive roots."""
-    coords = tuple(target)
-    if any(c < 0 for c in coords):
-        return 0
-    roots = [r.coords for r in rs.positive_roots]
-
-    memo: dict = {}
-
-    def count(idx, rest):
-        if all(c == 0 for c in rest):
-            return 1
-        if idx == len(roots):
-            return 0
-        key = (idx, rest)
-        if key in memo:
-            return memo[key]
-        r = roots[idx]
-        total = 0
-        times = 0
-        cur = rest
-        while all(c >= 0 for c in cur):
-            total += count(idx + 1, cur)
-            cur = tuple(c - ri for c, ri in zip(cur, r))
-            times += 1
-        memo[key] = total
-        return total
-
-    return count(0, coords)
-
-
-def kostant_multiplicity(rs: RootSystem, lam0, mu) -> int:
-    """Multiplicity of mu in the irreducible with highest weight lam0 via
-    the alternating Weyl sum over the Kostant partition function (the
-    exponential-cost oracle)."""
-    if not rs.is_dominant(lam0):
-        raise ValueError(f"{lam0} is not dominant")
-    lr = tuple(l + r for l, r in zip(lam0, rs.rho))
-    mr = tuple(m + r for m, r in zip(mu, rs.rho))
-    total = 0
-    for w in enumerate_weyl(rs):
-        diff = tuple(a - b for a, b in zip(w.act_weight(rs, lr), mr))
-        c = rs.weight_to_root_coords(diff)
-        if any(x.denominator != 1 for x in c):
-            continue
-        total += w.sign * _kostant_partition_count(
-            rs, tuple(int(x) for x in c))
-    return total
-
-
 # ---------------------------------------------------------------------
 # formal characters with the dotted normalization
 # ---------------------------------------------------------------------
@@ -446,82 +381,3 @@ def formal_character(rs: RootSystem, nu) -> dict:
     if w.sign == 1:
         return table
     return {mu: -m for mu, m in table.items()}
-
-
-# ---------------------------------------------------------------------
-# numeric evaluation (cross-checks only; floats allowed here)
-# ---------------------------------------------------------------------
-
-
-class NotRegular(ValueError):
-    """The evaluation point X lies on a root hyperplane mod Z."""
-
-
-def _weight_at_point(rs: RootSystem, mu, X) -> Fraction:
-    """mu(X) with X in fundamental-coweight coordinates (alpha_i(X) = X_i)."""
-    c = rs.weight_to_root_coords(mu)
-    return sum((ci * Fraction(x) for ci, x in zip(c, X)), Fraction(0))
-
-
-def _root_at_point(beta: Root, X) -> Fraction:
-    return sum((Fraction(c) * Fraction(x) for c, x in zip(beta.coords, X)),
-               Fraction(0))
-
-
-def check_regular_point(rs: RootSystem, X):
-    for beta in rs.positive_roots:
-        v = _root_at_point(beta, X)
-        if v.denominator == 1:
-            raise NotRegular(
-                f"alpha(X) = {v} is integral for root {beta.coords}")
-
-
-def char_value(rs: RootSystem, nu, X) -> complex:
-    """Weyl character formula value of chi_nu at e^X: the alternating sum
-    of e^{2 pi i (w nu)(X)} over W divided by prod 2i sin(pi alpha(X))."""
-    check_regular_point(rs, X)
-    num = 0j
-    for w in enumerate_weyl(rs):
-        val = _weight_at_point(rs, w.act_weight(rs, nu), X)
-        num += w.sign * cmath.exp(2j * cmath.pi * float(val))
-    den = 1 + 0j
-    for beta in rs.positive_roots:
-        den *= 2j * cmath.sin(cmath.pi * float(_root_at_point(beta, X)))
-    return num / den
-
-
-def character_sum_value(rs: RootSystem, table: dict, X, w=None) -> complex:
-    """Sum_mu mult(mu) e^{2 pi i (w mu)(X)} for a multiplicity table."""
-    out = 0j
-    for mu, m in table.items():
-        if w is not None:
-            mu = w.act_weight(rs, mu)
-        out += m * cmath.exp(2j * cmath.pi * float(_weight_at_point(rs, mu, X)))
-    return out
-
-
-def lefschetz_localized_character(pd: ParabolicData, lam, X) -> complex:
-    """The fixed-point side of the classical Lefschetz formula: the sum over
-    minimal coset representatives w of W_G/W_K of
-
-        prod_{alpha in Psi} (1 - e^{-2 pi i (w alpha)(X)})^{-1}
-        * sum_mu mult_K(mu) e^{2 pi i (w mu)(X)}
-
-    with mult_K the Levi character of highest weight lam.  Numerically equal
-    to the full character of the irreducible with highest weight lam."""
-    from .weyl import coset_representatives
-
-    rs = pd.rs
-    check_regular_point(rs, X)
-    if not rs.is_dominant(lam):
-        raise ValueError(f"{lam} must be dominant")
-    levi_table = freudenthal(rs, lam, subset=pd.theta)
-    total = 0j
-    for w in coset_representatives(rs, pd.theta).reps:
-        td = 1 + 0j
-        for alpha in pd.psi:
-            walpha = w.act_root(rs, alpha)
-            td *= 1 / (1 - cmath.exp(-2j * cmath.pi *
-                                     float(_root_at_point(walpha, X))))
-        total += td * character_sum_value(rs, levi_table, X, w=w)
-    return total

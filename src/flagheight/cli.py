@@ -466,8 +466,8 @@ def _plain_args(command: str, tokens):
     plain line every token is an option of the subcommand spelled in full,
     --group among them, and each value follows its option after '=' (and is
     not '--') or as the next token (and does not start with '-'), and
-    passes the option's type and choices.  Help, abbreviations, stray tokens and every error are
-    left to argparse."""
+    passes the option's type and choices.  Help, abbreviations, stray
+    tokens and every error are left to argparse."""
     options = {flag: kwargs for group in _SUBCOMMANDS[command][1]
                for flag, kwargs in _OPTION_GROUPS[group]}
     dests, values = {}, {}
@@ -509,19 +509,13 @@ def _parse_args(argv):
     top-level help, if no subcommand is named.  Exits as argparse does on
     -h and on errors.
 
-    A call that names a subcommand reads a plain line without argparse
-    (_plain_args), and otherwise first tries only that subcommand's parser,
-    under the prog name the full tree gives it, so its help and errors are
-    the same.  Everything else goes to the full tree: top-level help, no
-    or an unknown subcommand, and leftover arguments, which only the
-    top-level parser reports."""
+    A plain line of a named subcommand is read without argparse
+    (_plain_args).  Every other line goes to the full tree of
+    build_argument_parser, so all help, usage and error text is
+    argparse's."""
     if argv and argv[0] in _SUBCOMMANDS:
-        args, extra = _plain_args(argv[0], argv[1:]), None
-        if args is None:
-            parser = argparse.ArgumentParser(prog=f"flagheight {argv[0]}")
-            _add_options(parser, argv[0])
-            args, extra = parser.parse_known_args(argv[1:])
-        if not extra:
+        args = _plain_args(argv[0], argv[1:])
+        if args is not None:
             args.command = argv[0]
             return args
     parser = build_argument_parser()

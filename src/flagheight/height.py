@@ -1,6 +1,6 @@
 """The global height of G/P for an ample weight, by three independent exact
-algorithms, plus closed forms for projective spaces, quadrics, hypersurfaces
-and Grassmannians, and the denominator bound check.
+algorithms, plus closed forms for projective spaces, quadrics and
+hypersurfaces, and the denominator bound check.
 
 Throughout, N = |Psi| is the complex dimension of G/P; the height is the
 degree of the (N+1)-st power of the arithmetic first Chern class, and every
@@ -45,7 +45,7 @@ class MethodDisagreement(InvariantViolation):
 @dataclass(frozen=True)
 class HeightResult:
     value: Fraction
-    method: str  # substitution | fixed_point | harmo_bott | closed_form
+    method: str  # substitution | fixed_point | harmo_bott
     dim_plus_one: int  # the exponent N+1
     coxeter: int
     denominator_factorization: dict  # prime -> exponent, for denom(2*value)
@@ -347,49 +347,6 @@ def height_hypersurface(n: int, d: int) -> Fraction:
         raise ValueError("n, d >= 1 required")
     return sum((Fraction(d * (n + 2) - 1 + (1 - d) ** l, 2 * l)
                 for l in range(2, n + 2)), Fraction(0))
-
-
-def height_grassmannian(m: int, k: int) -> Fraction:
-    """Fixed-point expression for the Grassmannian G(m,k) with its Pluecker
-    line bundle, localized at Y = sum_nu nu eps_nu^*: the sum over k-subsets
-    I of {1..m}."""
-    if not 1 <= k < m:
-        raise ValueError("need 1 <= k < m")
-    n1 = k * (m - k) + 1  # dim + 1
-    total = Fraction(0)
-    for I in itertools.combinations(range(1, m + 1), k):
-        comp = [b for b in range(1, m + 1) if b not in I]
-        sI = sum(I)
-        prod = Fraction(1)
-        for a in I:
-            for b in comp:
-                prod *= a - b
-        inner = Fraction(0)
-        for a in I:
-            for b in comp:
-                x = Fraction(a - b, sI)
-                for l in range(1, n1 + 1):
-                    inner += (1 - (1 - x) ** l) / (2 * l * (a - b))
-        total += Fraction(sI) ** n1 / prod * inner
-    return total
-
-
-_CLOSED_FORMS = {
-    "projective": height_projective,
-    "quadric_even": height_quadric_even,
-    "quadric_odd": height_quadric_odd,
-    "hypersurface": height_hypersurface,
-    "grassmannian": height_grassmannian,
-}
-
-
-def closed_form(family: str, *params) -> Fraction:
-    try:
-        fn = _CLOSED_FORMS[family]
-    except KeyError:
-        raise ValueError(f"unknown family {family!r}; "
-                         f"choose from {sorted(_CLOSED_FORMS)}") from None
-    return fn(*params)
 
 
 # ---------------------------------------------------------------------

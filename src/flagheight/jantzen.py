@@ -1,17 +1,16 @@
 """The combinatorial right-hand side of the Jantzen sum formula, as a
 formal combination  sum_p (sum_mu c_{p,mu} mu) log p  indexed by primes,
-together with its structural identities (vanishing of the lambda0 component
-and independence of the parabolic)."""
+the sizes that bound its work, and its lambda0 component, which vanishes."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import add
 
-from .charpoly import formal_character, freudenthal, weyl_dim
-from .parabolic import ParabolicData, build_parabolic
+from .charpoly import freudenthal, weyl_dim
+from .parabolic import ParabolicData
 from .rootsys import RootSystem
-from .weyl import longest_element, to_dominant_dotted
+from .weyl import to_dominant_dotted
 
 
 def prime_factorization(n: int) -> dict:
@@ -154,42 +153,3 @@ def lambda0_component(combo: LogCharacterCombo, pd: ParabolicData, lam) -> dict:
     lam0 = _lambda0(pd.rs, lam)
     return {p: combo.terms[p][lam0]
             for p in combo.terms if lam0 in combo.terms[p]}
-
-
-def verify_parabolic_independence(rs: RootSystem, lam, theta) -> bool:
-    """jantzen_rhs over P_theta equals jantzen_rhs over the Borel, for lam
-    vanishing on theta (so the line bundle lives on G/P_theta)."""
-    theta = frozenset(theta)
-    if any(lam[i] != 0 for i in theta):
-        raise ValueError(f"{lam} does not vanish on theta={sorted(theta)}")
-    return jantzen_rhs(build_parabolic(rs, theta), lam) == \
-        jantzen_rhs(build_parabolic(rs, set()), lam)
-
-
-def verify_w0_transform(rs: RootSystem, lam) -> bool:
-    """Check the longest-element reindexing of the sum on the full flag:
-    computing the right-hand side with every root alpha replaced by
-    -w0(alpha), the weight argument by w0(rho+lam) -/+ k(-w0 alpha) and an
-    overall sign (-1)^{l(w0)} reproduces jantzen_rhs exactly."""
-    pd = build_parabolic(rs, set())
-    w0 = longest_element(rs)
-    nu = tuple(l + r for l, r in zip(lam, rs.rho))
-    w0nu = w0.act_weight(rs, nu)
-    combo = LogCharacterCombo()
-    plus, minus = psi_signs(pd, lam)
-    for alpha in plus:
-        ap = -(w0.act_root(rs, alpha))
-        fw = rs.root_to_weight(ap.coords)
-        # <ap^vee, w0 nu> = -<a^vee, nu>, so the bound is unchanged
-        top = -rs._pairing(w0nu, ap)
-        for k in range(1, top):
-            arg = tuple(n + k * f for n, f in zip(w0nu, fw))
-            combo.add_character(k, formal_character(rs, arg), scale=-w0.sign)
-    for alpha in minus:
-        ap = -(w0.act_root(rs, alpha))
-        fw = rs.root_to_weight(ap.coords)
-        top = rs._pairing(w0nu, ap)
-        for k in range(1, top):
-            arg = tuple(n - k * f for n, f in zip(w0nu, fw))
-            combo.add_character(k, formal_character(rs, arg), scale=+w0.sign)
-    return combo == jantzen_rhs(pd, lam)

@@ -55,16 +55,6 @@ class WeylElement:
         return beta
 
 
-def element_from_word(rs: RootSystem, word) -> WeylElement:
-    """Build an element from any word, reduced or not.  The length is the
-    number of positive roots beta with <beta^vee, w rho> < 0, which equals
-    len(word) iff the word is reduced."""
-    word = tuple(word)
-    wrho = WeylElement(word, 0).act_weight(rs, rs.rho)
-    length = sum(1 for beta in rs.positive_roots if rs._pairing(wrho, beta) < 0)
-    return WeylElement(word, length)
-
-
 def weyl_order(rs: RootSystem) -> int:
     """|W_G|, the product of the degrees m_i + 1.  The exponents m_i are the
     partition conjugate to the numbers of positive roots of each height
@@ -73,12 +63,6 @@ def weyl_order(rs: RootSystem) -> int:
     per_height = Counter(beta.height() for beta in rs.positive_roots)
     return math.prod(1 + sum(n >= i for n in per_height.values())
                      for i in range(1, rs.rank + 1))
-
-
-def subgroup_order(rs: RootSystem, theta) -> int:
-    """|W_Theta| for the standard Levi of type theta (0-based indices),
-    as the size of the W_Theta-orbit of rho."""
-    return len(orbit(rs, [rs.rho], theta, weyl_order(rs))[0])
 
 
 def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_CAP) -> list[WeylElement]:

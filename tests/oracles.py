@@ -1,9 +1,28 @@
-"""Slow, independent twins of library algorithms, for tests only."""
+"""Slow, independent twins and checks of library algorithms, for tests only."""
 
 from __future__ import annotations
 
-from flagheight.rootsys import InvariantViolation
-from flagheight.weyl import orbit, weyl_order
+import cmath
+import itertools
+from fractions import Fraction
+
+from flagheight.charpoly import (
+    BivariatePolynomial,
+    dim_polynomial,
+    formal_character,
+    freudenthal,
+)
+from flagheight.jantzen import LogCharacterCombo, jantzen_rhs, psi_signs
+from flagheight.parabolic import ParabolicData, build_parabolic
+from flagheight.rootsys import InvariantViolation, Root, RootSystem
+from flagheight.weyl import (
+    WeylElement,
+    coset_representatives,
+    enumerate_weyl,
+    longest_element,
+    orbit,
+    weyl_order,
+)
 
 
 def positive_roots_by_closure(cartan_matrix) -> set:
@@ -119,3 +138,242 @@ def to_dominant_dotted_by_reflection(rs, lam):
                 break
         else:
             return tuple(word), tuple(c - r for c, r in zip(nu, rs.rho))
+
+
+# ---------------------------------------------------------------------
+# Weyl elements
+# ---------------------------------------------------------------------
+
+
+def element_from_word(rs: RootSystem, word) -> WeylElement:
+    """Build an element from any word, reduced or not.  The length is the
+    number of positive roots beta with <beta^vee, w rho> < 0, which equals
+    len(word) iff the word is reduced."""
+    word = tuple(word)
+    wrho = WeylElement(word, 0).act_weight(rs, rs.rho)
+    length = sum(1 for beta in rs.positive_roots if rs._pairing(wrho, beta) < 0)
+    return WeylElement(word, length)
+
+
+def subgroup_order(rs: RootSystem, theta) -> int:
+    """|W_Theta| for the standard Levi of type theta (0-based indices),
+    as the size of the W_Theta-orbit of rho."""
+    return len(orbit(rs, [rs.rho], theta, weyl_order(rs))[0])
+
+
+# ---------------------------------------------------------------------
+# dimension polynomials and multiplicities
+# ---------------------------------------------------------------------
+
+
+def skew_symmetry_holds(pd: ParabolicData, lam, alpha: Root) -> bool:
+    """Exact polynomial identity d(m, k + <a^vee, rho + m lam>) = -d(m, -k),
+    with the affine shift <a^vee, rho> + m <a^vee, lam> substituted into k."""
+    rs = pd.rs
+    d = dim_polynomial(pd, lam, alpha)
+    c0 = rs._pairing(rs.rho, alpha)
+    c1 = rs._pairing(lam, alpha)
+    shift = BivariatePolynomial.from_dict({(0, 1): 1, (0, 0): c0, (1, 0): c1})
+    lhs = d.substitute_k(shift)
+    rhs = -d.substitute_k(BivariatePolynomial.from_dict({(0, 1): -1}))
+    return lhs.terms == rhs.terms
+
+
+def _kostant_partition_count(rs: RootSystem, target) -> int:
+    """Number of ways to write `target` (simple-root coordinates, integers)
+    as a non-negative integer combination of the positive roots."""
+    coords = tuple(target)
+    if any(c < 0 for c in coords):
+        return 0
+    roots = [r.coords for r in rs.positive_roots]
+
+    memo: dict = {}
+
+    def count(idx, rest):
+        if all(c == 0 for c in rest):
+            return 1
+        if idx == len(roots):
+            return 0
+        key = (idx, rest)
+        if key in memo:
+            return memo[key]
+        r = roots[idx]
+        total = 0
+        cur = rest
+        while all(c >= 0 for c in cur):
+            total += count(idx + 1, cur)
+            cur = tuple(c - ri for c, ri in zip(cur, r))
+        memo[key] = total
+        return total
+
+    return count(0, coords)
+
+
+def kostant_multiplicity(rs: RootSystem, lam0, mu) -> int:
+    """Multiplicity of mu in the irreducible with highest weight lam0 via
+    the alternating Weyl sum over the Kostant partition function (the
+    exponential-cost oracle)."""
+    if not rs.is_dominant(lam0):
+        raise ValueError(f"{lam0} is not dominant")
+    lr = tuple(l + r for l, r in zip(lam0, rs.rho))
+    mr = tuple(m + r for m, r in zip(mu, rs.rho))
+    total = 0
+    for w in enumerate_weyl(rs):
+        diff = tuple(a - b for a, b in zip(w.act_weight(rs, lr), mr))
+        c = rs.weight_to_root_coords(diff)
+        if any(x.denominator != 1 for x in c):
+            continue
+        total += w.sign * _kostant_partition_count(
+            rs, tuple(int(x) for x in c))
+    return total
+
+
+# ---------------------------------------------------------------------
+# numeric evaluation of characters, in complex floats
+# ---------------------------------------------------------------------
+
+
+class NotRegular(ValueError):
+    """The evaluation point X lies on a root hyperplane mod Z."""
+
+
+def _weight_at_point(rs: RootSystem, mu, X) -> Fraction:
+    """mu(X) with X in fundamental-coweight coordinates (alpha_i(X) = X_i)."""
+    c = rs.weight_to_root_coords(mu)
+    return sum((ci * Fraction(x) for ci, x in zip(c, X)), Fraction(0))
+
+
+def _root_at_point(beta: Root, X) -> Fraction:
+    return sum((Fraction(c) * Fraction(x) for c, x in zip(beta.coords, X)),
+               Fraction(0))
+
+
+def check_regular_point(rs: RootSystem, X):
+    for beta in rs.positive_roots:
+        v = _root_at_point(beta, X)
+        if v.denominator == 1:
+            raise NotRegular(
+                f"alpha(X) = {v} is integral for root {beta.coords}")
+
+
+def char_value(rs: RootSystem, nu, X) -> complex:
+    """Weyl character formula value of chi_nu at e^X: the alternating sum
+    of e^{2 pi i (w nu)(X)} over W divided by prod 2i sin(pi alpha(X))."""
+    check_regular_point(rs, X)
+    num = 0j
+    for w in enumerate_weyl(rs):
+        val = _weight_at_point(rs, w.act_weight(rs, nu), X)
+        num += w.sign * cmath.exp(2j * cmath.pi * float(val))
+    den = 1 + 0j
+    for beta in rs.positive_roots:
+        den *= 2j * cmath.sin(cmath.pi * float(_root_at_point(beta, X)))
+    return num / den
+
+
+def character_sum_value(rs: RootSystem, table: dict, X, w=None) -> complex:
+    """Sum_mu mult(mu) e^{2 pi i (w mu)(X)} for a multiplicity table."""
+    out = 0j
+    for mu, m in table.items():
+        if w is not None:
+            mu = w.act_weight(rs, mu)
+        out += m * cmath.exp(2j * cmath.pi * float(_weight_at_point(rs, mu, X)))
+    return out
+
+
+def lefschetz_localized_character(pd: ParabolicData, lam, X) -> complex:
+    """The fixed-point side of the classical Lefschetz formula: the sum over
+    minimal coset representatives w of W_G/W_K of
+
+        prod_{alpha in Psi} (1 - e^{-2 pi i (w alpha)(X)})^{-1}
+        * sum_mu mult_K(mu) e^{2 pi i (w mu)(X)}
+
+    with mult_K the Levi character of highest weight lam.  Numerically equal
+    to the full character of the irreducible with highest weight lam."""
+    rs = pd.rs
+    check_regular_point(rs, X)
+    if not rs.is_dominant(lam):
+        raise ValueError(f"{lam} must be dominant")
+    levi_table = freudenthal(rs, lam, subset=pd.theta)
+    total = 0j
+    for w in coset_representatives(rs, pd.theta).reps:
+        td = 1 + 0j
+        for alpha in pd.psi:
+            walpha = w.act_root(rs, alpha)
+            td *= 1 / (1 - cmath.exp(-2j * cmath.pi *
+                                     float(_root_at_point(walpha, X))))
+        total += td * character_sum_value(rs, levi_table, X, w=w)
+    return total
+
+
+# ---------------------------------------------------------------------
+# the Jantzen sum, term by term
+# ---------------------------------------------------------------------
+
+
+def verify_parabolic_independence(rs: RootSystem, lam, theta) -> bool:
+    """jantzen_rhs over P_theta equals jantzen_rhs over the Borel, for lam
+    vanishing on theta (so the line bundle lives on G/P_theta)."""
+    theta = frozenset(theta)
+    if any(lam[i] != 0 for i in theta):
+        raise ValueError(f"{lam} does not vanish on theta={sorted(theta)}")
+    return jantzen_rhs(build_parabolic(rs, theta), lam) == \
+        jantzen_rhs(build_parabolic(rs, set()), lam)
+
+
+def verify_w0_transform(rs: RootSystem, lam) -> bool:
+    """Check the longest-element reindexing of the sum on the full flag:
+    computing the right-hand side with every root alpha replaced by
+    -w0(alpha), the weight argument by w0(rho+lam) -/+ k(-w0 alpha) and an
+    overall sign (-1)^{l(w0)} reproduces jantzen_rhs exactly."""
+    pd = build_parabolic(rs, set())
+    w0 = longest_element(rs)
+    nu = tuple(l + r for l, r in zip(lam, rs.rho))
+    w0nu = w0.act_weight(rs, nu)
+    combo = LogCharacterCombo()
+    plus, minus = psi_signs(pd, lam)
+    for alpha in plus:
+        ap = -(w0.act_root(rs, alpha))
+        fw = rs.root_to_weight(ap.coords)
+        # <ap^vee, w0 nu> = -<a^vee, nu>, so the bound is unchanged
+        top = -rs._pairing(w0nu, ap)
+        for k in range(1, top):
+            arg = tuple(n + k * f for n, f in zip(w0nu, fw))
+            combo.add_character(k, formal_character(rs, arg), scale=-w0.sign)
+    for alpha in minus:
+        ap = -(w0.act_root(rs, alpha))
+        fw = rs.root_to_weight(ap.coords)
+        top = rs._pairing(w0nu, ap)
+        for k in range(1, top):
+            arg = tuple(n - k * f for n, f in zip(w0nu, fw))
+            combo.add_character(k, formal_character(rs, arg), scale=+w0.sign)
+    return combo == jantzen_rhs(pd, lam)
+
+
+# ---------------------------------------------------------------------
+# heights
+# ---------------------------------------------------------------------
+
+
+def height_grassmannian(m: int, k: int) -> Fraction:
+    """The height of the Grassmannian G(m,k) with its Pluecker line bundle,
+    as a Fraction localisation sum at Y = sum_nu nu eps_nu^*: the sum over
+    k-subsets I of {1..m} of the fixed-point terms."""
+    if not 1 <= k < m:
+        raise ValueError("need 1 <= k < m")
+    n1 = k * (m - k) + 1  # dim + 1
+    total = Fraction(0)
+    for I in itertools.combinations(range(1, m + 1), k):
+        comp = [b for b in range(1, m + 1) if b not in I]
+        sI = sum(I)
+        prod = Fraction(1)
+        for a in I:
+            for b in comp:
+                prod *= a - b
+        inner = Fraction(0)
+        for a in I:
+            for b in comp:
+                x = Fraction(a - b, sI)
+                for l in range(1, n1 + 1):
+                    inner += (1 - (1 - x) ** l) / (2 * l * (a - b))
+        total += Fraction(sI) ** n1 / prod * inner
+    return total

@@ -8,21 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from flagheight.charpoly import (
-    char_value,
-    character_sum_value,
-    check_regular_point,
-    f_j,
-    freudenthal,
-    kostant_multiplicity,
-    lefschetz_localized_character,
-    skew_symmetry_holds,
-)
+from flagheight.charpoly import f_j, freudenthal
 from flagheight.height import (
     denominator_check,
     height_all_methods,
     height_fixed_point,
-    height_grassmannian,
     height_harmo_bott,
     height_hypersurface,
     height_projective,
@@ -30,18 +20,20 @@ from flagheight.height import (
     height_quadric_odd,
     height_substitution,
 )
-from flagheight.jantzen import (
-    jantzen_rhs,
-    lambda0_component,
-    verify_parabolic_independence,
-)
+from flagheight.jantzen import jantzen_rhs, lambda0_component
 from flagheight.parabolic import build_parabolic, psi_grading
 from flagheight.rootsys import build_root_system
-from flagheight.weyl import (
-    coset_representatives,
-    enumerate_weyl,
+from flagheight.weyl import coset_representatives, enumerate_weyl, weyl_order
+from oracles import (
+    char_value,
+    character_sum_value,
+    check_regular_point,
+    height_grassmannian,
+    kostant_multiplicity,
+    lefschetz_localized_character,
+    skew_symmetry_holds,
     subgroup_order,
-    weyl_order,
+    verify_parabolic_independence,
 )
 
 NUMERIC_TOL = 1e-9

@@ -8,12 +8,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from flagheight.height import (
     NotRegularY,
-    closed_form,
     default_y,
     denominator_check,
     height_all_methods,
     height_fixed_point,
-    height_grassmannian,
     height_harmo_bott,
     height_hypersurface,
     height_projective,
@@ -27,6 +25,7 @@ from flagheight.charpoly import f_j
 from flagheight.parabolic import NotAmple, build_parabolic, psi_grading
 from flagheight.rootsys import build_root_system
 from flagheight.weyl import GroupTooLarge, coset_orbit, coset_representatives
+from oracles import height_grassmannian
 
 
 def proj_parabolic(n):
@@ -75,12 +74,6 @@ def test_quadric_odd_degenerate_is_projective_line():
 def test_hypersurface_degree_one_is_projective():
     for n in range(1, 7):
         assert height_hypersurface(n, 1) == height_projective(n)
-
-
-def test_closed_form_dispatch():
-    assert closed_form("projective", 2) == Fraction(5, 4)
-    with pytest.raises(ValueError):
-        closed_form("elliptic", 1)
 
 
 # -- the three generic algorithms --------------------------------------

@@ -11,11 +11,10 @@ from flagheight.jantzen import (
     lambda0_component,
     prime_factorization,
     psi_signs,
-    verify_parabolic_independence,
-    verify_w0_transform,
 )
 from flagheight.parabolic import build_parabolic
 from flagheight.rootsys import build_root_system
+from oracles import verify_parabolic_independence, verify_w0_transform
 
 
 def test_prime_factorization():

@@ -7,7 +7,7 @@ from flagheight.parabolic import (
     psi_grading,
 )
 from flagheight.rootsys import build_root_system
-from flagheight.weyl import element_from_word
+from oracles import element_from_word
 
 
 @pytest.fixture(scope="module")

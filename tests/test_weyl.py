@@ -9,15 +9,17 @@ from flagheight.weyl import (
     coset_orbit,
     coset_representatives,
     dotted_act,
-    element_from_word,
     enumerate_weyl,
     longest_element,
-    subgroup_order,
     to_dominant_dotted,
     w0_negates,
     weyl_order,
 )
-from oracles import to_dominant_dotted_by_reflection
+from oracles import (
+    element_from_word,
+    subgroup_order,
+    to_dominant_dotted_by_reflection,
+)
 
 ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "C3": 48,
           "D4": 192, "F4": 1152, "G2": 12, "E6": 51840, "B2xA1": 16,
