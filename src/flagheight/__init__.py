@@ -42,7 +42,6 @@ from .charpoly import (
 )
 from .height import (
     HeightResult,
-    LocalizationData,
     MethodDisagreement,
     NotRegularY,
     default_y,
@@ -50,13 +49,7 @@ from .height import (
     height_all_methods,
     height_fixed_point,
     height_harmo_bott,
-    height_hypersurface,
-    height_projective,
-    height_quadric_even,
-    height_quadric_odd,
     height_substitution,
-    ht_coefficient,
-    localization_data,
 )
 from .jantzen import (
     LogCharacterCombo,

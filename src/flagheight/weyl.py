@@ -179,27 +179,6 @@ def _root_index_table(rs: RootSystem, roots) -> list[list[int]]:
     return table
 
 
-def coset_orbit(rs: RootSystem, lam, roots, start, cap: int = DEFAULT_CAP):
-    """The W-orbit of a dominant weight lam, whose stabilizer is W_Theta
-    with Theta = {i : lam_i = 0}: (points, links, images), with the points
-    w lam and their links as in `orbit`, one per coset w W_Theta, in the
-    order of coset_representatives(rs, Theta).  images[n] lists the indices
-    in `roots` (all roots, as simple-root coordinates) of w(roots[k]) for k
-    in `start`, for the w of points[n].  No Weyl element is built."""
-    lam = tuple(lam)
-    if not rs.is_dominant(lam):
-        raise ValueError(f"weight {list(lam)} is not dominant")
-    points, links = orbit(rs, [lam], range(rs.rank), cap)
-    _check_coset_count(rs, {i for i, c in enumerate(lam) if c == 0},
-                       len(points))
-    table = _root_index_table(rs, roots)
-    images = [tuple(start)]
-    for parent, i in links[1:]:
-        perm = table[i]
-        images.append(tuple([perm[r] for r in images[parent]]))
-    return points, links, images
-
-
 # -- dotted action ----------------------------------------------------
 
 

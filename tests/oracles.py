@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 from fractions import Fraction
 
 from flagheight.charpoly import (
@@ -352,6 +353,49 @@ def verify_w0_transform(rs: RootSystem, lam) -> bool:
 # ---------------------------------------------------------------------
 # heights
 # ---------------------------------------------------------------------
+
+
+def ht_coefficient(k: int) -> Fraction:
+    """Taylor coefficient of the additive class: (-1)^k / (2(k+1)(k+1)!)."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    return Fraction((-1) ** k, 2 * (k + 1) * math.factorial(k + 1))
+
+
+def _harmonic(n: int) -> Fraction:
+    return sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))
+
+
+def height_projective(n: int) -> Fraction:
+    """h(P^n, O(1)) = (n+1)/2 H_n - n/2."""
+    if n < 1:
+        raise ValueError("n >= 1 required")
+    return Fraction(n + 1, 2) * _harmonic(n) - Fraction(n, 2)
+
+
+def height_quadric_even(m: int) -> Fraction:
+    """h(Q_{2m}) = (2m+1) H_{2m-1} + H_{m-1}/2 - 2m + 1 + 1/m."""
+    if m < 1:
+        raise ValueError("m >= 1 required")
+    return ((2 * m + 1) * _harmonic(2 * m - 1) + _harmonic(m - 1) / 2
+            - 2 * m + 1 + Fraction(1, m))
+
+
+def height_quadric_odd(m: int) -> Fraction:
+    """h(Q_{2m-1}) = (2m+1) H_{2m-1} - H_{m-1}/2 - 2m + 1."""
+    if m < 1:
+        raise ValueError("m >= 1 required")
+    return ((2 * m + 1) * _harmonic(2 * m - 1) - _harmonic(m - 1) / 2
+            - 2 * m + 1)
+
+
+def height_hypersurface(n: int, d: int) -> Fraction:
+    """Height of a degree-d hypersurface in P^{n+1} of dimension n:
+    sum_{l=2}^{n+1} (d(n+2) - 1 + (1-d)^l) / (2l)."""
+    if n < 1 or d < 1:
+        raise ValueError("n, d >= 1 required")
+    return sum((Fraction(d * (n + 2) - 1 + (1 - d) ** l, 2 * l)
+                for l in range(2, n + 2)), Fraction(0))
 
 
 def height_grassmannian(m: int, k: int) -> Fraction:

@@ -14,10 +14,6 @@ from flagheight.height import (
     height_all_methods,
     height_fixed_point,
     height_harmo_bott,
-    height_hypersurface,
-    height_projective,
-    height_quadric_even,
-    height_quadric_odd,
     height_substitution,
 )
 from flagheight.jantzen import jantzen_rhs, lambda0_component
@@ -29,6 +25,10 @@ from oracles import (
     character_sum_value,
     check_regular_point,
     height_grassmannian,
+    height_hypersurface,
+    height_projective,
+    height_quadric_even,
+    height_quadric_odd,
     kostant_multiplicity,
     lefschetz_localized_character,
     skew_symmetry_holds,

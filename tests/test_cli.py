@@ -47,6 +47,19 @@ def test_height_quadric_b2(capsys):
     assert doc["coxeter"] == 4
 
 
+def test_all_methods_with_paired_and_unpaired_y(capsys):
+    # w0 Y = -Y for the default Y of A4, and not for Y = (2, 3, 4, 5)
+    heights = []
+    for y in ((), ("--y", "2,3,4,5")):
+        code, out, _ = run(capsys, "height", "--group", "A4", "--theta", "",
+                           "--lambda", "1,1,1,1", *y)
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["methods_agreed"] is True
+        heights.append(doc["height"])
+    assert heights[0] == heights[1]
+
+
 def test_json_schema_fields(capsys):
     _, out, _ = run(capsys, "height", "--group", "A2",
                     "--theta", "", "--lambda", "1,1")
@@ -198,17 +211,19 @@ def test_coset_count_check_survives_python_O():
 
 
 _WRONG_HARMO_BOTT = textwrap.dedent("""
-    import dataclasses
+    import math
     import sys
     from flagheight import cli, height
 
-    right = height.height_harmo_bott
+    right = height._localization_pass
 
-    def wrong(*args, **kwargs):
-        res = right(*args, **kwargs)
-        return dataclasses.replace(res, value=res.value + 1)
+    def wrong(pd, lam, Y, cap, kernels):
+        # the last kernel is harmo-bott's; its height is its sum over 2L
+        sums, paired = right(pd, lam, Y, cap, kernels)
+        sums[-1] += 2 * math.lcm(*range(1, pd.dim + 2))
+        return sums, paired
 
-    height.height_harmo_bott = wrong
+    height._localization_pass = wrong
     sys.exit(cli.main(sys.argv[1:]))
 """)
 

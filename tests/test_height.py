@@ -6,26 +6,35 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from flagheight import height
 from flagheight.height import (
+    MethodDisagreement,
     NotRegularY,
     default_y,
     denominator_check,
     height_all_methods,
     height_fixed_point,
     height_harmo_bott,
-    height_hypersurface,
-    height_projective,
-    height_quadric_even,
-    height_quadric_odd,
     height_substitution,
-    ht_coefficient,
-    localization_data,
 )
 from flagheight.charpoly import f_j
 from flagheight.parabolic import NotAmple, build_parabolic, psi_grading
 from flagheight.rootsys import build_root_system
-from flagheight.weyl import GroupTooLarge, coset_orbit, coset_representatives
-from oracles import height_grassmannian
+from flagheight.weyl import (
+    DEFAULT_CAP,
+    coset_representatives,
+    orbit,
+    weyl_order,
+)
+from oracles import (
+    height_grassmannian,
+    height_hypersurface,
+    height_projective,
+    height_quadric_even,
+    height_quadric_odd,
+    ht_coefficient,
+    subgroup_order,
+)
 
 
 def proj_parabolic(n):
@@ -294,6 +303,11 @@ def all_parabolics(spec):
             yield build_parabolic(rs, theta), lam
 
 
+def w0_paired(pd, lam, Y=None):
+    """Whether the localisation pass halves its sums by the w0 pairing."""
+    return height._localization_pass(pd, lam, Y, DEFAULT_CAP, [])[1]
+
+
 ORACLE_YS = {
     "default": lambda rank: None,
     "2,3,..": lambda rank: tuple(range(2, rank + 2)),
@@ -302,11 +316,21 @@ ORACLE_YS = {
 }
 
 
-@pytest.mark.parametrize("y", sorted(ORACLE_YS))
-@pytest.mark.parametrize("spec", ["A3", "B3", "C3", "G2", "B2xA1"])
+G2_BOREL_THIRD = "Borel at (1,1), Y = (1/3,2)"
+
+
+@pytest.mark.parametrize("spec,y", [
+    (spec, y) for spec in ["A3", "B3", "C3", "G2", "B2xA1"]
+    for y in sorted(ORACLE_YS)] + [("G2", G2_BOREL_THIRD)])
 def test_localization_kernels_match_fraction_oracles(spec, y):
-    for pd, lam in all_parabolics(spec):
-        Y = ORACLE_YS[y](pd.rs.rank)
+    if y == G2_BOREL_THIRD:
+        # the scale of Y is the lcm of the denominators of lam(Y) and of Y
+        cases = [(build_parabolic(build_root_system(spec), ()), (1, 1),
+                  (Fraction(1, 3), 2))]
+    else:
+        cases = [(pd, lam, ORACLE_YS[y](pd.rs.rank))
+                 for pd, lam in all_parabolics(spec)]
+    for pd, lam, Y in cases:
         assert height_fixed_point(pd, lam, Y).value == \
             fixed_point_by_fractions(pd, lam, Y)
         assert height_harmo_bott(pd, lam, Y).value == \
@@ -326,7 +350,7 @@ def test_localization_kernels_on_both_paths(spec, theta, lam, Y, paired):
     cases = all_parabolics(spec) if theta is None else \
         [(build_parabolic(build_root_system(spec), theta), lam)]
     for pd, lam in cases:
-        assert localization_data(pd, lam, Y).w0_paired is paired
+        assert w0_paired(pd, lam, Y) is paired
         assert height_fixed_point(pd, lam, Y).value == \
             fixed_point_by_fractions(pd, lam, Y)
         assert height_harmo_bott(pd, lam, Y).value == \
@@ -342,23 +366,44 @@ def test_three_methods_agree_on_both_paths(spec, theta, lam):
     # Y = (1, 2, ...) takes the full sums and the default Y the halved ones
     pd = build_parabolic(build_root_system(spec), theta)
     asymmetric = tuple(range(1, pd.rs.rank + 1))
-    assert localization_data(pd, lam).w0_paired
-    assert not localization_data(pd, lam, asymmetric).w0_paired
+    assert w0_paired(pd, lam)
+    assert not w0_paired(pd, lam, asymmetric)
     assert height_all_methods(pd, lam).value == \
         height_all_methods(pd, lam, asymmetric).value
 
 
-def test_localization_data_is_integral():
-    # Y = (1/3, 2) on G2 Borel at lam = (1, 1): the scale is the lcm of the
-    # denominators of lam(Y) and of Y
-    rs = build_root_system("G2")
-    pd = build_parabolic(rs, set())
-    data = localization_data(pd, (1, 1), (Fraction(1, 3), 2))
-    assert len(data.cosets) == 12
-    assert data.grades == tuple(rs._pairing((1, 1), a) for a in pd.psi)
-    for phi, thetas in data.cosets:
-        assert isinstance(phi, int) and len(thetas) == pd.dim
-        assert all(isinstance(t, int) and t != 0 for t in thetas)
+@pytest.mark.parametrize("spec", ["A3", "B3", "C3", "G2", "B2xA1"])
+def test_all_methods_walks_each_orbit_once(spec, monkeypatch):
+    # one walk of the orbit of lam feeds both localisation kernels
+    walks = []
+
+    def counted(*args):
+        walks.append(args)
+        return orbit(*args)
+
+    monkeypatch.setattr(height, "orbit", counted)
+    for pd, lam in all_parabolics(spec):
+        walks.clear()
+        height_all_methods(pd, lam)
+        assert len(walks) == 1
+
+
+def test_method_disagreement_names_every_method_in_order(monkeypatch):
+    right = height._localization_pass
+
+    def wrong(pd, lam, Y, cap, kernels):
+        # harmo-bott's kernel comes last, and its height is its sum over 2L
+        sums, paired = right(pd, lam, Y, cap, kernels)
+        sums[-1] += 2 * math.lcm(*range(1, pd.dim + 2))
+        return sums, paired
+
+    monkeypatch.setattr(height, "_localization_pass", wrong)
+    pd = build_parabolic(build_root_system("B2"), {1})
+    with pytest.raises(MethodDisagreement) as exc:
+        height_all_methods(pd, (1, 0), (Fraction(1, 2), 3))
+    assert str(exc.value) == "height methods disagree: substitution=17/3, " \
+        "fixed_point=17/3, harmo_bott=20/3"
+    assert exc.value.y == (Fraction(1, 2), 3) and exc.value.w0_paired
 
 
 # -- localization properties -------------------------------------------
@@ -395,12 +440,10 @@ def test_wrong_length_y_rejected(Y):
     # reported as vanishing on a root
     pd = build_parabolic(build_root_system("A2"), set())
     for method in (height_fixed_point, height_harmo_bott, height_all_methods):
-        with pytest.raises(ValueError,
-                           match=f"^Y has {len(Y)} coordinates, rank is 2$"):
+        with pytest.raises(ValueError, match=f"^Y has {len(Y)} coordinates, "
+                           "rank is 2$") as exc:
             method(pd, (1, 1), Y)
-    with pytest.raises(ValueError) as exc:
-        localization_data(pd, (1, 1), Y)
-    assert not isinstance(exc.value, NotRegularY)
+        assert not isinstance(exc.value, NotRegularY)
 
 
 def test_non_ample_rejected():
@@ -410,6 +453,10 @@ def test_non_ample_rejected():
         height_fixed_point(pd, (1, 1))
     with pytest.raises(NotAmple):
         height_substitution(pd, (0, 0))
+    # (1, -1) is not dominant, so not ample
+    a2_borel = build_parabolic(build_root_system("A2"), set())
+    with pytest.raises(NotAmple):
+        height_fixed_point(a2_borel, (1, -1))
 
 
 @pytest.mark.parametrize("lam", [(1, 1), (1, 1, 1, 1)])
@@ -418,7 +465,7 @@ def test_wrong_length_weight_rejected(lam):
     with pytest.raises(ValueError, match="rank is 3"):
         height_substitution(pd, lam)
     with pytest.raises(ValueError, match="rank is 3"):
-        localization_data(pd, lam)
+        height_fixed_point(pd, lam)
     with pytest.raises(ValueError, match="rank is 3"):
         height_all_methods(pd, lam)
 
@@ -456,16 +503,9 @@ def test_methods_agree_on_b2_full_flag(x, y):
 def _cheap_thetas(spec, bound=300):
     """The subsets theta whose G/P_theta has at most `bound` cosets."""
     rs = build_root_system(spec)
-    out = []
-    for size in range(rs.rank + 1):
-        for theta in itertools.combinations(range(rs.rank), size):
-            xi = tuple(0 if i in theta else 1 for i in range(rs.rank))
-            try:
-                coset_orbit(rs, xi, [], [], cap=bound)
-            except GroupTooLarge:
-                continue
-            out.append(theta)
-    return out
+    return [theta for size in range(rs.rank + 1)
+            for theta in itertools.combinations(range(rs.rank), size)
+            if weyl_order(rs) // subgroup_order(rs, theta) <= bound]
 
 
 @settings(max_examples=20, deadline=None)

@@ -3,10 +3,11 @@ import itertools
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from flagheight.height import height_fixed_point, height_substitution
+from flagheight.parabolic import build_parabolic
 from flagheight.rootsys import build_root_system
 from flagheight.weyl import (
     GroupTooLarge,
-    coset_orbit,
     coset_representatives,
     dotted_act,
     enumerate_weyl,
@@ -101,26 +102,6 @@ def test_coset_reps_distinct_orbits(b2):
     assert len(keys) == 4
 
 
-@pytest.mark.parametrize("spec,lam", [
-    ("A3", (0, 2, 0)), ("B3", (1, 0, 2)), ("C3", (1, 1, 1)),
-    ("G2", (1, 1)), ("G2", (0, 3)), ("B2xA1", (0, 1, 1)),
-])
-def test_coset_orbit_matches_coset_representatives(spec, lam):
-    # the orbit walk of lam gives the cosets in the same order, w lam, and
-    # w(beta) for every root beta, without building a Weyl element
-    rs = build_root_system(spec)
-    roots = list(rs.positive_roots) + [-beta for beta in rs.positive_roots]
-    coords = [beta.coords for beta in roots]
-    points, _, all_images = coset_orbit(rs, lam, coords, range(len(roots)))
-    theta = {i for i, c in enumerate(lam) if c == 0}
-    reps = coset_representatives(rs, theta).reps
-    assert len(points) == len(all_images) == len(reps)
-    for point, images, w in zip(points, all_images, reps):
-        assert point == w.act_weight(rs, lam)
-        assert [coords[k] for k in images] == \
-            [w.act_root(rs, beta).coords for beta in roots]
-
-
 def _least_reduced_words(rs):
     """w rho -> the lexicographically least reduced word of w, by a
     depth-first search over all reduced words in lexicographic order."""
@@ -161,18 +142,14 @@ def test_cap_is_the_coset_count(spec, theta):
     rs = build_root_system(spec)
     xi = tuple(0 if i in theta else 1 for i in range(rs.rank))
     count = weyl_order(rs) // subgroup_order(rs, theta)
-    assert len(coset_orbit(rs, xi, [], [], cap=count)[0]) == count
+    pd = build_parabolic(rs, theta)
+    assert height_fixed_point(pd, xi, cap=count).value == \
+        height_substitution(pd, xi).value
     assert len(coset_representatives(rs, theta, cap=count).reps) == count
     with pytest.raises(GroupTooLarge):
-        coset_orbit(rs, xi, [], [], cap=count - 1)
+        height_fixed_point(pd, xi, cap=count - 1)
     with pytest.raises(GroupTooLarge):
         coset_representatives(rs, theta, cap=count - 1)
-
-
-def test_coset_orbit_rejects_non_dominant():
-    rs = build_root_system("A2")
-    with pytest.raises(ValueError):
-        coset_orbit(rs, (1, -1), [], [])
 
 
 def test_group_too_large():
