@@ -3,8 +3,13 @@ import itertools
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from flagheight.height import height_fixed_point, height_substitution
-from flagheight.parabolic import build_parabolic
+from flagheight.height import (
+    height_all_methods,
+    height_fixed_point,
+    height_harmo_bott,
+    height_substitution,
+)
+from flagheight.parabolic import NotAmple, build_parabolic
 from flagheight.rootsys import build_root_system
 from flagheight.weyl import (
     GroupTooLarge,
@@ -150,6 +155,15 @@ def test_cap_is_the_coset_count(spec, theta):
         height_fixed_point(pd, xi, cap=count - 1)
     with pytest.raises(GroupTooLarge):
         coset_representatives(rs, theta, cap=count - 1)
+
+
+def test_coset_orbit_rejects_non_dominant():
+    # the coset orbit walk starts only from a dominant weight: (1, -1) is
+    # rejected before the walk, so even a cap of one coset is not hit
+    pd = build_parabolic(build_root_system("A2"), set())
+    for method in (height_fixed_point, height_harmo_bott, height_all_methods):
+        with pytest.raises(NotAmple):
+            method(pd, (1, -1), cap=1)
 
 
 def test_group_too_large():
