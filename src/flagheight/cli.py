@@ -17,7 +17,10 @@ w0_paired, true when the localisation sums counted only half of the
 cosets (w0 Y = -Y).
 
 JSON output (the default) is `json.dumps(doc, indent=2, sort_keys=True)`
-plus a newline, byte for byte; only `elapsed_ms` differs between runs.
+plus a newline, byte for byte; only `elapsed_ms` differs between runs.  The
+weight tables of char and jantzen-rhs are built as column tables (_Table),
+which _dumps writes with one %d template and the text and csv outputs print
+as their lists of records.
 
 A reader that closes stdout early (e.g. `flagheight scan ... | head`) is
 not an error: the rest of the output is discarded and the exit code is 0.
@@ -33,12 +36,15 @@ import os
 import sys
 import time
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
+from operator import itemgetter
 
 from .charpoly import freudenthal, weyl_dim, weyl_product
 from .height import (
     MethodDisagreement,
     NotRegularY,
+    check_y,
     denominator_check,
     height_all_methods,
     height_fixed_point,
@@ -99,11 +105,34 @@ def _require_lambda(lam, rank: int):
     return tuple(lam)
 
 
+class _Table:
+    """A list of records with the same keys, held as one column per key:
+    columns maps each key to its values, row by row.  A column holds exact
+    ints, or int tuples of one width.  _dumps writes a table with one %d
+    template; _records gives back the list of dicts it stands for, which
+    the text and csv outputs print."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: dict):
+        self.columns = columns
+
+
+def _records(table) -> list:
+    """The list of dicts that a _Table stands for; also json.dumps's
+    default hook, so tables nested in a document convert too."""
+    if not isinstance(table, _Table):
+        raise TypeError(f"{type(table).__name__} is not JSON serializable")
+    keys = list(table.columns)
+    return [dict(zip(keys, row)) for row in zip(*table.columns.values())]
+
+
 def _dumps(doc) -> str:
     """`json.dumps(doc, indent=2, sort_keys=True) + "\\n"`, byte for byte,
     for documents of dicts with str keys, lists, ints, bools, None and
-    strings.  Lists of ints and lists of flat records are written by one
-    join or one %-format, not token by token."""
+    strings, where a _Table stands for its list of records.  A list of ints
+    is written by one join and a _Table by one %-format over its
+    interleaved columns, not token by token."""
     out = []
     _render(doc, "\n", out)
     out.append("\n")
@@ -127,18 +156,18 @@ def _render(o, nl: str, out: list) -> None:
     elif isinstance(o, (list, tuple)):
         if not o:
             out.append("[]")
-            return
-        body = ("," + inner).join(map(str, o)) if _all_ints(o) \
-            else _render_records(o, inner)
-        if body is not None:
-            out.append("[" + inner + body + nl + "]")
-            return
-        sep = "[" + inner
-        for item in o:
-            out.append(sep)
-            _render(item, inner, out)
-            sep = "," + inner
-        out.append(nl + "]")
+        elif _all_ints(o):
+            out.append("[" + inner + ("," + inner).join(map(str, o)) + nl
+                       + "]")
+        else:
+            sep = "[" + inner
+            for item in o:
+                out.append(sep)
+                _render(item, inner, out)
+                sep = "," + inner
+            out.append(nl + "]")
+    elif isinstance(o, _Table):
+        out.append(_render_table(o, nl))
     else:
         out.append(json.dumps(o))
 
@@ -148,47 +177,43 @@ def _all_ints(xs) -> bool:
     return set(map(type, xs)) <= {int}
 
 
-def _render_records(items, nl: str):
-    """The items of a list of flat records, rendered at indentation nl and
-    joined; None if the list is not one.  Flat records are dicts that
-    all have the first one's keys, each value an exact int or an int list
-    of the first record's length.  One %d template, built from the first
-    record, formats every row."""
-    first = items[0]
-    if type(first) is not dict or not first:
-        return None
-    inner = nl + "  "
-    keys = sorted(first)
-    lens, slots = [], []
-    for k in keys:
-        v = first[k]
-        if type(v) is int:
-            lens.append(None)
+def _render_table(table: _Table, nl: str) -> str:
+    """The JSON of a table's records at indentation nl: one %d template
+    per record, built from the column shapes, formats every row.  TypeError,
+    before anything is formatted, unless every column has the same length
+    and holds exact ints or int tuples of one width."""
+    keys = sorted(table.columns)
+    cols = [table.columns[k] for k in keys]
+    rows = len(cols[0]) if cols else 0
+    row_nl = nl + "  "
+    key_nl = row_nl + "  "
+    item_nl = key_nl + "  "
+    slots, parts = [], []
+    for k, col in zip(keys, cols):
+        if len(col) != rows:
+            raise TypeError(f"column {k!r} has {len(col)} rows, not {rows}")
+        kinds = set(map(type, col))
+        if kinds <= {int}:
             slot = "%d"
-        elif type(v) is list:
-            lens.append(len(v))
-            item = inner + "  "
-            slot = ("[" + item + ("," + item).join(["%d"] * len(v)) + inner
-                    + "]") if v else "[]"
+            parts.append(col)
+        elif kinds == {tuple} and len(set(map(len, col))) == 1:
+            width = len(col[0])
+            slot = ("[" + item_nl + ("," + item_nl).join(["%d"] * width)
+                    + key_nl + "]") if width else "[]"
+            parts += [map(itemgetter(j), col) for j in range(width)]
         else:
-            return None
+            raise TypeError(f"column {k!r} is neither exact ints nor int "
+                            "tuples of one width")
         slots.append(_encode_str(k).replace("%", "%%") + ": " + slot)
-    template = "{" + inner + ("," + inner).join(slots) + nl + "}"
-    values = []
-    for r in items:
-        if type(r) is not dict or len(r) != len(keys):
-            return None
-        for k, n in zip(keys, lens):
-            v = r.get(k)
-            if n is None:
-                values.append(v)
-            elif type(v) is list and len(v) == n:
-                values += v
-            else:
-                return None
+    if not rows:
+        return "[]"
+    values = tuple(chain.from_iterable(zip(*parts)))
     if not _all_ints(values):
-        return None
-    return ("," + nl).join([template] * len(items)) % tuple(values)
+        raise TypeError("a column tuple holds a value that is not an exact "
+                        "int")
+    template = "{" + key_nl + ("," + key_nl).join(slots) + row_nl + "}"
+    return ("[" + row_nl + ("," + row_nl).join([template] * rows) % values
+            + nl + "]")
 
 
 def _emit(doc: dict, fmt: str, rows=None) -> str:
@@ -233,11 +258,13 @@ def _flatten(doc: dict, prefix: str = "") -> dict:
 
 
 def _textval(v):
+    if isinstance(v, _Table):
+        v = _records(v)
     if isinstance(v, dict) and set(v) == {"num", "den"}:
         return v["num"] if v["den"] == "1" else f"{v['num']}/{v['den']}"
     if isinstance(v, dict) or (isinstance(v, (list, tuple)) and v
                                and all(isinstance(x, dict) for x in v)):
-        return json.dumps(v, sort_keys=True)
+        return json.dumps(v, sort_keys=True, default=_records)
     if isinstance(v, (list, tuple)):
         return ",".join(str(x) for x in v)
     return str(v)
@@ -251,6 +278,8 @@ def _textval(v):
 def _height_doc(args, rs, theta, lam) -> dict:
     pd = build_parabolic(rs, theta)
     Y = _parse_fraction_list(args.y, "--y") or None
+    if args.method == "substitution":
+        check_y(rs, Y)  # no Y in this kernel, but the same --y is refused
     start = time.monotonic()
     if args.method == "all":
         res = height_all_methods(pd, lam, Y, args.cap)
@@ -315,8 +344,7 @@ def _jantzen_doc(args, rs, theta, lam) -> dict:
         "group": str(rs.spec),
         "theta": sorted(i + 1 for i in theta),
         "lambda": list(lam),
-        "primes": {str(p): [{"weight": list(mu), "coeff": c}
-                            for mu, c in sorted(bucket.items())]
+        "primes": {str(p): _weight_table(bucket, "coeff")
                    for p, bucket in sorted(combo.terms.items())},
         "lambda0_component_zero": not lam0,
     }
@@ -337,9 +365,15 @@ def _char_doc(args, rs, lam) -> dict:
         "group": str(rs.spec),
         "lambda": list(lam),
         "dim": sum(table.values()),
-        "weights": [{"weight": list(mu), "mult": table[mu]}
-                    for mu in sorted(table, reverse=True)],
+        "weights": _weight_table(table, "mult", reverse=True),
     }
+
+
+def _weight_table(table: dict, name: str, reverse: bool = False) -> _Table:
+    """The records {weight, name} of a weight -> int table, by weight."""
+    weights = sorted(table, reverse=reverse)
+    return _Table({"weight": weights,
+                   name: list(map(table.__getitem__, weights))})
 
 
 def _dim_doc(args, rs, lam) -> dict:

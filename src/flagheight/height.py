@@ -102,6 +102,25 @@ def default_y(rs: RootSystem) -> tuple:
     return tuple(Fraction(1) for _ in range(rs.rank))
 
 
+def check_y(rs: RootSystem, Y) -> tuple:
+    """Y as a tuple of Fractions, default_y(rs) if Y is None; that one is
+    regular, since alpha(Y) is the height of alpha.  ValueError unless Y
+    has one coordinate per simple root; NotRegularY if it vanishes on a
+    root, decided on Y scaled to integers."""
+    if Y is None:
+        return default_y(rs)
+    Y = tuple(Fraction(y) for y in Y)
+    if len(Y) != rs.rank:
+        raise ValueError(f"Y has {len(Y)} coordinates, rank is {rs.rank}")
+    s = math.lcm(*(y.denominator for y in Y))
+    ys = [y.numerator * (s // y.denominator) for y in Y]
+    for beta in rs.positive_roots:
+        if sum(map(operator.mul, beta.coords, ys)) == 0:
+            raise NotRegularY(
+                f"Y is not regular: vanishes on root {beta.coords}")
+    return Y
+
+
 class _PhiRow(dict):
     """t -> sum_e coeffs[e] x^e phi^{N-e} with x = x(phi, t), for one phi
     and N = len(coeffs) - 1: each value is formed by Horner's rule in x on
@@ -150,21 +169,16 @@ def _localization_pass(pd: ParabolicData, lam, Y, cap: int, kernels):
     so Horner's rule runs once per distinct pair, in one _PhiRow per kernel
     and phi.  Each coset is one integer over the integer prod_a theta_a;
     the integers over equal products are added, and only then divided.
-    ValueError unless Y has one coordinate per simple root."""
+    Y is checked by check_y."""
     rs = pd.rs
     lam = rs.check_weight(lam)
-    Y = default_y(rs) if Y is None else tuple(Fraction(y) for y in Y)
-    if len(Y) != rs.rank:
-        raise ValueError(f"Y has {len(Y)} coordinates, rank is {rs.rank}")
+    Y = check_y(rs, Y)
     lam_y = sum(c * y for c, y in zip(rs.weight_to_root_coords(lam), Y))
     s = math.lcm(lam_y.denominator, *(y.denominator for y in Y))
     ys = [int(s * y) for y in Y]
     positive = [beta.coords for beta in rs.positive_roots]
     roots = positive + [tuple(-c for c in coords) for coords in positive]
     value = [sum(c * y for c, y in zip(coords, ys)) for coords in roots]
-    if 0 in value:
-        raise NotRegularY(
-            f"Y is not regular: vanishes on root {roots[value.index(0)]}")
     if not check_ample(pd, lam):
         raise NotAmple(f"{lam} is not ample for theta={sorted(pd.theta)}")
     points, links = orbit(rs, [lam], range(rs.rank), cap)

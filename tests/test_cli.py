@@ -1,4 +1,7 @@
 import argparse
+import contextlib
+import hashlib
+import io
 import json
 import os
 import random
@@ -7,8 +10,10 @@ import shlex
 import subprocess
 import sys
 import textwrap
+from datetime import timedelta
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from flagheight import cli, height, jantzen
 from flagheight.cli import (
@@ -327,6 +332,20 @@ def test_math_errors(capsys):
                                    "error: Y has 3 coordinates, rank is 2\n")
 
 
+@pytest.mark.parametrize("method", ["all", "substitution", "fixed-point",
+                                    "harmo-bott"])
+@pytest.mark.parametrize("y,message", [
+    ("0,0", "Y is not regular: vanishes on root (0, 1)"),
+    ("1,-1", "Y is not regular: vanishes on root (1, 1)"),
+    ("1,2,3", "Y has 3 coordinates, rank is 2"),
+])
+def test_every_method_refuses_the_same_y(capsys, method, y, message):
+    """substitution uses no Y, but refuses the --y the others refuse."""
+    assert run(capsys, "height", "--group", "A2", "--theta", "",
+               "--lambda", "1,1", "--method", method, "--y", y) == (
+        EXIT_MATH, "", f"error: {message}\n")
+
+
 def test_cap_exceeded(capsys):
     code, _, err = run(capsys, "height", "--group", "E6", "--theta", "",
                        "--lambda", "1,1,1,1,1,1", "--cap", "100")
@@ -476,6 +495,134 @@ def test_json_is_json_dumps_indent_2_sorted(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == EXIT_OK
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+# SHA-256 of stdout in json, text and csv, taken from the renderer that
+# built one dict per weight before the column tables replaced it
+_PINNED_OUTPUTS = {
+    ('char', 'A2', None, '2,1'): (
+        'e6fa445363e0cef6ad7e22fa859e00bca07d063369b5e4322d3b84ecb87e04e3',
+        '3a2af7c70d03efe478523b0cc1efcb4ca47ef62d0e88e6cd8c7461d5e8af8fbc',
+        '0ca0790f322bdaae6717b6151407a04ba49ddd6e616115056826333d3d1cada0'),
+    ('jantzen-rhs', 'A2', '', '2,1'): (
+        '022ee9c722f0f5e1ae973f1d7dd1d862be4f6ec4bb42910bb1caa2df81c289ad',
+        '8e19f0e577a9bbe62906a3d0e6636a0f742f259421cad0a75b6312a4aca8804f',
+        '6ab7121cb38bf2165481b15e782b98d1665fa43d08e18922c94811e637838292'),
+    ('char', 'B2', None, '3,2'): (
+        '7c85c5f9e22cfc1abf187f3567e1357761a053fd6c884f974c179d94c882d02a',
+        '740ad62735898e72e2da4ec703b73eef4b487cb0b4bb63e5490f3383ced0e7e3',
+        '77df62999478f92f7ef17d1ec131564fa9ec655d1646a4cf9081318ac21e28e0'),
+    ('jantzen-rhs', 'B2', '', '3,2'): (
+        'bc6c0e021dd304930a1da92569cc8c9af318ef1f376b5557f72b960111c0815b',
+        'c5c3f916226f43e3f320a7f3e63e5e2daabb26016212992d50ad05bdb4a8e4e5',
+        '8d890e228bc213c245a4335b64449b86b5faffb69a589aac6836871121c206eb'),
+    ('char', 'G2', None, '2,2'): (
+        '011e1a9a68ba2d80274c67aa2ade161112ff9e19b21b5b33e7da32e349fbfe77',
+        '313089d17ac3f83e681c8bf52f800386c10c5f20de94533c03ec5b09a8fdc936',
+        '8d6876c1f5a3fd56e961948ea694c04f9c9286a32d35b7a405326e52e14fca07'),
+    ('jantzen-rhs', 'G2', '', '2,2'): (
+        'cca83e4db237e548370a33263b74037f9ee4e13047b53d305472a5ce7c0e20a1',
+        '201ea64994f072a65723d61efd207826a81011fbcdb4c62f60cd9d74f03c44ef',
+        'dc5b7fa351090df84ca3c069b5dbee6f31729556d06f4523d1986cd899db6e87'),
+    ('char', 'D4', None, '1,1,1,1'): (
+        '91c4cdfffbbb0cdafb20d876633a285264242cba0c349c5088cb05aaae7825cb',
+        'f9303446fc080b3aa5674eb711077766213c0cde4842c6284c1adc4684856d44',
+        'df1620b28f3f97762e79c2f94762c7e96bda72bd9eaf709573ce0470dabf81cd'),
+    ('jantzen-rhs', 'D4', '', '1,1,1,1'): (
+        '5d7f79fa15711d42809078a1f65184f94d2284f3e6fd83233c03be8a0990d84b',
+        'f8ce2771e66d865a3c2bfb7947349c9af5ba03ea8c26c88c863d52c593a02fc1',
+        '4a5676f81d3e0470632c7009788a4ee34c7e6e327063c54b95ef3492b5846f69'),
+    ('char', 'B4', None, '2,1,1,1'): (
+        'adcf1602dbdfa2f1cfe0ee12b77f3ea5099f45e18a7c772b3124a887bab034dc',
+        '59afc31fa6c343a2657cb3035c5256ebcdbe53c5bd78fc96d70bad1983931e41',
+        '2dc645e69d63d3ed9d19df888bd5c42b2e1a752497c906d1a2eb2c7ee4ead0ac'),
+    ('jantzen-rhs', 'B4', '', '2,1,1,1'): (
+        'f81574e434d194ace75460ed37e907acfecd48b254dae15aceb43663cf5518a0',
+        'a20e77bf8d3ef9b95ea6425b6466ede3427d88a84bd01e93280b1d2cf6cff9fe',
+        '8a8d650f4718acc2c6bdd22f8df09af3a0e8e54ac2d4b522e4d22125bd5f0571'),
+    ('char', 'A5', None, '2,1,1,1,2'): (
+        '2003a7a7eb7cb0dd0a2c7f6270ba11c5499e243707299910c196ed898df2b78e',
+        '491b3ab73f34da897e696b8179c39600ac7d571443f6e7f9bc41c1673f0941d1',
+        '4119a1e3a8098dc864ba61b6a3ed9057e420838110c46253937c58fa22cb9cd4'),
+    ('jantzen-rhs', 'A5', '', '2,1,1,1,2'): (
+        '9e7f28ea8a35483a6b3392c643a848505c8424808aafb4505090c1a84d054377',
+        'c574dbe4411dbac37af4164a2e5087f918f906e15e15584e0f778895e8a9ba34',
+        '83bc912b375d5b4e2fc745e071434f79b97f18897d68bd542eeccb97d8c444bb'),
+    ('jantzen-rhs', 'B2', '1', '0,3'): (
+        '39191b6abfeae592d43f8d0c227b7d657d30ece2c259181e65973e9e83ed7dad',
+        '967f028cbbd6c5eca81bda0377f2a3350e45d049883013a3a8b7e086efc3a367',
+        'a7586ba5d10b21816ccfd1d1a35aa9437e9e47ff182acbb7b9484ccc4dacc4f3'),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+@pytest.mark.parametrize("command,group,theta,lam", list(_PINNED_OUTPUTS))
+def test_weight_table_bytes_are_pinned(capsys, command, group, theta, lam,
+                                       fmt):
+    argv = [command, "--group", group, "--lambda", lam, "--output", fmt]
+    if theta is not None:
+        argv += ["--theta", theta]
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    digest = _PINNED_OUTPUTS[command, group, theta, lam][
+        ["json", "text", "csv"].index(fmt)]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _fuzz_rank(group: str) -> int:
+    return sum(int(factor[1:]) for factor in group.split("x"))
+
+
+_FUZZ_GROUPS = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4",
+                "F4", "G2", "A1xA1", "B2xA1", "A1xG2", "A2xA2", "A1xA1xA1xA1",
+                "B1", "D3", "E4", "Q2"]
+
+
+@st.composite
+def _capped_lines(draw):
+    """A command line of a subcommand with a cap: a group of rank at most 4
+    (a product, lower case, or not a group at all), a weight mostly of the
+    right length, either small and dominant or with negative and large
+    entries, a theta with repeats and out-of-range nodes on which the weight
+    may vanish, a cap up to 10^4 and every output."""
+    command = draw(st.sampled_from(["char", "jantzen-rhs", "dim", "bwb"]))
+    group = draw(st.sampled_from(_FUZZ_GROUPS))
+    rank = _fuzz_rank(group)
+    if draw(st.booleans()):
+        group = group.lower()
+    length = max(draw(st.sampled_from([rank, rank, rank, rank + 1,
+                                       rank - 1])), 0)
+    entry = st.integers(0, 2) if draw(st.booleans()) else (
+        st.integers(-3, 3) | st.integers(-10**6, 10**6)
+        | st.sampled_from([10**30, -10**30]))
+    lam = draw(st.lists(entry, min_size=length, max_size=length))
+    theta = draw(st.lists(st.integers(-1, rank + 1), max_size=5)
+                 | st.just([]))
+    if draw(st.booleans()):
+        for i in theta:
+            if 1 <= i <= length:
+                lam[i - 1] = 0
+    argv = [command, "--group", group, "--lambda", ",".join(map(str, lam)),
+            "--cap", str(draw(st.just(10**4) | st.integers(-1, 10**4))),
+            "--output", draw(st.sampled_from(["json", "text", "csv"]))]
+    if command == "jantzen-rhs":
+        argv += ["--theta", ",".join(map(str, theta))]
+    return argv
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=20),
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_capped_lines())
+def test_capped_subcommands_end_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_MATH, EXIT_CAP), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_OK and argv[argv.index("--output") + 1] == "json":
+        text = out.getvalue()
+        assert text == json.dumps(json.loads(text), indent=2,
+                                  sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("method", ["fixed-point", "harmo-bott"])

@@ -2,13 +2,29 @@
 
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from flagheight.cli import _dumps, _render_records
+from flagheight.cli import _dumps, _records, _Table, _textval
 
 
 def reference(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def plain(doc):
+    """doc with every _Table replaced by its list of dicts, built from the
+    columns here and not by _records."""
+    if isinstance(doc, _Table):
+        cols = doc.columns
+        rows = len(next(iter(cols.values()), []))
+        return [{k: list(col[i]) if isinstance(col[i], tuple) else col[i]
+                 for k, col in cols.items()} for i in range(rows)]
+    if isinstance(doc, dict):
+        return {k: plain(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [plain(v) for v in doc]
+    return doc
 
 
 ints = st.integers() | st.integers(-10**40, 10**40)
@@ -22,11 +38,35 @@ documents = st.recursive(
 
 
 @st.composite
+def shapes(draw):
+    """Column names, each with None (an int column) or a tuple width."""
+    return draw(st.dictionaries(keys, st.none() | st.integers(0, 3),
+                                min_size=1, max_size=4))
+
+
+@st.composite
+def tables(draw):
+    """A column table of 0 to 6 rows."""
+    shape = draw(shapes())
+    rows = draw(st.integers(0, 6))
+    return _Table({k: [draw(ints) if n is None
+                       else tuple(draw(st.lists(ints, min_size=n, max_size=n)))
+                       for _ in range(rows)]
+                   for k, n in shape.items()})
+
+
+documents_with_tables = st.recursive(
+    scalars | tables(),
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(keys, children, max_size=5),
+    max_leaves=30)
+
+
+@st.composite
 def records(draw, min_size=1):
-    """A list of flat records: the same keys in every record, each value
-    an int or an int list of one length per key."""
-    shape = draw(st.dictionaries(keys, st.none() | st.integers(0, 3),
-                                 min_size=1, max_size=4))
+    """A list of flat records as dicts: the same keys in every record, each
+    value an int or an int list of one length per key."""
+    shape = draw(shapes())
     return [{k: draw(ints) if n is None
              else draw(st.lists(ints, min_size=n, max_size=n))
              for k, n in shape.items()}
@@ -68,18 +108,55 @@ def test_matches_json_dumps(doc):
 
 
 @settings(max_examples=100, deadline=None)
-@given(records(), documents)
-def test_record_lists_take_the_template(rows, other):
-    assert _render_records(rows, "\n  ") is not None
-    doc = {"rows": rows, "other": other, "nested": [{"rows": rows}]}
-    assert _dumps(doc) == reference(doc)
+@given(tables(), records(), documents)
+def test_record_lists_take_the_template(table, rows, other):
+    doc = {"table": table, "rows": rows, "other": other,
+           "nested": [{"table": table}]}
+    assert _dumps(doc) == reference(plain(doc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(documents_with_tables)
+def test_tables_anywhere_in_a_document(doc):
+    """_dumps, and the json.dumps of the text and csv outputs through
+    _records, print a table as the list of dicts it stands for."""
+    expected = plain(doc)
+    assert _dumps(doc) == reference(expected)
+    assert json.dumps(doc, sort_keys=True, default=_records) == \
+        json.dumps(expected, sort_keys=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables())
+def test_textval_of_a_table_is_its_records(table):
+    assert _textval(table) == _textval(plain(table))
+    assert _textval({"2": table}) == _textval({"2": plain(table)})
 
 
 @settings(max_examples=200, deadline=None)
 @given(near_misses())
 def test_near_misses_take_the_recursive_path(rows):
-    assert _render_records(rows, "\n  ") is None
     assert _dumps({"rows": rows}) == reference({"rows": rows})
+
+
+@pytest.mark.parametrize("columns", [
+    {"mult": [1, True], "weight": [(1,), (2,)]},
+    {"mult": [1, 2], "weight": [(1, 2), (True, 0)]},
+    {"mult": [1, 2], "weight": [(1, 2), (3,)]},
+    {"mult": [1, 2], "weight": [(1, 2), (3, 4, 5)]},
+    {"mult": [1, 2], "weight": [[1, 2], [3, 4]]},
+    {"mult": [1, 2], "weight": [(1, 2)]},
+    {"mult": [1, None]},
+])
+def test_tables_of_bools_or_ragged_tuples_raise(columns):
+    """A bool would print as %d of True, i.e. 1; nothing is formatted."""
+    with pytest.raises(TypeError):
+        _dumps({"weights": _Table(columns)})
+
+
+def test_records_refuses_other_objects():
+    with pytest.raises(TypeError):
+        json.dumps({"a": object()}, default=_records)
 
 
 def test_edge_cases():
@@ -87,5 +164,8 @@ def test_edge_cases():
                 [{"a": []}, {"a": []}], [True, 1], [1, None], [0, False],
                 {"%d": [{"%s": 1}]}, {"é\n": "☃\"\\"},
                 [{"w": [1, 2], "m": 3}, {"w": [4, 5], "m": True}],
-                [{"w": [1, 2]}, {"w": (3, 4)}], 7, "x", None):
-        assert _dumps(doc) == reference(doc), doc
+                [{"w": [1, 2]}, {"w": (3, 4)}], 7, "x", None,
+                _Table({}), _Table({"a": []}), [_Table({"a": [], "b": []})],
+                _Table({"%d": [1, -2], "w": [(), ()]}),
+                {"t": _Table({"w": [(1, 2, 3)], "%s": [10**40]})}):
+        assert _dumps(doc) == reference(plain(doc)), doc
