@@ -9,11 +9,15 @@ for (dim_polynomial_parts, graded_part); BivariatePolynomial holds the
 exact sparse result over Fraction.
 
 Each homogeneous part sum_i e_i m^{d-i} k^i is held as one int, its
-k-polynomial evaluated at k = 2^B (Kronecker substitution), so a linear
-factor updates a part with three big-int operations instead of one per
-coefficient.  B is the bit length of the coefficient sum of the product
-with every coefficient made non-negative, plus a sign bit; the e_i are
-then the balanced base-2^B digits of the final int, unpacked once.
+k-polynomial evaluated at k = 2^B (Kronecker substitution).  A linear
+factor r + a m + c k becomes r + lin m with lin = a + c 2^B, so it updates
+a part with two big-int products and one add instead of work per
+coefficient; the factors free of k run first, while each part is still a
+single digit.  B bounds only the degrees kept: with s = |a| + |c|, every
+coefficient of degree >= low is at most the sum over the roots of
+scale prod (r + s 2^j) / 2^(j low), for one j >= 0 picked per call; B is
+that bound's bit length plus a sign bit, and the e_i are then the
+balanced base-2^B digits of the final int, unpacked once.
 """
 
 from __future__ import annotations
@@ -121,49 +125,80 @@ def _pairings(rs: RootSystem, lam) -> list:
             for beta in rs.positive_roots]
 
 
+def _width(jobs, low: int) -> int:
+    """The packed width B of _packed_sum for jobs, one (scale, factors) per
+    root alpha, factors = [(r, a, c), ...], and the degrees >= low.
+
+    For each alpha, the digits e_i of degree d of
+    scale prod (r + a m + c k) have sum_i |e_i| <= q_d, the x^d coefficient
+    of Q(x) = scale prod (r + s x) with s = |a| + |c|.  Every q_d is
+    non-negative, so for x = 2^j >= 1 and d >= low, q_d <= Q(x) / x^low.
+    Summed over alpha, with one j for all, this bounds every |e_i| that
+    _packed_sum keeps.  j = 0 is the plain coefficient sum, and no larger j
+    does better when low = 0.  The log of the bound is convex in j, so j
+    steps up on the first root while that shrinks the bound's bit length,
+    and then serves every root.  B is the bit length of the bound plus a
+    sign bit."""
+
+    def bound(scale, factors, j):
+        q = scale
+        for r, a, c in factors:
+            q *= r + (abs(a) + abs(c) << j)
+        return -(-q >> j * low)  # ceil(Q(2^j) / 2^(j low))
+
+    j, bits = 0, bound(*jobs[0], 0).bit_length()
+    while (nxt := bound(*jobs[0], j + 1).bit_length()) < bits:
+        bits, j = nxt, j + 1
+    return sum(bound(scale, factors, j)
+               for scale, factors in jobs).bit_length() + 1
+
+
 def _packed_sum(rs: RootSystem, pairings, alphas, low: int, top: int):
     """The one product routine.  Returns (B, packed): packed[d - low] is the
     homogeneous part of degree d, low <= d <= top, of R times the sum of
     the dimension polynomials of alphas (positive roots), packed as the
     integer sum_i e_i 2^{B i} (e_i the coefficient of m^{d-i} k^i).
 
-    Multiplying by r + a m + c k sends the packed part P[d] to
-    r P[d] + a P[d-1] + (c P[d-1] << B): three big-int operations per
-    degree.  Every |e_i| is at most the bound
-    sum_alpha prod_beta (r + |a| + |c|), the coefficient sum of the product
-    with |a|, |c| in place of a, c; B is its bit length plus a sign bit, so
-    the balanced base-2^B digits of the result are the e_i.  Evaluation at
-    k = 2^B is a ring homomorphism, so only the final digits need to fit;
-    intermediate products may carry between digits."""
+    Evaluated at k = 2^B, the factor r + a m + c k is r + lin m with
+    lin = a + c 2^B, so it sends the packed part P[d] to
+    r P[d] + lin P[d-1]: two big-int products per degree.  B comes from
+    _width, which bounds every |e_i| of degree >= low; so the balanced
+    base-2^B digits of the result are the e_i.  Evaluation at k = 2^B is a
+    ring homomorphism, so only the final digits need to fit; intermediate
+    products may carry between digits."""
     fws = rs._root_weights
-    jobs, bound = [], 0
+    jobs = []
     for alpha in alphas:
         walpha = fws[alpha.coords]
-        scale, size, factors = 1, 1, []
+        scale, flat, steep = 1, [], []
         for coroot, r, a in pairings:
             c = -sum(map(mul, coroot, walpha))
-            if a or c:
-                factors.append((r, a, c))
-                size *= r + abs(a) + abs(c)
+            if c:
+                steep.append((r, a, c))
+            elif a:
+                flat.append((r, a, c))
             else:
                 scale *= r  # the factor is the constant r
-        jobs.append((scale, factors))
-        bound += scale * size
-    width = bound.bit_length() + 1
+        # the factors free of k (c = 0) first: until the first factor in k
+        # every part is its k^0 digit alone, so their updates multiply small
+        # ints where a later place would multiply whole packed parts
+        jobs.append((scale, flat + steep))
+    width = _width(jobs, low)
     total = [0] * (top - low + 1)
     for scale, factors in jobs:
-        n = len(factors)
         parts = [0] * (top + 1)
         parts[0] = scale
+        # after factor t of n, only the degrees d >= floor = low - n + t
+        # can still reach `low`; descending d, so that parts[d - 1] is
+        # still the previous product
+        floor = low - len(factors)
         for t, (r, a, c) in enumerate(factors, 1):
-            # only degrees that the remaining n - t factors can still lift
-            # to `low`; descending d, so that parts[d - 1] is still the
-            # previous product
-            floor = max(low - n + t, 0)
-            for d in range(min(t, top), max(floor, 1) - 1, -1):
-                prev = parts[d - 1]
-                parts[d] = r * parts[d] + a * prev + (c * prev << width)
-            if not floor:
+            lin = a + (c << width)
+            floor += 1
+            for d in range(t if t < top else top,
+                           (floor if floor > 1 else 1) - 1, -1):
+                parts[d] = r * parts[d] + lin * parts[d - 1]
+            if floor <= 0:
                 parts[0] *= r
         for d in range(low, top + 1):
             total[d - low] += parts[d]
@@ -227,7 +262,8 @@ def dim_polynomial(pd: ParabolicData, lam, alpha: Root) -> BivariatePolynomial:
     if alpha not in pd.psi:
         raise ValueError(f"{alpha.coords} is not an isotropy root")
     if not check_ample(pd, lam):
-        raise NotAmple(f"{lam} is not ample for theta={sorted(pd.theta)}")
+        raise NotAmple(f"{lam} is not ample for "
+                       f"theta={sorted(i + 1 for i in pd.theta)}")
     denom, parts = dim_polynomial_parts(pd, lam, alpha)
     return BivariatePolynomial.from_dict(
         {(d - i, i): Fraction(e, denom)

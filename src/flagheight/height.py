@@ -180,7 +180,8 @@ def _localization_pass(pd: ParabolicData, lam, Y, cap: int, kernels):
     roots = positive + [tuple(-c for c in coords) for coords in positive]
     value = [sum(c * y for c, y in zip(coords, ys)) for coords in roots]
     if not check_ample(pd, lam):
-        raise NotAmple(f"{lam} is not ample for theta={sorted(pd.theta)}")
+        raise NotAmple(f"{lam} is not ample for "
+                       f"theta={sorted(i + 1 for i in pd.theta)}")
     points, links = orbit(rs, [lam], range(rs.rank), cap)
     _check_coset_count(rs, pd.theta, len(points))
     paired = w0_negates(rs, ys)

@@ -62,13 +62,15 @@ def psi_grading(pd: ParabolicData, lam) -> PsiGrading:
     rs = pd.rs
     if any(lam[i] != 0 for i in pd.theta):
         raise NotAmple(
-            f"weight {lam} does not vanish on theta={sorted(pd.theta)}")
+            f"weight {lam} does not vanish on "
+            f"theta={sorted(i + 1 for i in pd.theta)}")
     buckets: dict[int, list[Root]] = {}
     for alpha in pd.psi:
         j = rs._pairing(lam, alpha)
         if j <= 0:
             raise NotAmple(
-                f"weight {lam} is not ample for theta={sorted(pd.theta)}: "
+                f"weight {lam} is not ample for "
+                f"theta={sorted(i + 1 for i in pd.theta)}: "
                 f"violating root {alpha.coords}")
         buckets.setdefault(j, []).append(alpha)
     return PsiGrading(lam=tuple(lam),

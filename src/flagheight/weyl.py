@@ -135,7 +135,8 @@ def _check_coset_count(rs: RootSystem, theta, count: int) -> None:
     order = weyl_order(rs)
     if order % count:
         raise InvariantViolation(
-            f"the {count} cosets of W_Theta, theta={sorted(theta)}, "
+            f"the {count} cosets of W_Theta, "
+            f"theta={sorted(i + 1 for i in theta)}, "
             f"do not divide |W| = {order} for {rs.spec}")
 
 

@@ -7,6 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from flagheight.charpoly import (
     BivariatePolynomial,
+    _packed_sum,
+    _pairings,
+    _unpack,
+    _width,
     dim_polynomial,
     dim_polynomial_parts,
     f_j,
@@ -14,7 +18,7 @@ from flagheight.charpoly import (
     freudenthal,
     weyl_dim,
 )
-from flagheight.parabolic import build_parabolic, psi_grading
+from flagheight.parabolic import NotAmple, build_parabolic, psi_grading
 from flagheight.rootsys import RootSystem, build_root_system
 from oracles import (
     NotRegular,
@@ -84,6 +88,13 @@ def test_dim_polynomial_p1():
     assert d.terms == {(0, 0): 1, (1, 0): 1, (0, 1): -2}
 
 
+def test_dim_polynomial_names_theta_one_based(b2):
+    pd = build_parabolic(b2, {1})
+    with pytest.raises(NotAmple,
+                       match=r"^\(1, 1\) is not ample for theta=\[2\]$"):
+        dim_polynomial(pd, (1, 1), pd.psi[0])
+
+
 def test_dim_polynomial_specializes_to_weyl_dim(b2):
     pd = build_parabolic(b2, set())
     lam = (1, 1)
@@ -143,6 +154,82 @@ def test_truncated_parts_match_full_product(spec, theta, lam):
         for low, top in [(pd.dim, pd.dim), (0, 3), (2, n - 1), (n, n)]:
             assert dim_polynomial_parts(pd, lam, alpha, low, top) == \
                 (R, full[low:top + 1])
+
+
+def _factors(rs, lam, alpha):
+    """(scale, [(r, a, c), ...]): the integer factors r + a m + c k of R
+    times the dimension polynomial of alpha, the constant ones multiplied
+    into scale; the job format of charpoly._width."""
+    scale, factors = 1, []
+    for beta in rs.positive_roots:
+        r, a = rs._pairing(rs.rho, beta), rs._pairing(lam, beta)
+        c = -rs.pairing_root(beta, alpha)
+        if a or c:
+            factors.append((r, a, c))
+        else:
+            scale *= r
+    return scale, factors
+
+
+def _parts_by_lists(scale, factors, top):
+    """The homogeneous parts of degree 0..top of scale prod (r + a m + c k),
+    each a list of its coefficients, lowest power of k first."""
+    parts = [[scale]] + [[0] * (d + 1) for d in range(1, top + 1)]
+    for r, a, c in factors:
+        for d in range(top, 0, -1):
+            prev = parts[d - 1] + [0]
+            parts[d] = [r * x + a * p + c * q for x, p, q
+                        in zip(parts[d], prev, [0] + prev)]
+        parts[0] = [r * parts[0][0]]
+    return parts
+
+
+_WIDTH_GROUPS = ["A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3",
+                 "C4", "C5", "D4", "D5", "G2", "F4", "E6"]
+
+
+@pytest.mark.parametrize("spec,theta,lam", [
+    *((spec, None, None) for spec in _WIDTH_GROUPS),  # every maximal one
+    ("G2", set(), (37, 53)),
+    ("B3", {0}, (0, 41, 3)),
+    ("F4", {1, 2}, (9, 0, 0, 11)),
+    ("C3", set(), (1, 1, 1)),
+])
+def test_packed_width_holds_every_digit(spec, theta, lam):
+    """_width bounds every digit the kernel keeps, |e| < 2^(B-1), and is
+    never wider than the plain coefficient sum sum_alpha scale
+    prod (r + |a| + |c|); with low = 0 it is that sum's width."""
+    rs = build_root_system(spec)
+    if theta is None:
+        cases = [(build_parabolic(rs, set(range(rs.rank)) - {i}),
+                  tuple(int(k == i) for k in range(rs.rank)))
+                 for i in range(rs.rank)]
+    else:
+        cases = [(build_parabolic(rs, theta), lam)]
+    n = rs.num_positive_roots
+    for pd, lam in cases:
+        pairings = _pairings(rs, lam)
+        for bucket in psi_grading(pd, lam).buckets.values():
+            # graded_part's call, and dim_polynomial_parts' on one root
+            for alphas, low, top in [(bucket, pd.dim, pd.dim),
+                                     (bucket[:1], 0, n)]:
+                jobs = [_factors(rs, lam, alpha) for alpha in alphas]
+                width = _width(jobs, low)
+                plain = sum(scale * math.prod(r + abs(a) + abs(c)
+                                              for r, a, c in factors)
+                            for scale, factors in jobs)
+                assert width <= plain.bit_length() + 1
+                if low == 0:
+                    assert width == plain.bit_length() + 1
+                truth = [list(map(sum, zip(*column))) for column in zip(
+                    *(_parts_by_lists(*job, top)[low:] for job in jobs))]
+                assert all(abs(e) < 1 << width - 1
+                           for part in truth for e in part)
+                kernel_width, packed = _packed_sum(rs, pairings, alphas,
+                                                   low, top)
+                assert kernel_width == width
+                assert [_unpack(x, d + 1, width)
+                        for d, x in enumerate(packed, low)] == truth
 
 
 @pytest.mark.parametrize("spec,theta,lam", [

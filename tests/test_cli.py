@@ -332,6 +332,26 @@ def test_math_errors(capsys):
                                    "error: Y has 3 coordinates, rank is 2\n")
 
 
+@pytest.mark.parametrize("group,lam,method,message", [
+    ("A2", "1,1", "substitution",
+     "weight (1, 1) does not vanish on theta=[2]"),
+    ("A2", "1,1", "all", "(1, 1) is not ample for theta=[2]"),
+    ("B2", "1,1", "substitution",
+     "weight (1, 1) does not vanish on theta=[2]"),
+    ("B2", "1,1", "all", "(1, 1) is not ample for theta=[2]"),
+    ("B2", "-1,0", "substitution",
+     "weight (-1, 0) is not ample for theta=[2]: violating root (1, 0)"),
+    ("B2", "-1,0", "all", "(-1, 0) is not ample for theta=[2]"),
+])
+def test_ampleness_errors_number_theta_as_the_cli(capsys, group, lam,
+                                                  method, message):
+    """--theta 2 is node 2, and the error names it so, as jantzen-rhs
+    does."""
+    assert run(capsys, "height", "--group", group, "--theta", "2",
+               f"--lambda={lam}", "--method", method) == (
+        EXIT_MATH, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("method", ["all", "substitution", "fixed-point",
                                     "harmo-bott"])
 @pytest.mark.parametrize("y,message", [

@@ -189,10 +189,27 @@ GOLDEN = [
     ("E7", 7, Fraction(178661786363, 255255)),
     # equal to the fixed-point sum over the 240 cosets of E8/P8
     ("E8", 8, Fraction(2081127677005873362797621, 99533742)),
+    ("E7", 2, Fraction(852520186993144613052821, 24310)),
+    ("E7", 3, Fraction(28793296219039898785293258893863, 910)),
+    ("E7", 4, Fraction(2484705001622522609879930582526160417079808, 11)),
+    ("E7", 5, Fraction(26518435058626194602475395343221325, 13)),
+    ("E7", 6, Fraction(268434220782405472184958569, 255255)),
+]
+
+# E8/P2 and E8/P4 have 17280 and 483840 cosets, too many for the
+# localisation methods here; their packed widths shrink the most, from
+# 384-405 to 166-216 bits
+SUBSTITUTION_GOLDEN = GOLDEN + [
+    ("E8", 2, Fraction(
+        188404263875608715679887126884858531590671357245129677343878147600,
+        1309)),
+    ("E8", 4, Fraction(int(
+        "436809319078080917682751872245910701863267131343672648068083"
+        "88083639719670744237939254504523188470074572800"), 11)),
 ]
 
 
-@pytest.mark.parametrize("spec,node,value", GOLDEN)
+@pytest.mark.parametrize("spec,node,value", SUBSTITUTION_GOLDEN)
 def test_substitution_golden_values(spec, node, value):
     pd, lam = list(maximal_parabolics(spec))[node - 1]
     res = height_substitution(pd, lam)

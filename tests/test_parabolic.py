@@ -59,10 +59,11 @@ def test_grading_full_flag_rho(b2):
 
 
 def test_grading_rejects_non_ample(b2):
+    # theta is named in the CLI's 1-based numbering: {1} is node 2
     pd = build_parabolic(b2, {1})
-    with pytest.raises(NotAmple):
+    with pytest.raises(NotAmple, match=r"does not vanish on theta=\[2\]$"):
         psi_grading(pd, (1, 1))
-    with pytest.raises(NotAmple):
+    with pytest.raises(NotAmple, match=r"not ample for theta=\[2\]: "):
         psi_grading(pd, (0, 0))
 
 

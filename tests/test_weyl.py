@@ -10,9 +10,10 @@ from flagheight.height import (
     height_substitution,
 )
 from flagheight.parabolic import NotAmple, build_parabolic
-from flagheight.rootsys import build_root_system
+from flagheight.rootsys import InvariantViolation, build_root_system
 from flagheight.weyl import (
     GroupTooLarge,
+    _check_coset_count,
     coset_representatives,
     dotted_act,
     enumerate_weyl,
@@ -330,3 +331,9 @@ def test_w0_negates_is_opposition_symmetry(spec, moved):
         assert w0_negates(rs, y) == expected
     assert w0_negates(rs, ys[0]) and w0_negates(rs, ys[1])
     assert w0_negates(rs, ys[2]) != moved
+
+
+def test_coset_count_check_names_theta_one_based():
+    # 4 does not divide |W(A2)| = 6; theta {1} is node 2 on the CLI
+    with pytest.raises(InvariantViolation, match=r"theta=\[2\], do not "):
+        _check_coset_count(build_root_system("A2"), frozenset({1}), 4)
