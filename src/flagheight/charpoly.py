@@ -48,69 +48,11 @@ class BivariatePolynomial:
     def from_dict(d: dict) -> "BivariatePolynomial":
         return BivariatePolynomial({e: Fraction(c) for e, c in d.items() if c})
 
-    @staticmethod
-    def constant(c) -> "BivariatePolynomial":
-        return BivariatePolynomial.from_dict({(0, 0): Fraction(c)})
-
-    @staticmethod
-    def linear(const, coeff_m, coeff_k) -> "BivariatePolynomial":
-        return BivariatePolynomial.from_dict(
-            {(0, 0): const, (1, 0): coeff_m, (0, 1): coeff_k})
-
     def __add__(self, other):
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, Fraction(0)) + c
         return BivariatePolynomial.from_dict(out)
-
-    def __neg__(self):
-        return BivariatePolynomial({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return BivariatePolynomial.from_dict(
-                {e: c * other for e, c in self.terms.items()})
-        out: dict = {}
-        for (am, ak), ac in self.terms.items():
-            for (bm, bk), bc in other.terms.items():
-                e = (am + bm, ak + bk)
-                out[e] = out.get(e, Fraction(0)) + ac * bc
-        return BivariatePolynomial.from_dict(out)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def deg_m(self) -> int:
-        return max((e[0] for e in self.terms), default=-1)
-
-    def deg_k(self) -> int:
-        return max((e[1] for e in self.terms), default=-1)
-
-    def total_degree(self) -> int:
-        return max((e[0] + e[1] for e in self.terms), default=-1)
-
-    def coeff(self, deg_m: int, deg_k: int) -> Fraction:
-        return self.terms.get((deg_m, deg_k), Fraction(0))
-
-    def evaluate(self, m, k) -> Fraction:
-        return sum((c * Fraction(m) ** em * Fraction(k) ** ek
-                    for (em, ek), c in self.terms.items()), Fraction(0))
-
-    def substitute_k(self, image: "BivariatePolynomial") -> "BivariatePolynomial":
-        """Ring homomorphism m -> m, k -> image."""
-        out = BivariatePolynomial({})
-        powers = {0: BivariatePolynomial.constant(1)}
-        maxk = self.deg_k()
-        for d in range(1, maxk + 1):
-            powers[d] = powers[d - 1] * image
-        for (em, ek), c in self.terms.items():
-            out = out + powers[ek] * BivariatePolynomial.from_dict({(em, 0): c})
-        return out
 
 
 # ---------------------------------------------------------------------

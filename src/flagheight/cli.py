@@ -4,7 +4,8 @@ Subcommands: height, jantzen-rhs, char, dim, bwb, scan.  Simple roots are
 numbered 1..rank in the deterministic ordering printed by
 --print-numbering; --theta and --lambda refer to that numbering.
 
-Exit codes: 0 success, 2 argument or parse error (a negative --cap too),
+Exit codes: 0 success, 2 argument or parse error (a negative --cap, an
+option number beyond the interpreter's digit limit, a --y in exponent form),
 3 invalid mathematical input (non-ample weight, bad localization vector,
 out-of-range indices, a jantzen-rhs lambda that does not vanish on
 theta), 4 enumeration size cap exceeded (for char: the module's dimension, which
@@ -68,24 +69,23 @@ class _ParseError(ValueError):
     pass
 
 
-def _parse_int_list(text: str, what: str) -> list:
+_NOUNS = {int: "integers", Fraction: "rationals"}
+
+
+def _parse_list(text: str, kind, what: str) -> list:
+    """The comma list text of option `what` as values of kind, int or
+    Fraction; [] if it is blank.  _ParseError if a token does not parse,
+    has more digits than the interpreter's digit limit, or has an exponent:
+    Fraction("1e30000000") would build 10^30000000, with no digit check."""
     if text is None or text.strip() == "":
         return []
     try:
-        return [int(tok) for tok in text.split(",")]
-    except ValueError:
-        raise _ParseError(f"cannot parse {what} {text!r} as comma list "
-                          "of integers") from None
-
-
-def _parse_fraction_list(text: str, what: str) -> list:
-    if text is None or text.strip() == "":
-        return []
-    try:
-        return [Fraction(tok) for tok in text.split(",")]
+        if "e" in text.lower():
+            raise ValueError
+        return [kind(tok) for tok in text.split(",")]
     except (ValueError, ZeroDivisionError):
         raise _ParseError(f"cannot parse {what} {text!r} as comma list "
-                          "of rationals") from None
+                          f"of {_NOUNS[kind]}") from None
 
 
 def _rational(x: Fraction) -> dict:
@@ -275,24 +275,23 @@ def _textval(v):
 # ---------------------------------------------------------------------
 
 
-def _height_doc(args, rs, theta, lam) -> dict:
+# --method -> its height function, called with (pd, lam, Y, cap).  Each
+# lambda looks the name up per call, so a function patched after import (by
+# a test, or by the benchmark's tracer) is the one called
+_HEIGHT_METHODS = {
+    "all": lambda pd, lam, Y, cap: height_all_methods(pd, lam, Y, cap),
+    "substitution": lambda pd, lam, Y, cap: height_substitution(pd, lam),
+    "fixed-point": lambda pd, lam, Y, cap: height_fixed_point(pd, lam, Y, cap),
+    "harmo-bott": lambda pd, lam, Y, cap: height_harmo_bott(pd, lam, Y, cap),
+}
+
+
+def _height_doc(args, rs, theta, lam, Y) -> dict:
     pd = build_parabolic(rs, theta)
-    Y = _parse_fraction_list(args.y, "--y") or None
     if args.method == "substitution":
         check_y(rs, Y)  # no Y in this kernel, but the same --y is refused
     start = time.monotonic()
-    if args.method == "all":
-        res = height_all_methods(pd, lam, Y, args.cap)
-        agreed = True
-    elif args.method == "substitution":
-        res = height_substitution(pd, lam)
-        agreed = None
-    elif args.method == "fixed-point":
-        res = height_fixed_point(pd, lam, Y, args.cap)
-        agreed = None
-    else:
-        res = height_harmo_bott(pd, lam, Y, args.cap)
-        agreed = None
+    res = _HEIGHT_METHODS[args.method](pd, lam, Y, args.cap)
     elapsed_ms = int(1000 * (time.monotonic() - start))
     c = rs.coxeter_number
     doc = {
@@ -301,7 +300,7 @@ def _height_doc(args, rs, theta, lam) -> dict:
         "lambda": list(lam),
         "dim": pd.dim,
         "height": _rational(res.value),
-        "methods_agreed": agreed,
+        "methods_agreed": True if args.method == "all" else None,
         "coxeter": c,
         "cor82_ok": denominator_check(res, 2 * c - 2),
         "conjecture_ok": denominator_check(res, c - 1),
@@ -397,13 +396,13 @@ def _bwb_doc(args, rs, lam) -> dict:
     return doc
 
 
-def _scan_docs(args, rs) -> list:
+def _scan_docs(args, rs, Y) -> list:
     """Heights of all maximal parabolics: theta = Pi minus {i}, lam = om_i."""
     docs = []
     for i in range(rs.rank):
         theta = frozenset(range(rs.rank)) - {i}
         lam = tuple(1 if j == i else 0 for j in range(rs.rank))
-        docs.append(_height_doc(args, rs, theta, lam))
+        docs.append(_height_doc(args, rs, theta, lam, Y))
     return docs
 
 
@@ -596,33 +595,39 @@ def main(argv=None) -> int:
         _write(rs.numbering_table() + "\n")
         return EXIT_OK
 
+    limit = sys.get_int_max_str_digits()
     try:
+        # the options are read under the interpreter's digit limit; the
+        # answers, which may have more digits, are formed and rendered in full
+        if args.command != "scan":
+            lam = _require_lambda(_parse_list(args.lam, int, "--lambda"),
+                                  rs.rank)
+        if args.command in ("height", "jantzen-rhs"):
+            theta = _theta_zero_based(
+                _parse_list(args.theta, int, "--theta"), rs.rank)
+        if args.command in ("height", "scan"):
+            Y = _parse_list(args.y, Fraction, "--y") or None
+        sys.set_int_max_str_digits(0)
         if args.command == "scan":
-            docs = _scan_docs(args, rs)
+            docs = _scan_docs(args, rs, Y)
             if args.output == "json":
-                _write(_dumps(docs))
+                out = _dumps(docs)
             elif args.output == "csv":
-                _write(_emit(docs[0], "csv", [_flatten(d) for d in docs]))
+                out = _emit(docs[0], "csv", [_flatten(d) for d in docs])
             else:
-                _write("".join(_emit(d, "text") + "\n" for d in docs))
-            return EXIT_OK
-
-        lam_raw = _parse_int_list(args.lam, "--lambda")
-        lam = _require_lambda(lam_raw, rs.rank)
-        if args.command == "height":
-            theta = _theta_zero_based(
-                _parse_int_list(args.theta, "--theta"), rs.rank)
-            doc = _height_doc(args, rs, theta, lam)
-        elif args.command == "jantzen-rhs":
-            theta = _theta_zero_based(
-                _parse_int_list(args.theta, "--theta"), rs.rank)
-            doc = _jantzen_doc(args, rs, theta, lam)
-        elif args.command == "char":
-            doc = _char_doc(args, rs, lam)
-        elif args.command == "dim":
-            doc = _dim_doc(args, rs, lam)
+                out = "".join(_emit(d, "text") + "\n" for d in docs)
         else:
-            doc = _bwb_doc(args, rs, lam)
+            if args.command == "height":
+                doc = _height_doc(args, rs, theta, lam, Y)
+            elif args.command == "jantzen-rhs":
+                doc = _jantzen_doc(args, rs, theta, lam)
+            elif args.command == "char":
+                doc = _char_doc(args, rs, lam)
+            elif args.command == "dim":
+                doc = _dim_doc(args, rs, lam)
+            else:
+                doc = _bwb_doc(args, rs, lam)
+            out = _emit(doc, args.output)
     except _ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -638,8 +643,10 @@ def main(argv=None) -> int:
     except (NotAmple, NotRegularY, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
+    finally:
+        sys.set_int_max_str_digits(limit)
 
-    _write(_emit(doc, args.output))
+    _write(out)
     return EXIT_OK
 
 

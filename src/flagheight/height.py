@@ -50,20 +50,11 @@ class MethodDisagreement(InvariantViolation):
 @dataclass(frozen=True)
 class HeightResult:
     value: Fraction
-    method: str  # substitution | fixed_point | harmo_bott
-    dim_plus_one: int  # the exponent N+1
-    coxeter: int
     denominator_factorization: dict  # prime -> exponent, for denom(2*value)
 
 
-def _result(pd: ParabolicData, value: Fraction, method: str) -> HeightResult:
-    return HeightResult(
-        value=value,
-        method=method,
-        dim_plus_one=pd.dim + 1,
-        coxeter=pd.rs.coxeter_number,
-        denominator_factorization=prime_factorization((2 * value).denominator),
-    )
+def _result(value: Fraction) -> HeightResult:
+    return HeightResult(value, prime_factorization((2 * value).denominator))
 
 
 # ---------------------------------------------------------------------
@@ -88,8 +79,7 @@ def height_substitution(pd: ParabolicData, lam) -> HeightResult:
     # k^l -> j^{l+1} L^2 / (l+1)^2, over 2 L^2
     total = sum(e * j ** (l + 1) * (L // (l + 1)) ** 2
                 for j, part in parts.items() for l, e in enumerate(part))
-    value = Fraction(total * math.factorial(N + 1), 2 * L * L * R)
-    return _result(pd, value, "substitution")
+    return _result(Fraction(total * math.factorial(N + 1), 2 * L * L * R))
 
 
 # ---------------------------------------------------------------------
@@ -220,6 +210,16 @@ def _localization_pass(pd: ParabolicData, lam, Y, cap: int, kernels):
                 Fraction(0)) for kernel_sums in sums], paired
 
 
+def _localization_heights(pd: ParabolicData, lam, Y, cap: int, kernels):
+    """(the heights, w0_paired) from one _localization_pass: each kernel,
+    built from N = dim G/P and L = lcm(1..N+1), gives its sum over 2L."""
+    N = pd.dim
+    L = math.lcm(*range(1, N + 2))
+    sums, paired = _localization_pass(pd, lam, Y, cap,
+                                      [kernel(N, L) for kernel in kernels])
+    return [total / (2 * L) for total in sums], paired
+
+
 # ---------------------------------------------------------------------
 # method 2: isolated fixed points
 # ---------------------------------------------------------------------
@@ -250,10 +250,8 @@ def height_fixed_point(pd: ParabolicData, lam, Y=None,
     w0 Y = -Y the cosets w and w0 w give equal terms and only half of them
     are summed; the inner polynomial is evaluated once per distinct
     (phi, j theta_wa) (see _localization_pass)."""
-    L = math.lcm(*range(1, pd.dim + 2))
-    (total,), _ = _localization_pass(pd, lam, Y, cap,
-                                     [_fixed_point_kernel(pd.dim, L)])
-    return _result(pd, total / (2 * L), "fixed_point")
+    (value,), _ = _localization_heights(pd, lam, Y, cap, [_fixed_point_kernel])
+    return _result(value)
 
 
 # ---------------------------------------------------------------------
@@ -280,10 +278,8 @@ def height_harmo_bott(pd: ParabolicData, lam, Y=None,
     phi^{N-l} / (2L): one integer per coset over prod_b theta_wb, and one
     division by 2L at the end, with the same w0 pairing and the same one
     evaluation per distinct (phi, j_a theta_wa) as height_fixed_point."""
-    L = math.lcm(*range(1, pd.dim + 2))
-    (total,), _ = _localization_pass(pd, lam, Y, cap,
-                                     [_harmo_bott_kernel(pd.dim, L)])
-    return _result(pd, total / (2 * L), "harmo_bott")
+    (value,), _ = _localization_heights(pd, lam, Y, cap, [_harmo_bott_kernel])
+    return _result(value)
 
 
 def height_all_methods(pd: ParabolicData, lam, Y=None,
@@ -292,16 +288,11 @@ def height_all_methods(pd: ParabolicData, lam, Y=None,
     localisation pass feeds both the fixed-point and the harmo-bott kernel.
     It runs first, and walks the whole orbit before it forms any term, so
     that a cap is hit before any kernel starts."""
-    N = pd.dim
-    L = math.lcm(*range(1, N + 2))
-    (fixed_point, harmo_bott), paired = _localization_pass(
-        pd, lam, Y, cap, [_fixed_point_kernel(N, L), _harmo_bott_kernel(N, L)])
+    (fixed_point, harmo_bott), paired = _localization_heights(
+        pd, lam, Y, cap, [_fixed_point_kernel, _harmo_bott_kernel])
     res = height_substitution(pd, lam)
-    values = {
-        "substitution": res.value,
-        "fixed_point": fixed_point / (2 * L),
-        "harmo_bott": harmo_bott / (2 * L),
-    }
+    values = {"substitution": res.value, "fixed_point": fixed_point,
+              "harmo_bott": harmo_bott}
     if len(set(values.values())) > 1:
         raise MethodDisagreement(
             pd, lam, default_y(pd.rs) if Y is None else Y, values, paired)

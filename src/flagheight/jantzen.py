@@ -48,15 +48,6 @@ class LogCharacterCombo:
             if not bucket:
                 del self.terms[p]
 
-    def coefficient(self, p: int, mu) -> int:
-        return self.terms.get(p, {}).get(tuple(mu), 0)
-
-    def __eq__(self, other):
-        return isinstance(other, LogCharacterCombo) and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
 
 def _check_vanishes(pd: ParabolicData, lam) -> None:
     """The sum over P_theta is the Borel sum only for a line bundle on

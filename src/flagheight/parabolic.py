@@ -1,5 +1,5 @@
-"""Standard parabolic data: Levi roots, isotropy roots Psi, and the grading
-of Psi by the pairing with an ample weight."""
+"""Standard parabolic data: the isotropy roots Psi, and the grading of Psi
+by the pairing with an ample weight."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ class ParabolicData:
 
     rs: RootSystem
     theta: frozenset
-    levi_positive: tuple[Root, ...]
     psi: tuple[Root, ...]
 
     @property
@@ -28,16 +27,13 @@ class ParabolicData:
 
 
 def build_parabolic(rs: RootSystem, theta) -> ParabolicData:
-    """Split Sigma+ into the Levi part (support inside theta) and Psi."""
+    """Psi: the positive roots whose support is not inside theta."""
     theta = frozenset(theta)
     if not theta <= set(range(rs.rank)):
         raise ValueError(f"theta {sorted(theta)} out of range for rank {rs.rank}")
-    levi, psi = [], []
-    for beta in rs.positive_roots:
-        support = {i for i, c in enumerate(beta.coords) if c}
-        (levi if support <= theta else psi).append(beta)
-    return ParabolicData(rs=rs, theta=theta,
-                         levi_positive=tuple(levi), psi=tuple(psi))
+    psi = tuple(beta for beta in rs.positive_roots
+                if not {i for i, c in enumerate(beta.coords) if c} <= theta)
+    return ParabolicData(rs=rs, theta=theta, psi=psi)
 
 
 def check_ample(pd: ParabolicData, lam) -> bool:
@@ -50,11 +46,7 @@ def check_ample(pd: ParabolicData, lam) -> bool:
 
 @dataclass(frozen=True)
 class PsiGrading:
-    lam: tuple[int, ...]
     buckets: dict  # j -> tuple[Root, ...]
-
-    def indices(self):
-        return sorted(self.buckets)
 
 
 def psi_grading(pd: ParabolicData, lam) -> PsiGrading:
@@ -73,5 +65,4 @@ def psi_grading(pd: ParabolicData, lam) -> PsiGrading:
                 f"theta={sorted(i + 1 for i in pd.theta)}: "
                 f"violating root {alpha.coords}")
         buckets.setdefault(j, []).append(alpha)
-    return PsiGrading(lam=tuple(lam),
-                      buckets={j: tuple(v) for j, v in buckets.items()})
+    return PsiGrading(buckets={j: tuple(v) for j, v in buckets.items()})

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul, neg
+from operator import mul
 from typing import Callable, NamedTuple
 
 
@@ -123,10 +123,6 @@ class Root:
     coords: tuple[int, ...]
     coroot: tuple[int, ...]
 
-    @property
-    def is_positive(self) -> bool:
-        return any(c > 0 for c in self.coords)
-
     def __neg__(self):
         return Root(tuple(-c for c in self.coords), tuple(-c for c in self.coroot))
 
@@ -174,10 +170,6 @@ class RootSystem:
     def num_positive_roots(self) -> int:
         return len(self.positive_roots)
 
-    def is_root(self, alpha: Root) -> bool:
-        roots = self._root_weights
-        return alpha.coords in roots or tuple(map(neg, alpha.coords)) in roots
-
     @cached_property
     def _cartan_inverse(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(d, d A^{-1}) in int, formed on first use: only
@@ -187,11 +179,9 @@ class RootSystem:
 
     @cached_property
     def _root_weights(self) -> dict:
-        """Simple-root coordinates -> fundamental-weight coordinates
-        (root_to_weight) of every positive root, formed on first use."""
-        A = self.cartan_matrix
-        return {beta.coords: tuple([sum(map(mul, row, beta.coords))
-                                    for row in A])
+        """Simple-root coordinates -> root_to_weight of every positive
+        root, formed on first use."""
+        return {beta.coords: self.root_to_weight(beta.coords)
                 for beta in self.positive_roots}
 
     @cached_property
@@ -217,9 +207,7 @@ class RootSystem:
 
     def root_to_weight(self, coords) -> tuple:
         """Simple-root coordinates -> fundamental-weight coordinates (A @ c)."""
-        A = self.cartan_matrix
-        return tuple(sum(A[i][j] * coords[j] for j in range(self.rank))
-                     for i in range(self.rank))
+        return tuple([sum(map(mul, row, coords)) for row in self.cartan_matrix])
 
     def weight_to_root_coords(self, mu) -> tuple[Fraction, ...]:
         """Fundamental-weight coordinates -> (rational) simple-root coordinates."""
@@ -228,26 +216,9 @@ class RootSystem:
 
     # -- pairings and reflections -------------------------------------
 
-    def coroot_pairing(self, mu, alpha: Root) -> int:
-        """<alpha^vee, mu> for a weight mu in fundamental-weight coordinates."""
-        if not self.is_root(alpha):
-            raise ValueError(f"{alpha.coords} is not a root of {self.spec}")
-        return self._pairing(mu, alpha)
-
     def _pairing(self, mu, alpha: Root):
+        """<alpha^vee, mu> for a weight mu in fw coordinates."""
         return sum(c * m for c, m in zip(alpha.coroot, mu))
-
-    def pairing_root(self, alpha: Root, beta: Root) -> int:
-        """<alpha^vee, beta> for two roots."""
-        return self._pairing(self.root_to_weight(beta.coords), alpha)
-
-    def reflect(self, alpha: Root, mu) -> tuple:
-        """S_alpha(mu) = mu - <alpha^vee, mu> alpha, in fw coordinates."""
-        if not self.is_root(alpha):
-            raise ValueError(f"{alpha.coords} is not a root of {self.spec}")
-        n = self._pairing(mu, alpha)
-        fw = self.root_to_weight(alpha.coords)
-        return tuple(m - n * f for m, f in zip(mu, fw))
 
     def simple_reflect_weight(self, i: int, mu) -> tuple:
         """s_i(mu) for a 0-based simple index, in fw coordinates."""

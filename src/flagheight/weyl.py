@@ -142,7 +142,6 @@ def _check_coset_count(rs: RootSystem, theta, count: int) -> None:
 
 @dataclass(frozen=True)
 class CosetList:
-    theta: frozenset
     reps: tuple[WeylElement, ...]
 
 
@@ -161,7 +160,7 @@ def coset_representatives(rs: RootSystem, theta, cap: int = DEFAULT_CAP) -> Cose
     _, links = orbit(rs, [xi], range(rs.rank), cap)
     reps = _elements(links)
     _check_coset_count(rs, theta, len(reps))
-    return CosetList(theta=theta, reps=tuple(reps))
+    return CosetList(reps=tuple(reps))
 
 
 def _root_index_table(rs: RootSystem, roots) -> list[list[int]]:

@@ -163,6 +163,68 @@ def subgroup_order(rs: RootSystem, theta) -> int:
 
 
 # ---------------------------------------------------------------------
+# BivariatePolynomial arithmetic beyond the library's from_dict and +
+# ---------------------------------------------------------------------
+
+
+def poly_constant(c) -> BivariatePolynomial:
+    return BivariatePolynomial.from_dict({(0, 0): Fraction(c)})
+
+
+def poly_linear(const, coeff_m, coeff_k) -> BivariatePolynomial:
+    """const + coeff_m m + coeff_k k."""
+    return BivariatePolynomial.from_dict(
+        {(0, 0): const, (1, 0): coeff_m, (0, 1): coeff_k})
+
+
+def poly_mul(p: BivariatePolynomial, q) -> BivariatePolynomial:
+    """p q, for q a BivariatePolynomial, an int or a Fraction."""
+    if isinstance(q, (int, Fraction)):
+        return BivariatePolynomial.from_dict(
+            {e: c * q for e, c in p.terms.items()})
+    out: dict = {}
+    for (am, ak), ac in p.terms.items():
+        for (bm, bk), bc in q.terms.items():
+            e = (am + bm, ak + bk)
+            out[e] = out.get(e, Fraction(0)) + ac * bc
+    return BivariatePolynomial.from_dict(out)
+
+
+def poly_deg_m(p: BivariatePolynomial) -> int:
+    return max((e[0] for e in p.terms), default=-1)
+
+
+def poly_deg_k(p: BivariatePolynomial) -> int:
+    return max((e[1] for e in p.terms), default=-1)
+
+
+def poly_total_degree(p: BivariatePolynomial) -> int:
+    return max((e[0] + e[1] for e in p.terms), default=-1)
+
+
+def poly_coeff(p: BivariatePolynomial, deg_m: int, deg_k: int) -> Fraction:
+    return p.terms.get((deg_m, deg_k), Fraction(0))
+
+
+def poly_evaluate(p: BivariatePolynomial, m, k) -> Fraction:
+    return sum((c * Fraction(m) ** em * Fraction(k) ** ek
+                for (em, ek), c in p.terms.items()), Fraction(0))
+
+
+def poly_substitute_k(p: BivariatePolynomial,
+                      image: BivariatePolynomial) -> BivariatePolynomial:
+    """Ring homomorphism m -> m, k -> image."""
+    out = BivariatePolynomial({})
+    powers = {0: poly_constant(1)}
+    for d in range(1, poly_deg_k(p) + 1):
+        powers[d] = poly_mul(powers[d - 1], image)
+    for (em, ek), c in p.terms.items():
+        out = out + poly_mul(powers[ek],
+                             BivariatePolynomial.from_dict({(em, 0): c}))
+    return out
+
+
+# ---------------------------------------------------------------------
 # dimension polynomials and multiplicities
 # ---------------------------------------------------------------------
 
@@ -175,8 +237,9 @@ def skew_symmetry_holds(pd: ParabolicData, lam, alpha: Root) -> bool:
     c0 = rs._pairing(rs.rho, alpha)
     c1 = rs._pairing(lam, alpha)
     shift = BivariatePolynomial.from_dict({(0, 1): 1, (0, 0): c0, (1, 0): c1})
-    lhs = d.substitute_k(shift)
-    rhs = -d.substitute_k(BivariatePolynomial.from_dict({(0, 1): -1}))
+    lhs = poly_substitute_k(d, shift)
+    rhs = poly_mul(poly_substitute_k(
+        d, BivariatePolynomial.from_dict({(0, 1): -1})), -1)
     return lhs.terms == rhs.terms
 
 

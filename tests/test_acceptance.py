@@ -31,6 +31,9 @@ from oracles import (
     height_quadric_odd,
     kostant_multiplicity,
     lefschetz_localized_character,
+    poly_deg_k,
+    poly_deg_m,
+    poly_total_degree,
     skew_symmetry_holds,
     subgroup_order,
     verify_parabolic_independence,
@@ -165,9 +168,9 @@ def test_criterion_07_dimension_polynomials(battery_results):
         grading = psi_grading(pd, lam)
         for j in grading.buckets:
             poly = f_j(pd, lam, j)
-            assert poly.deg_m() == pd.dim
-            assert poly.total_degree() <= rs.num_positive_roots
-            assert poly.deg_k() <= 2 * c - 3
+            assert poly_deg_m(poly) == pd.dim
+            assert poly_total_degree(poly) <= rs.num_positive_roots
+            assert poly_deg_k(poly) <= 2 * c - 3
         for alpha in pd.psi:
             assert skew_symmetry_holds(pd, lam, alpha), (spec, lam,
                                                          alpha.coords)

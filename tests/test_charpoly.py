@@ -27,6 +27,15 @@ from oracles import (
     freudenthal_by_dominant_lookup,
     kostant_multiplicity,
     lefschetz_localized_character,
+    poly_coeff,
+    poly_constant,
+    poly_deg_k,
+    poly_deg_m,
+    poly_evaluate,
+    poly_linear,
+    poly_mul,
+    poly_substitute_k,
+    poly_total_degree,
     skew_symmetry_holds,
 )
 
@@ -52,28 +61,29 @@ def g2():
 
 
 def test_polynomial_ring_ops():
-    p = B.linear(1, 2, -1)  # 1 + 2m - k
-    q = B.linear(0, 0, 1)   # k
-    assert (p * q).coeff(1, 1) == 2
-    assert (p + q).coeff(0, 1) == 0
-    assert (p - p).is_zero()
-    assert p.evaluate(3, 2) == 5
+    p = poly_linear(1, 2, -1)  # 1 + 2m - k
+    q = poly_linear(0, 0, 1)   # k
+    assert poly_coeff(poly_mul(p, q), 1, 1) == 2
+    assert poly_coeff(p + q, 0, 1) == 0
+    assert not (p + poly_mul(p, -1)).terms
+    assert poly_evaluate(p, 3, 2) == 5
 
 
 def test_substitute_k_is_ring_hom():
     p = B.from_dict({(0, 2): 1, (1, 1): 3, (0, 0): -2})
-    image = B.linear(1, 1, 0)  # k -> 1 + m
-    got = p.substitute_k(image)
+    image = poly_linear(1, 1, 0)  # k -> 1 + m
+    got = poly_substitute_k(p, image)
     for m in range(4):
-        assert got.evaluate(m, 0) == p.evaluate(m, 1 + m)
+        assert poly_evaluate(got, m, 0) == poly_evaluate(p, m, 1 + m)
 
 
 @given(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
 def test_polynomial_mul_matches_evaluation(a, bb, c):
-    p = B.linear(a, bb, c)
+    p = poly_linear(a, bb, c)
     q = B.from_dict({(2, 0): 1, (0, 1): a})
     for m, k in itertools.product(range(-2, 3), repeat=2):
-        assert (p * q).evaluate(m, k) == p.evaluate(m, k) * q.evaluate(m, k)
+        assert poly_evaluate(poly_mul(p, q), m, k) == \
+            poly_evaluate(p, m, k) * poly_evaluate(q, m, k)
 
 
 # -- dimension polynomials ---------------------------------------------
@@ -102,17 +112,19 @@ def test_dim_polynomial_specializes_to_weyl_dim(b2):
     d = dim_polynomial(pd, lam, alpha)
     # at k = 0 this is the dimension of the irreducible with h.w. m*lam
     for m in range(4):
-        assert d.evaluate(m, 0) == weyl_dim(b2, (m, m))
+        assert poly_evaluate(d, m, 0) == weyl_dim(b2, (m, m))
 
 
 def _dim_polynomial_by_fractions(pd, lam, alpha):
     """The product of the Fraction linear factors, multiplied out in full."""
     rs = pd.rs
-    poly = B.constant(1)
+    walpha = rs._root_weights[alpha.coords]
+    poly = poly_constant(1)
     for beta in rs.positive_roots:
         r = rs._pairing(rs.rho, beta)
-        poly = poly * B.linear(1, Fraction(rs._pairing(lam, beta), r),
-                               Fraction(-rs.pairing_root(beta, alpha), r))
+        poly = poly_mul(poly, poly_linear(
+            1, Fraction(rs._pairing(lam, beta), r),
+            Fraction(-rs._pairing(walpha, beta), r)))
     return poly
 
 
@@ -160,10 +172,11 @@ def _factors(rs, lam, alpha):
     """(scale, [(r, a, c), ...]): the integer factors r + a m + c k of R
     times the dimension polynomial of alpha, the constant ones multiplied
     into scale; the job format of charpoly._width."""
+    walpha = rs._root_weights[alpha.coords]
     scale, factors = 1, []
     for beta in rs.positive_roots:
         r, a = rs._pairing(rs.rho, beta), rs._pairing(lam, beta)
-        c = -rs.pairing_root(beta, alpha)
+        c = -rs._pairing(walpha, beta)
         if a or c:
             factors.append((r, a, c))
         else:
@@ -248,9 +261,9 @@ def test_degree_bounds(spec, theta, lam):
         poly = f_j(pd, lam, j)
         # m appears once per root pairing nonzero with lam, i.e. once per
         # element of Psi
-        assert poly.deg_m() == n
-        assert poly.total_degree() <= rs.num_positive_roots
-        assert poly.deg_k() <= 2 * c - 3
+        assert poly_deg_m(poly) == n
+        assert poly_total_degree(poly) <= rs.num_positive_roots
+        assert poly_deg_k(poly) <= 2 * c - 3
 
 
 @pytest.mark.parametrize("spec,theta,lam", [
@@ -353,8 +366,8 @@ def test_freudenthal_levi_dim_and_invariance(data):
     lr = tuple(l + r for l, r in zip(lam0, rs.rho))
     levi = [b for b in rs.positive_roots
             if all(i in theta for i, c in enumerate(b.coords) if c)]
-    dim = math.prod(Fraction(rs.coroot_pairing(lr, b),
-                             rs.coroot_pairing(rs.rho, b)) for b in levi)
+    dim = math.prod(Fraction(rs._pairing(lr, b), rs._pairing(rs.rho, b))
+                    for b in levi)
     assert sum(table.values()) == dim
     for i in theta:
         assert {rs.simple_reflect_weight(i, mu): m

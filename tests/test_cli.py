@@ -315,6 +315,46 @@ def test_parse_errors(capsys):
                "--lambda", "")[0] == EXIT_MATH
 
 
+def test_answers_beyond_the_digit_limit_print_in_full(capsys):
+    """The interpreter refuses to write an int of more digits than
+    sys.get_int_max_str_digits() (4300 by default); main lifts that limit
+    for its answers, and puts it back."""
+    limit = sys.get_int_max_str_digits()
+    nines = "9" * 4000
+    code, out, err = run(capsys, "dim", "--group", "E8",
+                         "--lambda", nines + ",0,0,0,0,0,0,0")
+    assert (code, err) == (EXIT_OK, "")
+    assert len(re.search(r'"dim": (\d+)', out).group(1)) == 311921
+    # the height of O(lambda) on P^1 is lambda^2 / 2, and
+    # (10^4000 - 1)^2 = 10^8000 - 2 10^4000 + 1
+    code, out, err = run(capsys, "height", "--group", "A1", "--theta", "",
+                         "--lambda", nines)
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["height"] == {
+        "num": "9" * 3999 + "8" + "0" * 3999 + "1", "den": "2"}
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--lambda", "1" * (sys.get_int_max_str_digits() + 1)),
+    ("--y", "1," + "1" * (sys.get_int_max_str_digits() + 1)),
+    # an exponent would build 10^30000000 with no digit check
+    ("--y", "1e30000000"),
+    ("--y", "1,2E-30000000"),
+])
+def test_options_beyond_the_digit_limit_are_refused(capsys, option, value):
+    limit = sys.get_int_max_str_digits()
+    argv = {"--theta": "", "--lambda": "1,1", "--y": "1,2"}
+    argv[option] = value
+    code, out, err = run(capsys, "height", "--group", "A2",
+                         *(t for item in argv.items() for t in item))
+    kind = "integers" if option == "--lambda" else "rationals"
+    assert (code, out, err) == (
+        EXIT_PARSE, "",
+        f"error: cannot parse {option} {value!r} as comma list of {kind}\n")
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_math_errors(capsys):
     # non-ample weight
     assert run(capsys, "height", "--group", "B2", "--theta", "1",

@@ -93,7 +93,6 @@ def test_projective_by_all_methods(n):
     pd, lam = proj_parabolic(n)
     res = height_all_methods(pd, lam)
     assert res.value == height_projective(n)
-    assert res.dim_plus_one == n + 1
 
 
 def test_quadric_b2_by_all_methods():
@@ -101,7 +100,6 @@ def test_quadric_b2_by_all_methods():
     pd = build_parabolic(rs, {1})
     res = height_all_methods(pd, (1, 0))
     assert res.value == Fraction(17, 3)
-    assert res.coxeter == 4
 
 
 def test_quadric_d4_by_all_methods():
@@ -214,7 +212,6 @@ def test_substitution_golden_values(spec, node, value):
     pd, lam = list(maximal_parabolics(spec))[node - 1]
     res = height_substitution(pd, lam)
     assert res.value == value
-    assert res.dim_plus_one == pd.dim + 1
 
 
 @pytest.mark.parametrize("spec,node,value", GOLDEN)
@@ -512,8 +509,7 @@ def test_denominator_check():
 def test_methods_agree_on_b2_full_flag(x, y):
     rs = build_root_system("B2")
     pd = build_parabolic(rs, set())
-    res = height_all_methods(pd, (x, y))
-    assert res.method == "substitution"
+    height_all_methods(pd, (x, y))  # raises unless the three agree
 
 
 @functools.cache

@@ -17,14 +17,15 @@ def b2():
 
 def test_borel_has_empty_levi(b2):
     pd = build_parabolic(b2, set())
-    assert pd.levi_positive == ()
+    assert pd.psi == b2.positive_roots
     assert pd.dim == b2.num_positive_roots
 
 
 def test_quadric_split(b2):
     # Levi keeps alpha_2; Psi is the three roots containing alpha_1
     pd = build_parabolic(b2, {1})
-    assert len(pd.levi_positive) == 1
+    assert [b.coords for b in b2.positive_roots if b not in pd.psi] == \
+        [(0, 1)]
     assert pd.dim == 3
     for alpha in pd.psi:
         assert alpha.coords[0] > 0
@@ -55,7 +56,7 @@ def test_grading_full_flag_rho(b2):
     grading = psi_grading(pd, (1, 1))
     # j = <alpha^vee, rho> = coroot height
     assert sum(len(v) for v in grading.buckets.values()) == 4
-    assert set(grading.indices()) == {1, 2, 3}
+    assert set(grading.buckets) == {1, 2, 3}
 
 
 def test_grading_rejects_non_ample(b2):
