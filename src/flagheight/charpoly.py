@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, sub
 
-from .parabolic import NotAmple, ParabolicData, check_ample, psi_grading
+from .parabolic import ParabolicData, check_ample, psi_grading
 from .rootsys import InvariantViolation, Root, RootSystem
 from .weyl import orbit, to_dominant_dotted, weyl_order
 
@@ -188,7 +188,7 @@ def graded_part(pd: ParabolicData, lam, d: int):
     lam are taken once; the packed parts of one bucket are added before a
     single unpack."""
     rs = pd.rs
-    buckets = psi_grading(pd, lam).buckets
+    buckets = psi_grading(pd, lam)
     pairings = _pairings(rs, lam)
     parts = {}
     for j, bucket in buckets.items():
@@ -200,12 +200,11 @@ def graded_part(pd: ParabolicData, lam, d: int):
 def dim_polynomial(pd: ParabolicData, lam, alpha: Root) -> BivariatePolynomial:
     """The Weyl dimension polynomial of the weight rho + m*lam - k*alpha:
     the product over beta in Sigma+ of
-    (1 + (m <beta^vee, lam> - k <beta^vee, alpha>) / <beta^vee, rho>)."""
+    (1 + (m <beta^vee, lam> - k <beta^vee, alpha>) / <beta^vee, rho>),
+    for an ample lam (check_ample)."""
     if alpha not in pd.psi:
         raise ValueError(f"{alpha.coords} is not an isotropy root")
-    if not check_ample(pd, lam):
-        raise NotAmple(f"{lam} is not ample for "
-                       f"theta={sorted(i + 1 for i in pd.theta)}")
+    lam = check_ample(pd, lam)
     denom, parts = dim_polynomial_parts(pd, lam, alpha)
     return BivariatePolynomial.from_dict(
         {(d - i, i): Fraction(e, denom)
@@ -214,9 +213,8 @@ def dim_polynomial(pd: ParabolicData, lam, alpha: Root) -> BivariatePolynomial:
 
 def f_j(pd: ParabolicData, lam, j: int) -> BivariatePolynomial:
     """Sum of the dimension polynomials over the grading bucket Psi_j."""
-    grading = psi_grading(pd, lam)
     total = BivariatePolynomial({})
-    for alpha in grading.buckets.get(j, ()):
+    for alpha in psi_grading(pd, lam).get(j, ()):
         total = total + dim_polynomial(pd, lam, alpha)
     return total
 
@@ -228,10 +226,11 @@ def f_j(pd: ParabolicData, lam, j: int) -> BivariatePolynomial:
 
 def weyl_product(rs: RootSystem, lam0) -> tuple[int, int]:
     """(num, den), the products over Sigma+ of <a^vee, rho + lam0> and of
-    <a^vee, rho>: the Weyl dimension of lam0 (dominant) is num / den."""
+    <a^vee, rho>: the Weyl dimension of lam0 is num / den.  ValueError
+    unless lam0 is a dominant weight."""
     lam0 = rs.check_weight(lam0)
     if not rs.is_dominant(lam0):
-        raise ValueError(f"{lam0} is not dominant")
+        raise ValueError(f"weight {lam0} is not dominant")
     shifted = tuple(l + r for l, r in zip(lam0, rs.rho))
     num = math.prod(rs._pairing(shifted, beta) for beta in rs.positive_roots)
     den = math.prod(rs._pairing(rs.rho, beta) for beta in rs.positive_roots)

@@ -5,13 +5,15 @@ numbered 1..rank in the deterministic ordering printed by
 --print-numbering; --theta and --lambda refer to that numbering.
 
 Exit codes: 0 success, 2 argument or parse error (a negative --cap, an
-option number beyond the interpreter's digit limit, a --y in exponent form),
-3 invalid mathematical input (non-ample weight, bad localization vector,
-out-of-range indices, a jantzen-rhs lambda that does not vanish on
-theta), 4 enumeration size cap exceeded (for char: the module's dimension, which
-bounds its weight table; for jantzen-rhs: its number of k-loop terms, or
-the dimension that bounds each of its weight tables), 5 internal
-cross-check failure.  When the height methods disagree, the `error:` line
+option number or --group rank beyond the interpreter's digit limit, a --y
+in exponent form), 3 invalid mathematical input, refused by the library's
+one check of each rule with its message (a --lambda of the wrong length,
+a --theta index out of range, a weight that does not vanish on theta or
+is not ample, for char and dim one that is not dominant, a bad
+localization vector), 4 enumeration size cap exceeded (for char: the
+module's dimension, which bounds its weight table; for jantzen-rhs: its
+number of k-loop terms, or the dimension that bounds each of its weight
+tables), 5 internal cross-check failure.  When the height methods disagree, the `error:` line
 on stderr is followed by one JSON line with the instance (group, theta,
 lambda, y), the values of substitution, fixed_point and harmo_bott, and
 w0_paired, true when the localisation sums counted only half of the
@@ -44,7 +46,6 @@ from operator import itemgetter
 from .charpoly import freudenthal, weyl_dim, weyl_product
 from .height import (
     MethodDisagreement,
-    NotRegularY,
     check_y,
     denominator_check,
     height_all_methods,
@@ -53,7 +54,7 @@ from .height import (
     height_substitution,
 )
 from .jantzen import jantzen_rhs, jantzen_sizes, lambda0_component
-from .parabolic import NotAmple, build_parabolic
+from .parabolic import build_parabolic
 from .rootsys import InvalidCartanSpec, InvariantViolation, \
     build_root_system, parse_cartan_spec
 from .weyl import DEFAULT_CAP, GroupTooLarge, to_dominant_dotted
@@ -90,19 +91,6 @@ def _parse_list(text: str, kind, what: str) -> list:
 
 def _rational(x: Fraction) -> dict:
     return {"num": str(x.numerator), "den": str(x.denominator)}
-
-
-def _theta_zero_based(theta_1based, rank: int) -> frozenset:
-    for i in theta_1based:
-        if not 1 <= i <= rank:
-            raise ValueError(f"theta index {i} out of range 1..{rank}")
-    return frozenset(i - 1 for i in theta_1based)
-
-
-def _require_lambda(lam, rank: int):
-    if len(lam) != rank:
-        raise ValueError(f"lambda has {len(lam)} coordinates, rank is {rank}")
-    return tuple(lam)
 
 
 class _Table:
@@ -286,8 +274,8 @@ _HEIGHT_METHODS = {
 }
 
 
-def _height_doc(args, rs, theta, lam, Y) -> dict:
-    pd = build_parabolic(rs, theta)
+def _height_doc(args, pd, lam, Y) -> dict:
+    rs = pd.rs
     if args.method == "substitution":
         check_y(rs, Y)  # no Y in this kernel, but the same --y is refused
     start = time.monotonic()
@@ -296,7 +284,7 @@ def _height_doc(args, rs, theta, lam, Y) -> dict:
     c = rs.coxeter_number
     doc = {
         "group": str(rs.spec),
-        "theta": sorted(i + 1 for i in theta),
+        "theta": sorted(i + 1 for i in pd.theta),
         "lambda": list(lam),
         "dim": pd.dim,
         "height": _rational(res.value),
@@ -327,8 +315,7 @@ def _disagreement_doc(exc: MethodDisagreement) -> dict:
     return doc
 
 
-def _jantzen_doc(args, rs, theta, lam) -> dict:
-    pd = build_parabolic(rs, theta)
+def _jantzen_doc(args, pd, lam) -> dict:
     terms, dim = jantzen_sizes(pd, lam)
     if terms > args.cap:
         raise GroupTooLarge(f"the sum at {list(lam)} has {terms} terms, "
@@ -340,8 +327,8 @@ def _jantzen_doc(args, rs, theta, lam) -> dict:
     combo = jantzen_rhs(pd, lam)
     lam0 = lambda0_component(combo, pd, lam)
     return {
-        "group": str(rs.spec),
-        "theta": sorted(i + 1 for i in theta),
+        "group": str(pd.rs.spec),
+        "theta": sorted(i + 1 for i in pd.theta),
         "lambda": list(lam),
         "primes": {str(p): _weight_table(bucket, "coeff")
                    for p, bucket in sorted(combo.terms.items())},
@@ -350,8 +337,6 @@ def _jantzen_doc(args, rs, theta, lam) -> dict:
 
 
 def _char_doc(args, rs, lam) -> dict:
-    if not rs.is_dominant(lam):
-        raise ValueError(f"lambda {list(lam)} is not dominant")
     # the module's dimension num/den bounds the number of weights in the
     # table; its integrality is left to freudenthal's own check
     num, den = weyl_product(rs, lam)
@@ -376,8 +361,6 @@ def _weight_table(table: dict, name: str, reverse: bool = False) -> _Table:
 
 
 def _dim_doc(args, rs, lam) -> dict:
-    if not rs.is_dominant(lam):
-        raise ValueError(f"lambda {list(lam)} is not dominant")
     return {"group": str(rs.spec), "lambda": list(lam),
             "dim": weyl_dim(rs, lam)}
 
@@ -400,9 +383,9 @@ def _scan_docs(args, rs, Y) -> list:
     """Heights of all maximal parabolics: theta = Pi minus {i}, lam = om_i."""
     docs = []
     for i in range(rs.rank):
-        theta = frozenset(range(rs.rank)) - {i}
+        pd = build_parabolic(rs, set(range(rs.rank)) - {i})
         lam = tuple(1 if j == i else 0 for j in range(rs.rank))
-        docs.append(_height_doc(args, rs, theta, lam, Y))
+        docs.append(_height_doc(args, pd, lam, Y))
     return docs
 
 
@@ -600,11 +583,10 @@ def main(argv=None) -> int:
         # the options are read under the interpreter's digit limit; the
         # answers, which may have more digits, are formed and rendered in full
         if args.command != "scan":
-            lam = _require_lambda(_parse_list(args.lam, int, "--lambda"),
-                                  rs.rank)
+            lam = rs.check_weight(_parse_list(args.lam, int, "--lambda"))
         if args.command in ("height", "jantzen-rhs"):
-            theta = _theta_zero_based(
-                _parse_list(args.theta, int, "--theta"), rs.rank)
+            pd = build_parabolic(rs, [
+                i - 1 for i in _parse_list(args.theta, int, "--theta")])
         if args.command in ("height", "scan"):
             Y = _parse_list(args.y, Fraction, "--y") or None
         sys.set_int_max_str_digits(0)
@@ -618,9 +600,9 @@ def main(argv=None) -> int:
                 out = "".join(_emit(d, "text") + "\n" for d in docs)
         else:
             if args.command == "height":
-                doc = _height_doc(args, rs, theta, lam, Y)
+                doc = _height_doc(args, pd, lam, Y)
             elif args.command == "jantzen-rhs":
-                doc = _jantzen_doc(args, rs, theta, lam)
+                doc = _jantzen_doc(args, pd, lam)
             elif args.command == "char":
                 doc = _char_doc(args, rs, lam)
             elif args.command == "dim":
@@ -640,7 +622,7 @@ def main(argv=None) -> int:
             print(json.dumps(_disagreement_doc(exc), sort_keys=True),
                   file=sys.stderr)
         return EXIT_CROSSCHECK
-    except (NotAmple, NotRegularY, ValueError) as exc:
+    except ValueError as exc:  # NotAmple, NotRegularY and the other checks
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
     finally:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .charpoly import graded_part
 from .jantzen import prime_factorization
-from .parabolic import NotAmple, ParabolicData, check_ample
+from .parabolic import ParabolicData, check_ample
 from .rootsys import InvariantViolation, RootSystem
 from .weyl import (
     DEFAULT_CAP,
@@ -71,8 +71,7 @@ def height_substitution(pd: ParabolicData, lam) -> HeightResult:
     so only that part is formed, as integers over the common denominator
     R, and summed per bucket (see graded_part).  With L = lcm(1..N+1) the
     sum is one integer over 2 L^2 R, and the only Fraction is the final
-    value."""
-    lam = pd.rs.check_weight(lam)
+    value.  lam must be ample (check_ample, through graded_part)."""
     N = pd.dim
     L = math.lcm(*range(1, N + 2))
     R, parts = graded_part(pd, lam, N)
@@ -159,19 +158,18 @@ def _localization_pass(pd: ParabolicData, lam, Y, cap: int, kernels):
     so Horner's rule runs once per distinct pair, in one _PhiRow per kernel
     and phi.  Each coset is one integer over the integer prod_a theta_a;
     the integers over equal products are added, and only then divided.
-    Y is checked by check_y."""
+    lam's length is checked first, then Y by check_y, then the ampleness
+    of lam by check_ample."""
     rs = pd.rs
     lam = rs.check_weight(lam)
     Y = check_y(rs, Y)
+    check_ample(pd, lam)
     lam_y = sum(c * y for c, y in zip(rs.weight_to_root_coords(lam), Y))
     s = math.lcm(lam_y.denominator, *(y.denominator for y in Y))
     ys = [int(s * y) for y in Y]
     positive = [beta.coords for beta in rs.positive_roots]
     roots = positive + [tuple(-c for c in coords) for coords in positive]
     value = [sum(c * y for c, y in zip(coords, ys)) for coords in roots]
-    if not check_ample(pd, lam):
-        raise NotAmple(f"{lam} is not ample for "
-                       f"theta={sorted(i + 1 for i in pd.theta)}")
     points, links = orbit(rs, [lam], range(rs.rank), cap)
     _check_coset_count(rs, pd.theta, len(points))
     paired = w0_negates(rs, ys)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from operator import add
 
 from .charpoly import freudenthal, weyl_dim
-from .parabolic import ParabolicData
+from .parabolic import ParabolicData, check_vanishes
 from .rootsys import RootSystem
 from .weyl import to_dominant_dotted
 
@@ -49,15 +49,6 @@ class LogCharacterCombo:
                 del self.terms[p]
 
 
-def _check_vanishes(pd: ParabolicData, lam) -> None:
-    """The sum over P_theta is the Borel sum only for a line bundle on
-    G/P_theta, i.e. a lambda that vanishes on theta: ValueError otherwise,
-    naming theta in the 1-based numbering of the CLI."""
-    if any(lam[i] for i in pd.theta):
-        raise ValueError(f"lambda {list(lam)} does not vanish on theta "
-                         f"{sorted(i + 1 for i in pd.theta)}")
-
-
 def psi_signs(pd: ParabolicData, lam):
     """Split Psi into Psi+ (pairing with rho+lam >= 0) and Psi-."""
     rs = pd.rs
@@ -78,11 +69,10 @@ def jantzen_rhs(pd: ParabolicData, lam) -> LogCharacterCombo:
     +-chi of one dominant lam0, and its sign times the exponent of p in k
     is added to an integer c[lam0][p].  Many terms share a lam0, so the
     Freudenthal table of each lam0 with some c != 0 is built once and
-    added c times into the bucket of p.  ValueError if lam does not vanish
-    on theta."""
+    added c times into the bucket of p.  lam must vanish on theta
+    (check_vanishes)."""
     rs = pd.rs
-    lam = rs.check_weight(lam)
-    _check_vanishes(pd, lam)
+    lam = check_vanishes(pd, lam)
     nu = tuple(l + r for l, r in zip(lam, rs.rho))
     fws = rs._root_weights
     coeff: dict[tuple, dict[int, int]] = {}
@@ -128,11 +118,10 @@ def jantzen_sizes(pd: ParabolicData, lam) -> tuple[int, int]:
     rho + lam to a reflection of it, so in the convex hull of the W-orbit
     of rho + lam0; its own normal form lies below lam0, and every
     Freudenthal table has at most dim V(lam0) weights.  ValueError if
-    lam has the wrong length, does not vanish on theta or rho + lam is
-    singular."""
+    lam has the wrong length, does not vanish on theta (check_vanishes) or
+    rho + lam is singular."""
     rs = pd.rs
-    lam = rs.check_weight(lam)
-    _check_vanishes(pd, lam)
+    lam = check_vanishes(pd, lam)
     nu = tuple(l + r for l, r in zip(lam, rs.rho))
     terms = sum(max(abs(rs._pairing(nu, alpha)) - 2, 0) for alpha in pd.psi)
     return terms, weyl_dim(rs, _lambda0(rs, lam))

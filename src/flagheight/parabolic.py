@@ -27,42 +27,43 @@ class ParabolicData:
 
 
 def build_parabolic(rs: RootSystem, theta) -> ParabolicData:
-    """Psi: the positive roots whose support is not inside theta."""
-    theta = frozenset(theta)
-    if not theta <= set(range(rs.rank)):
-        raise ValueError(f"theta {sorted(theta)} out of range for rank {rs.rank}")
+    """Psi: the positive roots whose support is not inside theta (checked
+    by RootSystem.check_theta)."""
+    theta = rs.check_theta(theta)
     psi = tuple(beta for beta in rs.positive_roots
                 if not {i for i, c in enumerate(beta.coords) if c} <= theta)
     return ParabolicData(rs=rs, theta=theta, psi=psi)
 
 
-def check_ample(pd: ParabolicData, lam) -> bool:
-    """True iff lam vanishes on the Levi simple roots and is positive on Psi."""
-    rs = pd.rs
-    if any(lam[i] != 0 for i in pd.theta):
-        return False
-    return all(rs._pairing(lam, alpha) > 0 for alpha in pd.psi)
+def check_vanishes(pd: ParabolicData, lam) -> tuple:
+    """lam as a tuple (see RootSystem.check_weight); NotAmple unless it
+    vanishes on theta, so that L_lam lives on G/P_theta.  theta is named in
+    the 1-based numbering of the CLI."""
+    lam = pd.rs.check_weight(lam)
+    if any(lam[i] for i in pd.theta):
+        raise NotAmple(f"weight {lam} does not vanish on "
+                       f"theta={sorted(i + 1 for i in pd.theta)}")
+    return lam
 
 
-@dataclass(frozen=True)
-class PsiGrading:
-    buckets: dict  # j -> tuple[Root, ...]
+def check_ample(pd: ParabolicData, lam) -> tuple:
+    """lam as a tuple if L_lam is ample on G/P_theta: lam vanishes on theta
+    (check_vanishes) and pairs positively with every root of Psi.  NotAmple
+    naming the first root of Psi that it fails on otherwise."""
+    lam = check_vanishes(pd, lam)
+    for alpha in pd.psi:
+        if pd.rs._pairing(lam, alpha) <= 0:
+            raise NotAmple(f"weight {lam} is not ample for "
+                           f"theta={sorted(i + 1 for i in pd.theta)}: "
+                           f"violating root {alpha.coords}")
+    return lam
 
 
-def psi_grading(pd: ParabolicData, lam) -> PsiGrading:
-    """Partition Psi by j = <alpha^vee, lam>; requires lam ample."""
-    rs = pd.rs
-    if any(lam[i] != 0 for i in pd.theta):
-        raise NotAmple(
-            f"weight {lam} does not vanish on "
-            f"theta={sorted(i + 1 for i in pd.theta)}")
+def psi_grading(pd: ParabolicData, lam) -> dict:
+    """Psi partitioned by j = <alpha^vee, lam>: j -> the tuple of its roots.
+    lam must be ample (check_ample)."""
+    lam = check_ample(pd, lam)
     buckets: dict[int, list[Root]] = {}
     for alpha in pd.psi:
-        j = rs._pairing(lam, alpha)
-        if j <= 0:
-            raise NotAmple(
-                f"weight {lam} is not ample for "
-                f"theta={sorted(i + 1 for i in pd.theta)}: "
-                f"violating root {alpha.coords}")
-        buckets.setdefault(j, []).append(alpha)
-    return PsiGrading(buckets={j: tuple(v) for j, v in buckets.items()})
+        buckets.setdefault(pd.rs._pairing(lam, alpha), []).append(alpha)
+    return {j: tuple(v) for j, v in buckets.items()}

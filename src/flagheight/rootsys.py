@@ -108,7 +108,12 @@ def parse_cartan_spec(text: str) -> CartanSpec:
         m = _TOKEN.match(tok)
         if not m:
             raise InvalidCartanSpec(f"cannot parse factor {tok!r} in {text!r}")
-        factors.append((m.group(1).upper(), int(m.group(2))))
+        try:
+            factors.append((m.group(1).upper(), int(m.group(2))))
+        except ValueError:  # more digits than the interpreter's limit
+            raise InvalidCartanSpec(
+                f"rank of factor {m.group(1)} has {len(m.group(2))} digits, "
+                "beyond the interpreter's digit limit") from None
     return CartanSpec(tuple(factors))
 
 
@@ -204,6 +209,17 @@ class RootSystem:
             raise ValueError(
                 f"weight {mu} has {len(mu)} coordinates, rank is {self.rank}")
         return mu
+
+    def check_theta(self, theta) -> frozenset:
+        """theta, 0-based simple indices, as a frozenset; ValueError naming
+        the first index that is not a simple root, in the 1-based numbering
+        of the CLI."""
+        theta = tuple(theta)
+        for i in theta:
+            if not 0 <= i < self.rank:
+                raise ValueError(
+                    f"theta index {i + 1} out of range 1..{self.rank}")
+        return frozenset(theta)
 
     def root_to_weight(self, coords) -> tuple:
         """Simple-root coordinates -> fundamental-weight coordinates (A @ c)."""

@@ -140,27 +140,20 @@ def _check_coset_count(rs: RootSystem, theta, count: int) -> None:
             f"do not divide |W| = {order} for {rs.spec}")
 
 
-@dataclass(frozen=True)
-class CosetList:
-    reps: tuple[WeylElement, ...]
-
-
-def coset_representatives(rs: RootSystem, theta, cap: int = DEFAULT_CAP) -> CosetList:
-    """Minimal-length representatives of W_G / W_Theta (theta 0-based), one
-    per coset, in the length-first order of `orbit` starting from the
-    identity.
+def coset_representatives(rs: RootSystem, theta, cap: int = DEFAULT_CAP) -> tuple:
+    """Minimal-length representatives of W_G / W_Theta (theta 0-based,
+    checked by RootSystem.check_theta), one per coset, in the length-first
+    order of `orbit` starting from the identity.
 
     Left cosets w W_Theta biject with the orbit of the weight xi (zero on
     theta, one elsewhere) whose stabilizer is exactly W_Theta, so only one
     element per coset is ever materialized."""
-    theta = frozenset(theta)
-    if not theta <= set(range(rs.rank)):
-        raise ValueError(f"theta {sorted(theta)} out of range")
+    theta = rs.check_theta(theta)
     xi = tuple(0 if i in theta else 1 for i in range(rs.rank))
     _, links = orbit(rs, [xi], range(rs.rank), cap)
     reps = _elements(links)
     _check_coset_count(rs, theta, len(reps))
-    return CosetList(reps=tuple(reps))
+    return tuple(reps)
 
 
 def _root_index_table(rs: RootSystem, roots) -> list[list[int]]:

@@ -375,13 +375,14 @@ def test_math_errors(capsys):
 @pytest.mark.parametrize("group,lam,method,message", [
     ("A2", "1,1", "substitution",
      "weight (1, 1) does not vanish on theta=[2]"),
-    ("A2", "1,1", "all", "(1, 1) is not ample for theta=[2]"),
+    ("A2", "1,1", "all", "weight (1, 1) does not vanish on theta=[2]"),
     ("B2", "1,1", "substitution",
      "weight (1, 1) does not vanish on theta=[2]"),
-    ("B2", "1,1", "all", "(1, 1) is not ample for theta=[2]"),
+    ("B2", "1,1", "all", "weight (1, 1) does not vanish on theta=[2]"),
     ("B2", "-1,0", "substitution",
      "weight (-1, 0) is not ample for theta=[2]: violating root (1, 0)"),
-    ("B2", "-1,0", "all", "(-1, 0) is not ample for theta=[2]"),
+    ("B2", "-1,0", "all",
+     "weight (-1, 0) is not ample for theta=[2]: violating root (1, 0)"),
 ])
 def test_ampleness_errors_number_theta_as_the_cli(capsys, group, lam,
                                                   method, message):
@@ -390,6 +391,61 @@ def test_ampleness_errors_number_theta_as_the_cli(capsys, group, lam,
     assert run(capsys, "height", "--group", group, "--theta", "2",
                f"--lambda={lam}", "--method", method) == (
         EXIT_MATH, "", f"error: {message}\n")
+
+
+# (rule, subcommands, options, the one stderr line of every subcommand and
+# every --method): each rule is decided by one check in the library
+_RULES = [
+    ("length", ("height", "jantzen-rhs"), "--group A2 --theta 1 --lambda 1",
+     "weight (1,) has 1 coordinates, rank is 2"),
+    ("length", ("char", "dim", "bwb"), "--group A2 --lambda 1",
+     "weight (1,) has 1 coordinates, rank is 2"),
+    ("theta", ("height", "jantzen-rhs"), "--group A2 --theta 5 --lambda 1,1",
+     "theta index 5 out of range 1..2"),
+    ("vanishing", ("height", "jantzen-rhs"),
+     "--group A2 --theta 2 --lambda 1,1",
+     "weight (1, 1) does not vanish on theta=[2]"),
+    ("ample", ("height",), "--group B2 --theta 2 --lambda=-1,0",
+     "weight (-1, 0) is not ample for theta=[2]: violating root (1, 0)"),
+    ("dominant", ("char", "dim"), "--group A2 --lambda=1,-1",
+     "weight (1, -1) is not dominant"),
+    # two faults: the first in the order the command line is read (lambda,
+    # theta, Y, then ampleness)
+    ("length+theta", ("height", "jantzen-rhs"),
+     "--group A2 --theta 5 --lambda 1",
+     "weight (1,) has 1 coordinates, rank is 2"),
+    ("theta+y", ("height",), "--group A2 --theta 5 --lambda 1,1 --y abc",
+     "theta index 5 out of range 1..2"),
+    ("ample+y", ("height",), "--group A2 --theta '' --lambda 1,0 --y 0,0",
+     "Y is not regular: vanishes on root (0, 1)"),
+    ("vanishing+y", ("height",), "--group A2 --theta 2 --lambda 1,1 --y 1,2,3",
+     "Y has 3 coordinates, rank is 2"),
+    ("length+dominant", ("char", "dim"), "--group A2 --lambda=1,-1,-1",
+     "weight (1, -1, -1) has 3 coordinates, rank is 2"),
+]
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param([command, *shlex.split(options), *method], message,
+                 id="-".join([rule, command, *method[1:]]))
+    for rule, commands, options, message in _RULES
+    for command in commands
+    for method in ([("--method", m) for m in ("all", "substitution",
+                                               "fixed-point", "harmo-bott")]
+                   if command == "height" else [()])
+])
+def test_each_rule_is_refused_in_one_wording(capsys, argv, message):
+    assert run(capsys, *argv) == (EXIT_MATH, "", f"error: {message}\n")
+
+
+def test_group_rank_beyond_the_digit_limit_is_a_parse_error(capsys):
+    # int() refuses a rank with more digits than the interpreter's limit;
+    # parse_cartan_spec turns that into InvalidCartanSpec, exit 2
+    digits = sys.get_int_max_str_digits() + 100
+    assert run(capsys, "dim", "--group", "A" + "1" * digits,
+               "--lambda", "1") == (
+        EXIT_PARSE, "", f"error: rank of factor A has {digits} digits, "
+                        "beyond the interpreter's digit limit\n")
 
 
 @pytest.mark.parametrize("method", ["all", "substitution", "fixed-point",
@@ -476,7 +532,7 @@ def test_jantzen_lambda_must_vanish_on_theta(capsys, monkeypatch):
     code, out, err = run(capsys, "jantzen-rhs", "--group", "B2",
                          "--theta", "1", "--lambda", "2,1")
     assert code == EXIT_MATH and out == ""
-    assert err == "error: lambda [2, 1] does not vanish on theta [1]\n"
+    assert err == "error: weight (2, 1) does not vanish on theta=[1]\n"
     monkeypatch.undo()
     # lambda = 3 omega_2 vanishes on theta {1}
     code, out, _ = run(capsys, "jantzen-rhs", "--group", "A2",

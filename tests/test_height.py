@@ -150,7 +150,7 @@ def substitution_by_fractions(pd, lam):
     coefficient of m^{N+1}."""
     N = pd.dim
     coeff = Fraction(0)
-    for j in psi_grading(pd, lam).buckets:
+    for j in psi_grading(pd, lam):
         for (em, ek), c in f_j(pd, lam, j).terms.items():
             if em + ek == N:
                 coeff += c * Fraction(j) ** (ek + 1) / (2 * (ek + 1) ** 2)
@@ -255,7 +255,7 @@ def _localization_by_fractions(pd, lam, Y):
     rs = pd.rs
     Y = default_y(rs) if Y is None else tuple(Fraction(y) for y in Y)
     data = []
-    for w in coset_representatives(rs, pd.theta).reps:
+    for w in coset_representatives(rs, pd.theta):
         phi = sum(c * y for c, y in
                   zip(rs.weight_to_root_coords(w.act_weight(rs, lam)), Y))
         angles = []

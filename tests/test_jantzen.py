@@ -12,7 +12,7 @@ from flagheight.jantzen import (
     prime_factorization,
     psi_signs,
 )
-from flagheight.parabolic import build_parabolic
+from flagheight.parabolic import NotAmple, build_parabolic
 from flagheight.rootsys import build_root_system
 from oracles import verify_parabolic_independence, verify_w0_transform
 
@@ -169,11 +169,12 @@ def test_rhs_rejects_wrong_length_weight():
 
 def test_rhs_and_sizes_require_lambda_vanishing_on_theta():
     # over P_{1} of B2, lambda (2, 1) would give a sum other than the Borel
-    # sum; the message names theta 1-based, as the CLI prints it
+    # sum; check_vanishes refuses it with NotAmple, naming theta 1-based,
+    # in the words height uses for the same weight
     pd = build_parabolic(build_root_system("B2"), {0})
-    message = r"^lambda \[2, 1\] does not vanish on theta \[1\]$"
+    message = r"^weight \(2, 1\) does not vanish on theta=\[1\]$"
     for f in (jantzen_rhs, jantzen_sizes):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(NotAmple, match=message):
             f(pd, (2, 1))
     assert jantzen_sizes(pd, (0, 1)) == (3, 4)
     assert jantzen_rhs(pd, (0, 3)) == jantzen_rhs(
