@@ -9,21 +9,22 @@ option number or --group rank beyond the interpreter's digit limit, a --y
 in exponent form), 3 invalid mathematical input, refused by the library's
 one check of each rule with its message (a --lambda of the wrong length,
 a --theta index out of range, a weight that does not vanish on theta or
-is not ample, for char and dim one that is not dominant, a bad
-localization vector), 4 enumeration size cap exceeded (for char: the
-module's dimension, which bounds its weight table; for jantzen-rhs: its
-number of k-loop terms, or the dimension that bounds each of its weight
-tables), 5 internal cross-check failure.  When the height methods disagree, the `error:` line
-on stderr is followed by one JSON line with the instance (group, theta,
-lambda, y), the values of substitution, fixed_point and harmo_bott, and
-w0_paired, true when the localisation sums counted only half of the
-cosets (w0 Y = -Y).
+is not ample, for char and dim one that is not dominant, for jantzen-rhs
+a singular rho + lambda, a bad localization vector), 4 enumeration size
+cap exceeded (for char: the module's dimension, which bounds its weight
+table; for jantzen-rhs: its number of k-loop terms, or the dimension that
+bounds each of its weight tables), 5 internal cross-check failure (for
+jantzen-rhs: a negative coefficient at a dominant lambda).  When the
+height methods disagree, the `error:` line on stderr is followed by one
+JSON line with the instance (group, theta, lambda, y), the values of
+substitution, fixed_point and harmo_bott, and w0_paired, true when the
+localisation sums counted only half of the cosets (w0 Y = -Y).
 
 JSON output (the default) is `json.dumps(doc, indent=2, sort_keys=True)`
 plus a newline, byte for byte; only `elapsed_ms` differs between runs.  The
-weight tables of char and jantzen-rhs are built as column tables (_Table),
-which _dumps writes with one %d template and the text and csv outputs print
-as their lists of records.
+weight tables of char and jantzen-rhs, weight -> int dicts, are held as
+_Table (the sorted weights and their values), which _dumps writes with one
+%d template and the text and csv outputs print as their lists of records.
 
 A reader that closes stdout early (e.g. `flagheight scan ... | head`) is
 not an error: the rest of the output is discarded and the exit code is 0.
@@ -56,7 +57,7 @@ from .height import (
 from .jantzen import jantzen_rhs, jantzen_sizes, lambda0_component
 from .parabolic import build_parabolic
 from .rootsys import InvalidCartanSpec, InvariantViolation, \
-    build_root_system, parse_cartan_spec
+    build_root_system, one_based, parse_cartan_spec
 from .weyl import DEFAULT_CAP, GroupTooLarge, to_dominant_dotted
 
 EXIT_OK = 0
@@ -94,25 +95,22 @@ def _rational(x: Fraction) -> dict:
 
 
 class _Table:
-    """A list of records with the same keys, held as one column per key:
-    columns maps each key to its values, row by row.  A column holds exact
-    ints, or int tuples of one width.  _dumps writes a table with one %d
-    template; _records gives back the list of dicts it stands for, which
-    the text and csv outputs print."""
+    """The records {"weight": mu, name: c} of a weight -> int table, by
+    weight (descending if reverse), held as the sorted weights and their
+    values.  _dumps writes a table with one %d template; records gives
+    back the list of dicts it stands for, which the text and csv outputs
+    print."""
 
-    __slots__ = ("columns",)
+    __slots__ = ("name", "weights", "values")
 
-    def __init__(self, columns: dict):
-        self.columns = columns
+    def __init__(self, table: dict, name: str, reverse: bool = False):
+        self.name = name
+        self.weights = sorted(table, reverse=reverse)
+        self.values = list(map(table.__getitem__, self.weights))
 
-
-def _records(table) -> list:
-    """The list of dicts that a _Table stands for; also json.dumps's
-    default hook, so tables nested in a document convert too."""
-    if not isinstance(table, _Table):
-        raise TypeError(f"{type(table).__name__} is not JSON serializable")
-    keys = list(table.columns)
-    return [dict(zip(keys, row)) for row in zip(*table.columns.values())]
+    def records(self) -> list:
+        return [{"weight": mu, self.name: c}
+                for mu, c in zip(self.weights, self.values)]
 
 
 def _dumps(doc) -> str:
@@ -120,7 +118,7 @@ def _dumps(doc) -> str:
     for documents of dicts with str keys, lists, ints, bools, None and
     strings, where a _Table stands for its list of records.  A list of ints
     is written by one join and a _Table by one %-format over its
-    interleaved columns, not token by token."""
+    interleaved weights and values, not token by token."""
     out = []
     _render(doc, "\n", out)
     out.append("\n")
@@ -167,41 +165,34 @@ def _all_ints(xs) -> bool:
 
 def _render_table(table: _Table, nl: str) -> str:
     """The JSON of a table's records at indentation nl: one %d template
-    per record, built from the column shapes, formats every row.  TypeError,
-    before anything is formatted, unless every column has the same length
-    and holds exact ints or int tuples of one width."""
-    keys = sorted(table.columns)
-    cols = [table.columns[k] for k in keys]
-    rows = len(cols[0]) if cols else 0
+    per record, with its two keys in sorted order, formats every row.
+    TypeError, before anything is formatted, unless the weights are int
+    tuples of one width and every value is an exact int."""
+    weights = table.weights
+    if not weights:
+        return "[]"
+    width = len(weights[0])
+    if any(len(mu) != width for mu in weights):
+        raise TypeError("the weights are not int tuples of one width")
     row_nl = nl + "  "
     key_nl = row_nl + "  "
     item_nl = key_nl + "  "
-    slots, parts = [], []
-    for k, col in zip(keys, cols):
-        if len(col) != rows:
-            raise TypeError(f"column {k!r} has {len(col)} rows, not {rows}")
-        kinds = set(map(type, col))
-        if kinds <= {int}:
-            slot = "%d"
-            parts.append(col)
-        elif kinds == {tuple} and len(set(map(len, col))) == 1:
-            width = len(col[0])
-            slot = ("[" + item_nl + ("," + item_nl).join(["%d"] * width)
-                    + key_nl + "]") if width else "[]"
-            parts += [map(itemgetter(j), col) for j in range(width)]
-        else:
-            raise TypeError(f"column {k!r} is neither exact ints nor int "
-                            "tuples of one width")
-        slots.append(_encode_str(k).replace("%", "%%") + ": " + slot)
-    if not rows:
-        return "[]"
+    slots = ['"weight": ' + ("[" + item_nl + ("," + item_nl).join(
+        ["%d"] * width) + key_nl + "]" if width else "[]")]
+    parts = [map(itemgetter(j), weights) for j in range(width)]
+    value_slot = _encode_str(table.name).replace("%", "%%") + ": %d"
+    if table.name < "weight":
+        slots.insert(0, value_slot)
+        parts.insert(0, table.values)
+    else:
+        slots.append(value_slot)
+        parts.append(table.values)
     values = tuple(chain.from_iterable(zip(*parts)))
     if not _all_ints(values):
-        raise TypeError("a column tuple holds a value that is not an exact "
-                        "int")
+        raise TypeError("a weight or a value is not an exact int")
     template = "{" + key_nl + ("," + key_nl).join(slots) + row_nl + "}"
-    return ("[" + row_nl + ("," + row_nl).join([template] * rows) % values
-            + nl + "]")
+    return ("[" + row_nl + ("," + row_nl).join([template] * len(weights))
+            % values + nl + "]")
 
 
 def _emit(doc: dict, fmt: str, rows=None) -> str:
@@ -247,12 +238,12 @@ def _flatten(doc: dict, prefix: str = "") -> dict:
 
 def _textval(v):
     if isinstance(v, _Table):
-        v = _records(v)
+        v = v.records()
     if isinstance(v, dict) and set(v) == {"num", "den"}:
         return v["num"] if v["den"] == "1" else f"{v['num']}/{v['den']}"
     if isinstance(v, dict) or (isinstance(v, (list, tuple)) and v
                                and all(isinstance(x, dict) for x in v)):
-        return json.dumps(v, sort_keys=True, default=_records)
+        return json.dumps(v, sort_keys=True, default=_Table.records)
     if isinstance(v, (list, tuple)):
         return ",".join(str(x) for x in v)
     return str(v)
@@ -284,7 +275,7 @@ def _height_doc(args, pd, lam, Y) -> dict:
     c = rs.coxeter_number
     doc = {
         "group": str(rs.spec),
-        "theta": sorted(i + 1 for i in pd.theta),
+        "theta": one_based(pd.theta),
         "lambda": list(lam),
         "dim": pd.dim,
         "height": _rational(res.value),
@@ -305,7 +296,7 @@ def _disagreement_doc(exc: MethodDisagreement) -> dict:
     """The instance and every method's value, for the stderr diagnostic."""
     doc = {
         "group": str(exc.pd.rs.spec),
-        "theta": sorted(i + 1 for i in exc.pd.theta),
+        "theta": one_based(exc.pd.theta),
         "lambda": list(exc.lam),
         "y": [_rational(v) for v in exc.y],
         "w0_paired": exc.w0_paired,
@@ -324,14 +315,14 @@ def _jantzen_doc(args, pd, lam) -> dict:
         raise GroupTooLarge(
             f"the weight tables of the sum at {list(lam)} are bounded by "
             f"dimension {dim}, exceeding the cap {args.cap}")
-    combo = jantzen_rhs(pd, lam)
-    lam0 = lambda0_component(combo, pd, lam)
+    rhs = jantzen_rhs(pd, lam)
+    lam0 = lambda0_component(rhs, pd, lam)
     return {
         "group": str(pd.rs.spec),
-        "theta": sorted(i + 1 for i in pd.theta),
+        "theta": one_based(pd.theta),
         "lambda": list(lam),
-        "primes": {str(p): _weight_table(bucket, "coeff")
-                   for p, bucket in sorted(combo.terms.items())},
+        "primes": {str(p): _Table(bucket, "coeff")
+                   for p, bucket in sorted(rhs.items())},
         "lambda0_component_zero": not lam0,
     }
 
@@ -349,15 +340,8 @@ def _char_doc(args, rs, lam) -> dict:
         "group": str(rs.spec),
         "lambda": list(lam),
         "dim": sum(table.values()),
-        "weights": _weight_table(table, "mult", reverse=True),
+        "weights": _Table(table, "mult", reverse=True),
     }
-
-
-def _weight_table(table: dict, name: str, reverse: bool = False) -> _Table:
-    """The records {weight, name} of a weight -> int table, by weight."""
-    weights = sorted(table, reverse=reverse)
-    return _Table({"weight": weights,
-                   name: list(map(table.__getitem__, weights))})
 
 
 def _dim_doc(args, rs, lam) -> dict:

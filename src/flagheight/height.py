@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .charpoly import graded_part
-from .jantzen import prime_factorization
 from .parabolic import ParabolicData, check_ample
 from .rootsys import InvariantViolation, RootSystem
 from .weyl import (
@@ -49,12 +48,10 @@ class MethodDisagreement(InvariantViolation):
 
 @dataclass(frozen=True)
 class HeightResult:
+    """The exact height; the benchmark's tracer (flagbench/tracer.py)
+    reads its bit length off .value."""
+
     value: Fraction
-    denominator_factorization: dict  # prime -> exponent, for denom(2*value)
-
-
-def _result(value: Fraction) -> HeightResult:
-    return HeightResult(value, prime_factorization((2 * value).denominator))
 
 
 # ---------------------------------------------------------------------
@@ -78,7 +75,8 @@ def height_substitution(pd: ParabolicData, lam) -> HeightResult:
     # k^l -> j^{l+1} L^2 / (l+1)^2, over 2 L^2
     total = sum(e * j ** (l + 1) * (L // (l + 1)) ** 2
                 for j, part in parts.items() for l, e in enumerate(part))
-    return _result(Fraction(total * math.factorial(N + 1), 2 * L * L * R))
+    return HeightResult(
+        Fraction(total * math.factorial(N + 1), 2 * L * L * R))
 
 
 # ---------------------------------------------------------------------
@@ -249,7 +247,7 @@ def height_fixed_point(pd: ParabolicData, lam, Y=None,
     are summed; the inner polynomial is evaluated once per distinct
     (phi, j theta_wa) (see _localization_pass)."""
     (value,), _ = _localization_heights(pd, lam, Y, cap, [_fixed_point_kernel])
-    return _result(value)
+    return HeightResult(value)
 
 
 # ---------------------------------------------------------------------
@@ -277,7 +275,7 @@ def height_harmo_bott(pd: ParabolicData, lam, Y=None,
     division by 2L at the end, with the same w0 pairing and the same one
     evaluation per distinct (phi, j_a theta_wa) as height_fixed_point."""
     (value,), _ = _localization_heights(pd, lam, Y, cap, [_harmo_bott_kernel])
-    return _result(value)
+    return HeightResult(value)
 
 
 def height_all_methods(pd: ParabolicData, lam, Y=None,
@@ -303,8 +301,7 @@ def height_all_methods(pd: ParabolicData, lam, Y=None,
 
 
 def denominator_check(result: HeightResult, bound: int) -> bool:
-    """True iff every prime power in the denominator of 2 * value is at most
-    `bound`.  Called with 2c-2 for the guaranteed bound and c-1 for the
-    conjectural one."""
-    return all(p ** e <= bound
-               for p, e in result.denominator_factorization.items())
+    """True iff every prime power in the denominator d of 2 * value is at
+    most `bound`, that is iff d divides lcm(1..bound).  Called with 2c-2 for
+    the guaranteed bound and c-1 for the conjectural one."""
+    return math.lcm(*range(1, bound + 1)) % (2 * result.value).denominator == 0

@@ -1,15 +1,15 @@
-"""The combinatorial right-hand side of the Jantzen sum formula, as a
-formal combination  sum_p (sum_mu c_{p,mu} mu) log p  indexed by primes,
-the sizes that bound its work, and its lambda0 component, which vanishes."""
+"""The combinatorial right-hand side of the Jantzen sum formula, the
+formal combination  sum_p (sum_mu c_{p,mu} mu) log p  over primes, held as
+the dict {p: {mu: c_{p,mu}}}; the sizes that bound its work; and its
+lambda0 component, which vanishes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import add
 
 from .charpoly import freudenthal, weyl_dim
 from .parabolic import ParabolicData, check_vanishes
-from .rootsys import RootSystem
+from .rootsys import InvariantViolation, RootSystem
 from .weyl import to_dominant_dotted
 
 
@@ -26,79 +26,63 @@ def prime_factorization(n: int) -> dict:
     return out
 
 
-@dataclass
-class LogCharacterCombo:
-    """Finite map prime -> (finite map weight -> integer coefficient);
-    zero entries are dropped eagerly."""
-
-    terms: dict = field(default_factory=dict)
-
-    def add_character(self, k: int, table: dict, scale: int = 1):
-        """Add scale * chi * log k, expanding log k over prime powers."""
-        if k <= 1 or not table or scale == 0:
-            return
-        for p, e in prime_factorization(k).items():
-            bucket = self.terms.setdefault(p, {})
-            for mu, c in table.items():
-                new = bucket.get(mu, 0) + scale * e * c
-                if new:
-                    bucket[mu] = new
-                else:
-                    bucket.pop(mu, None)
-            if not bucket:
-                del self.terms[p]
-
-
-def psi_signs(pd: ParabolicData, lam):
-    """Split Psi into Psi+ (pairing with rho+lam >= 0) and Psi-."""
-    rs = pd.rs
-    nu = tuple(l + r for l, r in zip(lam, rs.rho))
-    plus, minus = [], []
-    for alpha in pd.psi:
-        (plus if rs._pairing(nu, alpha) >= 0 else minus).append(alpha)
-    return plus, minus
-
-
-def jantzen_rhs(pd: ParabolicData, lam) -> LogCharacterCombo:
+def jantzen_rhs(pd: ParabolicData, lam) -> dict:
     """- sum_{a in Psi+} sum_{k=1}^{<a^vee, rho+lam> - 1} chi_{rho+lam-ka} log k
        + sum_{a in Psi-} sum_{k=1}^{<-a^vee, rho+lam> - 1} chi_{rho+lam+ka} log k
 
-    with chi the signed formal character (zero on singular arguments).
+    with Psi+ the roots of Psi pairing with rho + lam >= 0, chi the signed
+    formal character (zero on singular arguments), as {p: {mu: c_{p,mu}}}:
+    the sum_p (sum_mu c_{p,mu} mu) log p over primes, without zero entries.
 
     Coefficients first: each term is reduced by to_dominant_dotted to
     +-chi of one dominant lam0, and its sign times the exponent of p in k
     is added to an integer c[lam0][p].  Many terms share a lam0, so the
     Freudenthal table of each lam0 with some c != 0 is built once and
     added c times into the bucket of p.  lam must vanish on theta
-    (check_vanishes)."""
+    (check_vanishes).  For a dominant lam the sum is sum_p log p
+    sum_{i>0} ch V^i_p, a sum of true characters, so InvariantViolation
+    if some c_{p,mu} < 0."""
     rs = pd.rs
     lam = check_vanishes(pd, lam)
     nu = tuple(l + r for l, r in zip(lam, rs.rho))
     fws = rs._root_weights
     coeff: dict[tuple, dict[int, int]] = {}
-    plus, minus = psi_signs(pd, lam)
-    for alphas, scale in ((plus, -1), (minus, +1)):
-        for alpha in alphas:
-            step = tuple(scale * f for f in fws[alpha.coords])
-            top = -scale * rs._pairing(nu, alpha)
-            arg = tuple(map(add, lam, step))
-            for k in range(2, top):  # log 1 = 0
-                # chi_{rho+lam-/+k alpha}: the dotted form takes it less rho
-                arg = tuple(map(add, arg, step))
-                res = to_dominant_dotted(rs, arg)
-                if res is None:
-                    continue
-                w, lam0 = res
-                per_prime = coeff.setdefault(lam0, {})
-                for p, e in prime_factorization(k).items():
-                    per_prime[p] = per_prime.get(p, 0) + scale * w.sign * e
-    combo = LogCharacterCombo()
+    for alpha in pd.psi:
+        top = rs._pairing(nu, alpha)
+        scale = -1 if top >= 0 else 1  # alpha in Psi+ or Psi-
+        step = tuple(scale * f for f in fws[alpha.coords])
+        arg = tuple(map(add, lam, step))
+        for k in range(2, abs(top)):  # log 1 = 0
+            # chi_{rho+lam-/+k alpha}: the dotted form takes it less rho
+            arg = tuple(map(add, arg, step))
+            res = to_dominant_dotted(rs, arg)
+            if res is None:
+                continue
+            w, lam0 = res
+            per_prime = coeff.setdefault(lam0, {})
+            for p, e in prime_factorization(k).items():
+                per_prime[p] = per_prime.get(p, 0) + scale * w.sign * e
+    rhs: dict[int, dict] = {}
     for lam0, per_prime in coeff.items():
         if any(per_prime.values()):
             table = freudenthal(rs, lam0)
             for p, c in per_prime.items():
-                combo.add_character(p, table, scale=c)  # log p, p prime
-    return combo
+                if c:
+                    bucket = rhs.setdefault(p, {})
+                    for mu, m in table.items():
+                        bucket[mu] = bucket.get(mu, 0) + c * m
+    # a bucket with some c != 0 is not zero: the characters of distinct
+    # dominant weights are independent
+    dominant = rs.is_dominant(lam)
+    for p, bucket in rhs.items():
+        for mu, c in list(bucket.items()):
+            if not c:
+                del bucket[mu]
+            elif c < 0 and dominant:
+                raise InvariantViolation(
+                    f"the sum at dominant {lam} has coefficient {c} "
+                    f"at weight {mu} under log {p}")
+    return rhs
 
 
 def _lambda0(rs: RootSystem, lam) -> tuple:
@@ -127,9 +111,9 @@ def jantzen_sizes(pd: ParabolicData, lam) -> tuple[int, int]:
     return terms, weyl_dim(rs, _lambda0(rs, lam))
 
 
-def lambda0_component(combo: LogCharacterCombo, pd: ParabolicData, lam) -> dict:
-    """Coefficient of the Borel-Weil-Bott normal form lam0 per prime; must
-    be identically zero for the truncated sums of jantzen_rhs."""
+def lambda0_component(rhs: dict, pd: ParabolicData, lam) -> dict:
+    """Coefficient of the Borel-Weil-Bott normal form lam0 per prime in
+    rhs = jantzen_rhs(pd, lam); must be identically zero for its truncated
+    sums."""
     lam0 = _lambda0(pd.rs, lam)
-    return {p: combo.terms[p][lam0]
-            for p in combo.terms if lam0 in combo.terms[p]}
+    return {p: bucket[lam0] for p, bucket in rhs.items() if lam0 in bucket}

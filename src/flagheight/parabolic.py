@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rootsys import Root, RootSystem
+from .rootsys import Root, RootSystem, one_based
 
 
 class NotAmple(ValueError):
@@ -42,7 +42,7 @@ def check_vanishes(pd: ParabolicData, lam) -> tuple:
     lam = pd.rs.check_weight(lam)
     if any(lam[i] for i in pd.theta):
         raise NotAmple(f"weight {lam} does not vanish on "
-                       f"theta={sorted(i + 1 for i in pd.theta)}")
+                       f"theta={one_based(pd.theta)}")
     return lam
 
 
@@ -54,7 +54,7 @@ def check_ample(pd: ParabolicData, lam) -> tuple:
     for alpha in pd.psi:
         if pd.rs._pairing(lam, alpha) <= 0:
             raise NotAmple(f"weight {lam} is not ample for "
-                           f"theta={sorted(i + 1 for i in pd.theta)}: "
+                           f"theta={one_based(pd.theta)}: "
                            f"violating root {alpha.coords}")
     return lam
 

@@ -280,6 +280,12 @@ class RootSystem:
         return "\n".join(lines)
 
 
+def one_based(theta) -> list:
+    """theta, 0-based simple indices, as the sorted 1-based list of the
+    CLI, in which messages and output name it (see RootSystem.check_theta)."""
+    return sorted(i + 1 for i in theta)
+
+
 def build_root_system(spec: CartanSpec | str) -> RootSystem:
     """Construct the root system: Cartan matrix, positive roots (the simple
     roots raised by simple reflections), rho, Coxeter numbers."""

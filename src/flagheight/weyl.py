@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import add, sub
 
-from .rootsys import InvariantViolation, Root, RootSystem
+from .rootsys import InvariantViolation, Root, RootSystem, one_based
 
 DEFAULT_CAP = 10**6
 
@@ -136,7 +136,7 @@ def _check_coset_count(rs: RootSystem, theta, count: int) -> None:
     if order % count:
         raise InvariantViolation(
             f"the {count} cosets of W_Theta, "
-            f"theta={sorted(i + 1 for i in theta)}, "
+            f"theta={one_based(theta)}, "
             f"do not divide |W| = {order} for {rs.spec}")
 
 

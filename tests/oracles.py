@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from flagheight.charpoly import (
@@ -13,7 +14,7 @@ from flagheight.charpoly import (
     formal_character,
     freudenthal,
 )
-from flagheight.jantzen import LogCharacterCombo, jantzen_rhs, psi_signs
+from flagheight.jantzen import jantzen_rhs, prime_factorization
 from flagheight.parabolic import ParabolicData, build_parabolic
 from flagheight.rootsys import InvariantViolation, Root, RootSystem
 from flagheight.weyl import (
@@ -374,6 +375,40 @@ def lefschetz_localized_character(pd: ParabolicData, lam, X) -> complex:
 # ---------------------------------------------------------------------
 
 
+@dataclass
+class LogCharacterCombo:
+    """Finite map prime -> (finite map weight -> integer coefficient), the
+    shape of jantzen_rhs's result, in .terms; zero entries and empty primes
+    are dropped eagerly."""
+
+    terms: dict = field(default_factory=dict)
+
+    def add_character(self, k: int, table: dict, scale: int = 1):
+        """Add scale * chi * log k, expanding log k over prime powers."""
+        if k <= 1 or not table or scale == 0:
+            return
+        for p, e in prime_factorization(k).items():
+            bucket = self.terms.setdefault(p, {})
+            for mu, c in table.items():
+                new = bucket.get(mu, 0) + scale * e * c
+                if new:
+                    bucket[mu] = new
+                else:
+                    bucket.pop(mu, None)
+            if not bucket:
+                del self.terms[p]
+
+
+def psi_signs(pd: ParabolicData, lam):
+    """Split Psi into Psi+ (pairing with rho+lam >= 0) and Psi-."""
+    rs = pd.rs
+    nu = tuple(l + r for l, r in zip(lam, rs.rho))
+    plus, minus = [], []
+    for alpha in pd.psi:
+        (plus if rs._pairing(nu, alpha) >= 0 else minus).append(alpha)
+    return plus, minus
+
+
 def verify_parabolic_independence(rs: RootSystem, lam, theta) -> bool:
     """jantzen_rhs over P_theta equals jantzen_rhs over the Borel, for lam
     vanishing on theta (so the line bundle lives on G/P_theta); jantzen_rhs
@@ -408,7 +443,7 @@ def verify_w0_transform(rs: RootSystem, lam) -> bool:
         for k in range(1, top):
             arg = tuple(n - k * f for n, f in zip(w0nu, fw))
             combo.add_character(k, formal_character(rs, arg), scale=+w0.sign)
-    return combo == jantzen_rhs(pd, lam)
+    return combo.terms == jantzen_rhs(pd, lam)
 
 
 # ---------------------------------------------------------------------

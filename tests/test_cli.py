@@ -540,6 +540,24 @@ def test_jantzen_lambda_must_vanish_on_theta(capsys, monkeypatch):
     assert code == EXIT_OK and json.loads(out)["lambda0_component_zero"]
 
 
+def test_jantzen_positivity_is_a_cross_check(capsys, monkeypatch):
+    # a negative coefficient at a dominant lambda exits 5; below the
+    # dominant chamber one is printed
+    code, out, err = run(capsys, "jantzen-rhs", "--group", "A2",
+                         "--theta", "", "--lambda=-3,3")
+    assert code == EXIT_OK and err == ""
+    assert json.loads(out)["primes"] == {"3": [{"coeff": -1,
+                                                "weight": [0, 0]}]}
+    freudenthal = jantzen.freudenthal
+    monkeypatch.setattr(jantzen, "freudenthal", lambda rs, lam0: {
+        mu: -m for mu, m in freudenthal(rs, lam0).items()})
+    code, out, err = run(capsys, "jantzen-rhs", "--group", "A2",
+                         "--theta", "", "--lambda", "2,1")
+    assert code == EXIT_CROSSCHECK and out == ""
+    assert err.startswith("error: the sum at dominant (2, 1) has "
+                          "coefficient -") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("cap", [("--cap", "-5"), ("--cap=-1",)])
 def test_negative_cap_is_a_parse_error(capsys, cap):
     code, out, err = run(capsys, "height", "--group", "A1", "--theta", "",

@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flagheight.cli import _dumps, _records, _Table, _textval
+from flagheight.cli import _dumps, _Table, _textval
 
 
 def reference(doc) -> str:
@@ -14,12 +14,10 @@ def reference(doc) -> str:
 
 def plain(doc):
     """doc with every _Table replaced by its list of dicts, built from the
-    columns here and not by _records."""
+    weights and values here and not by _Table.records."""
     if isinstance(doc, _Table):
-        cols = doc.columns
-        rows = len(next(iter(cols.values()), []))
-        return [{k: list(col[i]) if isinstance(col[i], tuple) else col[i]
-                 for k, col in cols.items()} for i in range(rows)]
+        return [{"weight": list(mu), doc.name: c}
+                for mu, c in zip(doc.weights, doc.values)]
     if isinstance(doc, dict):
         return {k: plain(v) for k, v in doc.items()}
     if isinstance(doc, (list, tuple)):
@@ -46,13 +44,13 @@ def shapes(draw):
 
 @st.composite
 def tables(draw):
-    """A column table of 0 to 6 rows."""
-    shape = draw(shapes())
-    rows = draw(st.integers(0, 6))
-    return _Table({k: [draw(ints) if n is None
-                       else tuple(draw(st.lists(ints, min_size=n, max_size=n)))
-                       for _ in range(rows)]
-                   for k, n in shape.items()})
+    """A weight table of 0 to 6 weights of one width 0 to 3, under any
+    value name but "weight", in either order."""
+    width = draw(st.integers(0, 3))
+    table = draw(st.dictionaries(st.tuples(*[ints] * width), ints,
+                                 max_size=6))
+    name = draw(keys.filter(lambda k: k != "weight"))
+    return _Table(table, name, reverse=draw(st.booleans()))
 
 
 documents_with_tables = st.recursive(
@@ -119,10 +117,10 @@ def test_record_lists_take_the_template(table, rows, other):
 @given(documents_with_tables)
 def test_tables_anywhere_in_a_document(doc):
     """_dumps, and the json.dumps of the text and csv outputs through
-    _records, print a table as the list of dicts it stands for."""
+    _Table.records, print a table as the list of dicts it stands for."""
     expected = plain(doc)
     assert _dumps(doc) == reference(expected)
-    assert json.dumps(doc, sort_keys=True, default=_records) == \
+    assert json.dumps(doc, sort_keys=True, default=_Table.records) == \
         json.dumps(expected, sort_keys=True)
 
 
@@ -140,23 +138,20 @@ def test_near_misses_take_the_recursive_path(rows):
 
 
 @pytest.mark.parametrize("columns", [
-    {"mult": [1, True], "weight": [(1,), (2,)]},
-    {"mult": [1, 2], "weight": [(1, 2), (True, 0)]},
-    {"mult": [1, 2], "weight": [(1, 2), (3,)]},
-    {"mult": [1, 2], "weight": [(1, 2), (3, 4, 5)]},
-    {"mult": [1, 2], "weight": [[1, 2], [3, 4]]},
-    {"mult": [1, 2], "weight": [(1, 2)]},
-    {"mult": [1, None]},
+    {(1,): 1, (2,): True},
+    {(1, 2): 1, (True, 0): 2},
+    {(1, 2): 1, (3,): 2},
+    {(1, 2): 1, (3, 4, 5): 2},
+    {(1, 2): 1, (3, 4.0): 2},
+    {(1, 2): 1, (3, 4): 2.0},
+    {(1,): 1, (2,): None},
 ])
 def test_tables_of_bools_or_ragged_tuples_raise(columns):
-    """A bool would print as %d of True, i.e. 1; nothing is formatted."""
-    with pytest.raises(TypeError):
-        _dumps({"weights": _Table(columns)})
-
-
-def test_records_refuses_other_objects():
-    with pytest.raises(TypeError):
-        json.dumps({"a": object()}, default=_records)
+    """A bool would print as %d of True, i.e. 1, and 4.0 as 4; nothing is
+    formatted, whether the value's name sorts before "weight" or after."""
+    for name in ("mult", "zz"):
+        with pytest.raises(TypeError):
+            _dumps({"weights": _Table(columns, name)})
 
 
 def test_edge_cases():
@@ -165,7 +160,7 @@ def test_edge_cases():
                 {"%d": [{"%s": 1}]}, {"é\n": "☃\"\\"},
                 [{"w": [1, 2], "m": 3}, {"w": [4, 5], "m": True}],
                 [{"w": [1, 2]}, {"w": (3, 4)}], 7, "x", None,
-                _Table({}), _Table({"a": []}), [_Table({"a": [], "b": []})],
-                _Table({"%d": [1, -2], "w": [(), ()]}),
-                {"t": _Table({"w": [(1, 2, 3)], "%s": [10**40]})}):
+                _Table({}, "mult"), [_Table({}, "b"), _Table({}, "x")],
+                _Table({(): -2}, "%d"), _Table({(): 3}, "zz"),
+                {"t": _Table({(1, 2, 3): 10**40, (0, 0, 0): 1}, "%s")}):
         assert _dumps(doc) == reference(plain(doc)), doc

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from flagheight import height
 from flagheight.height import (
+    HeightResult,
     MethodDisagreement,
     NotRegularY,
     default_y,
@@ -18,6 +19,7 @@ from flagheight.height import (
     height_substitution,
 )
 from flagheight.charpoly import f_j
+from flagheight.jantzen import prime_factorization
 from flagheight.parabolic import NotAmple, build_parabolic, psi_grading
 from flagheight.rootsys import build_root_system
 from flagheight.weyl import (
@@ -502,6 +504,16 @@ def test_denominator_check():
     res = height_all_methods(pd, (1, 1))
     c = rs.coxeter_number
     assert denominator_check(res, 2 * c - 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**6, 10**6), st.integers(1, 10**6), st.integers(-2, 60))
+def test_denominator_check_bounds_each_prime_power(num, den, bound):
+    # d divides lcm(1..b) iff every prime power exactly dividing d is <= b
+    value = Fraction(num, den)
+    factors = prime_factorization((2 * value).denominator)
+    assert denominator_check(HeightResult(value), bound) == all(
+        p ** e <= bound for p, e in factors.items())
 
 
 @settings(max_examples=15, deadline=None)

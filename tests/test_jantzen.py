@@ -1,20 +1,24 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flagheight import jantzen
 from flagheight.charpoly import formal_character, freudenthal
 from flagheight.jantzen import (
-    LogCharacterCombo,
     jantzen_rhs,
     jantzen_sizes,
     lambda0_component,
     prime_factorization,
-    psi_signs,
 )
 from flagheight.parabolic import NotAmple, build_parabolic
 from flagheight.rootsys import build_root_system
-from oracles import verify_parabolic_independence, verify_w0_transform
+from oracles import (
+    LogCharacterCombo,
+    psi_signs,
+    verify_parabolic_independence,
+    verify_w0_transform,
+)
 
 
 def test_prime_factorization():
@@ -41,16 +45,15 @@ def test_sl2_hand_value():
     # with character chi_{om}, giving (om + (-om)) log 3
     rs = build_root_system("A1")
     pd = build_parabolic(rs, set())
-    combo = jantzen_rhs(pd, (3,))
-    assert combo.terms == {3: {(1,): 1, (-1,): 1}}
+    assert jantzen_rhs(pd, (3,)) == {3: {(1,): 1, (-1,): 1}}
 
 
 def test_sl2_small_weights():
     rs = build_root_system("A1")
     pd = build_parabolic(rs, set())
     # k runs to <a^vee, rho+lam> - 1 = lam + 1; k = 1 contributes no log
-    assert not jantzen_rhs(pd, (0,)).terms
-    assert not jantzen_rhs(pd, (1,)).terms  # k=2 term is singular
+    assert not jantzen_rhs(pd, (0,))
+    assert not jantzen_rhs(pd, (1,))  # k=2 term is singular
 
 
 def test_lambda0_component_vanishes():
@@ -58,15 +61,15 @@ def test_lambda0_component_vanishes():
                       ("G2", (1, 1))]:
         rs = build_root_system(spec)
         pd = build_parabolic(rs, set())
-        combo = jantzen_rhs(pd, lam)
-        assert lambda0_component(combo, pd, lam) == {}
+        rhs = jantzen_rhs(pd, lam)
+        assert lambda0_component(rhs, pd, lam) == {}
 
 
 def test_lambda0_component_rejects_singular():
     rs = build_root_system("A2")
     pd = build_parabolic(rs, set())
     with pytest.raises(ValueError):
-        lambda0_component(LogCharacterCombo(), pd, (-1, 0))
+        lambda0_component({}, pd, (-1, 0))
 
 
 @pytest.mark.parametrize("spec,lam,theta", [
@@ -97,10 +100,10 @@ def test_w0_reindexing(spec):
 def test_rhs_nontrivial_b2():
     rs = build_root_system("B2")
     pd = build_parabolic(rs, set())
-    combo = jantzen_rhs(pd, (1, 1))
-    assert combo.terms
+    rhs = jantzen_rhs(pd, (1, 1))
+    assert rhs
     # all coefficients are integers attached to genuine primes
-    for p, bucket in combo.terms.items():
+    for p, bucket in rhs.items():
         assert prime_factorization(p) == {p: 1}
         assert all(isinstance(c, int) and c for c in bucket.values())
 
@@ -136,7 +139,8 @@ def test_rhs_matches_termwise_sum(spec, box):
         # the Borel, one zero of lam, and all of them
         for theta in {(), tuple(zeros[:1]), tuple(zeros)}:
             pd = build_parabolic(rs, set(theta))
-            assert jantzen_rhs(pd, lam) == _jantzen_rhs_termwise(pd, lam)
+            assert jantzen_rhs(pd, lam) == \
+                _jantzen_rhs_termwise(pd, lam).terms
 
 
 @pytest.mark.parametrize("spec,lam,runs", [
@@ -154,7 +158,7 @@ def test_rhs_runs_freudenthal_once_per_weight(monkeypatch, spec, lam, runs):
 
     monkeypatch.setattr(jantzen, "freudenthal", counted)
     pd = build_parabolic(build_root_system(spec), set())
-    assert jantzen_rhs(pd, lam) == _jantzen_rhs_termwise(pd, lam)
+    assert jantzen_rhs(pd, lam) == _jantzen_rhs_termwise(pd, lam).terms
     assert len(calls) == len(set(calls)) == runs
 
 
@@ -190,5 +194,29 @@ def test_steinberg_weight_has_no_p_bucket(spec, p):
     # the p-part of the sum; other primes still appear
     rs = build_root_system(spec)
     lam = tuple((p - 1) * r for r in rs.rho)
-    combo = jantzen_rhs(build_parabolic(rs, set()), lam)
-    assert p not in combo.terms and combo.terms
+    rhs = jantzen_rhs(build_parabolic(rs, set()), lam)
+    assert p not in rhs and rhs
+
+
+@st.composite
+def _dominant_instances(draw):
+    """A small type, a dominant lambda and a theta on which it vanishes."""
+    spec = draw(st.sampled_from(["A1", "A2", "B2", "G2", "A3", "B3", "C3",
+                                 "A1xA1"]))
+    rs = build_root_system(spec)
+    top = 2 if rs.rank == 3 else 4
+    lam = tuple(draw(st.lists(st.integers(0, top), min_size=rs.rank,
+                              max_size=rs.rank)))
+    zeros = [i for i, l in enumerate(lam) if l == 0]
+    theta = draw(st.sets(st.sampled_from(zeros))) if zeros else set()
+    return build_parabolic(rs, theta), lam
+
+
+@settings(max_examples=60, deadline=None)
+@given(_dominant_instances())
+def test_rhs_of_a_dominant_weight_is_weightwise_positive(instance):
+    # sum_p log p sum_{i>0} ch V^i_p is a sum of true characters
+    pd, lam = instance
+    for bucket in jantzen_rhs(pd, lam).values():
+        assert bucket and all(c > 0 for c in bucket.values())
+
