@@ -1,5 +1,11 @@
-"""The global height of G/P for an ample weight, by three independent exact
-algorithms, and the denominator bound check.
+"""The global height of G/P for an ample weight, exactly, and the
+denominator bound check.
+
+Two algorithms: substitution into the graded dimension polynomials, and a
+localisation sum over the torus-fixed points.  The localisation polynomial
+has two derivations, fixed-point and harmo-bott, whose integer coefficient
+lists are compared coefficient by coefficient; substitution, which walks no
+coset, is the cross-check that depends on the input.
 
 Throughout, N = |Psi| is the complex dimension of G/P; the height is the
 degree of the (N+1)-st power of the arithmetic first Chern class, and every
@@ -8,7 +14,6 @@ formula below uses the exponent N+1 and the factorial (N+1)!.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -31,9 +36,10 @@ class NotRegularY(ValueError):
 
 
 class MethodDisagreement(InvariantViolation):
-    """The independent height algorithms produced different values.  The
-    instance (pd, lam, y), each method's value and whether the localisation
-    sums were halved by the w0 pairing are kept for a diagnostic."""
+    """Substitution and the localisation sum differ, or the fixed-point and
+    harmo-bott coefficient lists do.  The instance (pd, lam, y), each
+    method's value and whether the localisation sums were halved by the w0
+    pairing are kept for a diagnostic."""
 
     def __init__(self, pd: ParabolicData, lam, y, values: dict,
                  w0_paired: bool):
@@ -59,6 +65,11 @@ class HeightResult:
 # ---------------------------------------------------------------------
 
 
+def _dim_and_lcm(pd: ParabolicData):
+    """N = dim G/P and L = lcm(1..N+1), the scale of every height kernel."""
+    return pd.dim, math.lcm(*range(1, pd.dim + 2))
+
+
 def height_substitution(pd: ParabolicData, lam) -> HeightResult:
     """Sum the graded dimension polynomials f_j(m,k), replace every power
     k^l (l >= 0) by (m j)^{l+1} / (2 (l+1)^2), take the coefficient of
@@ -69,8 +80,7 @@ def height_substitution(pd: ParabolicData, lam) -> HeightResult:
     R, and summed per bucket (see graded_part).  With L = lcm(1..N+1) the
     sum is one integer over 2 L^2 R, and the only Fraction is the final
     value.  lam must be ample (check_ample, through graded_part)."""
-    N = pd.dim
-    L = math.lcm(*range(1, N + 2))
+    N, L = _dim_and_lcm(pd)
     R, parts = graded_part(pd, lam, N)
     # k^l -> j^{l+1} L^2 / (l+1)^2, over 2 L^2
     total = sum(e * j ** (l + 1) * (L // (l + 1)) ** 2
@@ -80,7 +90,7 @@ def height_substitution(pd: ParabolicData, lam) -> HeightResult:
 
 
 # ---------------------------------------------------------------------
-# the localisation pass shared by the two fixed-point methods
+# the localisation pass, one polynomial for methods 2 and 3
 # ---------------------------------------------------------------------
 
 
@@ -109,39 +119,35 @@ def check_y(rs: RootSystem, Y) -> tuple:
 
 
 class _PhiRow(dict):
-    """t -> sum_e coeffs[e] x^e phi^{N-e} with x = x(phi, t), for one phi
-    and N = len(coeffs) - 1: each value is formed by Horner's rule in x on
-    its first lookup and kept."""
+    """t -> sum_l coeffs[l] t^l phi^{N-l} for one phi, N = len(coeffs) - 1:
+    each value is formed by Horner's rule in t on first lookup and kept."""
 
-    def __init__(self, coeffs, phi, x):
+    def __init__(self, coeffs, phi):
         super().__init__()
         N = len(coeffs) - 1
-        self.scaled = [c * phi ** (N - e) for e, c in enumerate(coeffs)][::-1]
-        self.phi = phi
-        self.x = x
+        self.scaled = [c * phi ** (N - l) for l, c in enumerate(coeffs)][::-1]
 
     def __missing__(self, t):
-        x = self.x(self.phi, t)
         acc = 0
         for c in self.scaled:
-            acc = acc * x + c
+            acc = acc * t + c
         self[t] = acc
         return acc
 
 
-def _localization_pass(pd: ParabolicData, lam, Y, cap: int, kernels):
+def _localization_pass(pd: ParabolicData, lam, Y, cap: int, coeffs):
     """One walk over the torus-fixed points of G/P, the cosets w W_Theta,
-    that feeds every kernel (coeffs, x) of `kernels` the sum
+    summing the localisation polynomial with integer coefficients coeffs:
 
-        sum_w (prod_a theta_a)^{-1} sum_a j_a sum_e coeffs[e] x_a^e phi^{N-e}
+        sum_w (prod_a theta_a)^{-1} sum_a j_a sum_l coeffs[l] t_a^l phi^{N-l}
 
     with N = len(coeffs) - 1, phi = (w lam)(sY), theta_a = (w alpha_a)(sY)
     for the roots alpha_a of Psi, j_a = <alpha_a^vee, lam> and
-    x_a = x(phi, j_a theta_a).  Returns (the sums, w0_paired).
+    t_a = j_a theta_a.  Returns (the sum, w0_paired).
 
     Y is scaled by s, the lcm of the denominators of lam(Y) and of the
     entries of Y; then every root value and every phi is an integer.  The
-    terms have degree 0 in Y, so s does not change the sums.  The W-orbit
+    terms have degree 0 in Y, so s does not change the sum.  The W-orbit
     of lam is walked first (its stabilizer is W_Theta, so each point is one
     coset), so a cap is hit before any term is formed.  Each coset then
     takes its phi, through phi(s_i w) = phi(w) - (w lam)_i Y_i, and the
@@ -151,13 +157,12 @@ def _localization_pass(pd: ParabolicData, lam, Y, cap: int, kernels):
     the coset w0 w has phi and every theta_a negated and the same term
     (numerator and prod theta both have degree N), so the cosets with
     phi < 0 are skipped and those with phi > 0 count twice.  The inner
-    polynomial depends on (phi, j_a theta_a) only, and few such pairs occur
-    (2842 over the 5146 cosets of E7/P4 with phi >= 0, of 53 roots each),
-    so Horner's rule runs once per distinct pair, in one _PhiRow per kernel
-    and phi.  Each coset is one integer over the integer prod_a theta_a;
-    the integers over equal products are added, and only then divided.
-    lam's length is checked first, then Y by check_y, then the ampleness
-    of lam by check_ample."""
+    polynomial depends on (phi, t_a) only, and few such pairs occur (2842
+    over the 5146 cosets of E7/P4 with phi >= 0, of 53 roots each), so
+    Horner's rule runs once per distinct pair, in one _PhiRow per phi.
+    Each coset is one integer over the integer prod_a theta_a, added to
+    the integers over equal products before any division.  Checked first:
+    lam's length, then Y (check_y), then lam's ampleness (check_ample)."""
     rs = pd.rs
     lam = rs.check_weight(lam)
     Y = check_y(rs, Y)
@@ -175,8 +180,7 @@ def _localization_pass(pd: ParabolicData, lam, Y, cap: int, kernels):
     index = {coords: k for k, coords in enumerate(positive)}
     grades = [rs._pairing(lam, alpha) for alpha in pd.psi]
     mul = operator.mul
-    rows = [{} for _ in kernels]
-    sums = [{} for _ in kernels]  # prod_a theta_a -> the numerators over it
+    rows, sums = {}, {}  # phi -> its _PhiRow; prod_a theta_a -> numerators
     phis = []
     images = []
     for parent, i in links:
@@ -193,27 +197,16 @@ def _localization_pass(pd: ParabolicData, lam, Y, cap: int, kernels):
             continue
         thetas = [value[r] for r in image]
         prod = math.prod(thetas)
-        jthetas = list(map(mul, grades, thetas))
-        for (coeffs, x), phi_rows, kernel_sums in zip(kernels, rows, sums):
-            row = phi_rows.get(phi)
-            if row is None:
-                row = phi_rows[phi] = _PhiRow(coeffs, phi, x)
-            num = sum(map(mul, grades, map(row.__getitem__, jthetas)))
-            if paired and phi:
-                num *= 2
-            kernel_sums[prod] = kernel_sums.get(prod, 0) + num
-    return [sum((Fraction(num, prod) for prod, num in kernel_sums.items()),
-                Fraction(0)) for kernel_sums in sums], paired
-
-
-def _localization_heights(pd: ParabolicData, lam, Y, cap: int, kernels):
-    """(the heights, w0_paired) from one _localization_pass: each kernel,
-    built from N = dim G/P and L = lcm(1..N+1), gives its sum over 2L."""
-    N = pd.dim
-    L = math.lcm(*range(1, N + 2))
-    sums, paired = _localization_pass(pd, lam, Y, cap,
-                                      [kernel(N, L) for kernel in kernels])
-    return [total / (2 * L) for total in sums], paired
+        row = rows.get(phi)
+        if row is None:
+            row = rows[phi] = _PhiRow(coeffs, phi)
+        num = sum(map(mul, grades,
+                      map(row.__getitem__, map(mul, grades, thetas))))
+        if paired and phi:
+            num *= 2
+        sums[prod] = sums.get(prod, 0) + num
+    return sum((Fraction(num, prod) for prod, num in sums.items()),
+               Fraction(0)), paired
 
 
 # ---------------------------------------------------------------------
@@ -221,33 +214,33 @@ def _localization_heights(pd: ParabolicData, lam, Y, cap: int, kernels):
 # ---------------------------------------------------------------------
 
 
-def _fixed_point_kernel(N: int, L: int):
-    """The coefficients C_e of height_fixed_point, in x = phi - j theta."""
-    suffix = list(itertools.accumulate(L // l for l in range(N + 1, 0, -1)))
-    return suffix[::-1], lambda phi, t: phi - t
+def _fixed_point_kernel(N: int, L: int) -> list:
+    """The coefficients F_l of height_fixed_point, in t = j theta: its
+    m-th term over theta is j sum_l (-1)^l C(m, l+1)/m t^l phi^{N-l}, so
+    F_l = (-1)^l sum_{m=l+1}^{N+1} L C(m, l+1)/m, each summand the integer
+    (L/(l+1)) C(m-1, l)."""
+    return [(-1) ** l * sum(L * math.comb(m, l + 1) // m
+                            for m in range(l + 1, N + 2))
+            for l in range(N + 1)]
 
 
 def height_fixed_point(pd: ParabolicData, lam, Y=None,
                        cap: int = DEFAULT_CAP) -> HeightResult:
     """Exact fixed-point sum over W_G/W_K:
 
-        sum_w (prod_a theta_wa)^{-1} sum_{l=1}^{N+1} sum_a
-            (phi^{N+1} - phi^{N+1-l} (phi - j theta_wa)^l) / (2 l theta_wa)
+        sum_w (prod_a theta_wa)^{-1} sum_{m=1}^{N+1} sum_a
+            (phi^{N+1} - phi^{N+1-m} (phi - j theta_wa)^m) / (2 m theta_wa)
 
     with phi = (w lam)(Y), theta_wa = (w a)(Y) and j the grading index of a;
-    r = phi - j theta_wa is the reflected angle S_{wa}(w lam)(Y).
+    phi - j theta_wa is the reflected angle S_{wa}(w lam)(Y).
 
-    With Y scaled to integer values (see _localization_pass),
-    (phi^l - r^l) / theta_wa = j h_{l-1}(phi, r), h the complete
-    homogeneous polynomial, so with L = lcm(1..N+1) the inner sum is
-    sum_a j sum_e C_e r^e phi^{N-e} / (2L), C_e = sum_{l>e} L/l: one
-    integer per coset over prod_a theta_wa, and one division by 2L at the
-    end.  The term of w is homogeneous of degree 0 in (phi, theta), so when
-    w0 Y = -Y the cosets w and w0 w give equal terms and only half of them
-    are summed; the inner polynomial is evaluated once per distinct
-    (phi, j theta_wa) (see _localization_pass)."""
-    (value,), _ = _localization_heights(pd, lam, Y, cap, [_fixed_point_kernel])
-    return HeightResult(value)
+    Expanded in t = j theta_wa and divided by theta_wa, the inner sum is
+    sum_a j sum_l F_l t^l phi^{N-l} / (2L), L = lcm(1..N+1), F_l the
+    integers of _fixed_point_kernel: one integer per coset over
+    prod_a theta_wa (see _localization_pass), divided by 2L at the end."""
+    N, L = _dim_and_lcm(pd)
+    total, _ = _localization_pass(pd, lam, Y, cap, _fixed_point_kernel(N, L))
+    return HeightResult(total / (2 * L))
 
 
 # ---------------------------------------------------------------------
@@ -255,10 +248,11 @@ def height_fixed_point(pd: ParabolicData, lam, Y=None,
 # ---------------------------------------------------------------------
 
 
-def _harmo_bott_kernel(N: int, L: int):
-    """The coefficients K_l of height_harmo_bott, in x = j theta."""
+def _harmo_bott_kernel(N: int, L: int) -> list:
+    """The coefficients K_l = (-1)^l (L/(l+1)) C(N+1, l+1) of
+    height_harmo_bott, in t = j theta."""
     return [(-1) ** l * (L // (l + 1)) * math.comb(N + 1, l + 1)
-            for l in range(N + 1)], lambda phi, t: t
+            for l in range(N + 1)]
 
 
 def height_harmo_bott(pd: ParabolicData, lam, Y=None,
@@ -268,28 +262,34 @@ def height_harmo_bott(pd: ParabolicData, lam, Y=None,
         sum_w sum_{l=0}^{N} (-1)^l/(2(l+1)) C(N+1, l+1)
             sum_a j_a^{l+1} theta_wa^l phi^{N-l} / prod_b theta_wb
 
-    With Y scaled to integer values (see _localization_pass) and
-    L = lcm(1..N+1), the coefficients K_l = (-1)^l (L/(l+1)) C(N+1, l+1)
-    are integers, the inner sum is sum_a j_a sum_l K_l (j_a theta_wa)^l
-    phi^{N-l} / (2L): one integer per coset over prod_b theta_wb, and one
-    division by 2L at the end, with the same w0 pairing and the same one
-    evaluation per distinct (phi, j_a theta_wa) as height_fixed_point."""
-    (value,), _ = _localization_heights(pd, lam, Y, cap, [_harmo_bott_kernel])
-    return HeightResult(value)
+    With L = lcm(1..N+1) and the integers K_l of _harmo_bott_kernel, that
+    is height_fixed_point's polynomial sum_a j_a sum_l K_l t^l phi^{N-l}
+    / (2L) from another formula: C(m, l+1)/m = C(m-1, l)/(l+1) and the
+    hockey-stick identity give K_l = F_l for every N."""
+    N, L = _dim_and_lcm(pd)
+    total, _ = _localization_pass(pd, lam, Y, cap, _harmo_bott_kernel(N, L))
+    return HeightResult(total / (2 * L))
 
 
 def height_all_methods(pd: ParabolicData, lam, Y=None,
                        cap: int = DEFAULT_CAP) -> HeightResult:
-    """Run all three algorithms and insist on exact agreement.  One
-    localisation pass feeds both the fixed-point and the harmo-bott kernel.
-    It runs first, and walks the whole orbit before it forms any term, so
-    that a cap is hit before any kernel starts."""
-    (fixed_point, harmo_bott), paired = _localization_heights(
-        pd, lam, Y, cap, [_fixed_point_kernel, _harmo_bott_kernel])
+    """The height by substitution, checked against the localisation sum.
+    The pass is linear in its coefficients, so equal fixed-point and
+    harmo-bott lists give equal sums on every input and one pass serves
+    both; lists that differ are a disagreement on every input, and a second
+    pass gives harmo-bott's value for the diagnostic.  The pass runs first
+    and walks the whole orbit before it forms any term, so that a cap is
+    hit before any kernel starts."""
+    N, L = _dim_and_lcm(pd)
+    fixed_point = _fixed_point_kernel(N, L)
+    harmo_bott = _harmo_bott_kernel(N, L)
+    total, paired = _localization_pass(pd, lam, Y, cap, fixed_point)
+    other = total if harmo_bott == fixed_point else \
+        _localization_pass(pd, lam, Y, cap, harmo_bott)[0]
     res = height_substitution(pd, lam)
-    values = {"substitution": res.value, "fixed_point": fixed_point,
-              "harmo_bott": harmo_bott}
-    if len(set(values.values())) > 1:
+    values = {"substitution": res.value, "fixed_point": total / (2 * L),
+              "harmo_bott": other / (2 * L)}
+    if harmo_bott != fixed_point or len(set(values.values())) > 1:
         raise MethodDisagreement(
             pd, lam, default_y(pd.rs) if Y is None else Y, values, paired)
     return res

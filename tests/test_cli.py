@@ -216,19 +216,18 @@ def test_coset_count_check_survives_python_O():
 
 
 _WRONG_HARMO_BOTT = textwrap.dedent("""
-    import math
     import sys
     from flagheight import cli, height
 
-    right = height._localization_pass
+    right = height._harmo_bott_kernel
 
-    def wrong(pd, lam, Y, cap, kernels):
-        # the last kernel is harmo-bott's; its height is its sum over 2L
-        sums, paired = right(pd, lam, Y, cap, kernels)
-        sums[-1] += 2 * math.lcm(*range(1, pd.dim + 2))
-        return sums, paired
+    def wrong(N, L):
+        # K_0 one too large: the lists differ, so --method all exits 5
+        coeffs = right(N, L)
+        coeffs[0] += 1
+        return coeffs
 
-    height._localization_pass = wrong
+    height._harmo_bott_kernel = wrong
     sys.exit(cli.main(sys.argv[1:]))
 """)
 
@@ -255,7 +254,7 @@ def test_method_disagreement_diagnostic():
     assert doc["y"] == [{"num": "1", "den": "2"}, {"num": "3", "den": "1"}]
     assert doc["substitution"] == {"num": "17", "den": "3"}
     assert doc["fixed_point"] == {"num": "17", "den": "3"}
-    assert doc["harmo_bott"] == {"num": "20", "den": "3"}
+    assert doc["harmo_bott"] == {"num": "6", "den": "1"}
     assert doc["w0_paired"] is True
 
 
@@ -267,6 +266,29 @@ def test_method_disagreement_diagnostic_unpaired():
     doc = json.loads(proc.stderr.splitlines()[1])
     assert doc["w0_paired"] is False
     assert doc["fixed_point"] == doc["substitution"] != doc["harmo_bott"]
+
+
+def test_method_all_runs_one_localisation_pass(capsys, monkeypatch):
+    # equal fixed-point and harmo-bott lists share one pass; a second runs
+    # only for the diagnostic of lists that differ
+    passes = []
+    right_pass = height._localization_pass
+
+    def counted(*args):
+        passes.append(args)
+        return right_pass(*args)
+
+    monkeypatch.setattr(height, "_localization_pass", counted)
+    argv = ("height", "--group", "B2", "--theta", "2", "--lambda", "1,0",
+            "--method", "all")
+    code, _, _ = run(capsys, *argv)
+    assert code == EXIT_OK and len(passes) == 1
+    right_kernel = height._harmo_bott_kernel
+    monkeypatch.setattr(height, "_harmo_bott_kernel", lambda N, L: [
+        c + (l == 0) for l, c in enumerate(right_kernel(N, L))])
+    passes.clear()
+    code, _, _ = run(capsys, *argv)
+    assert code == EXIT_CROSSCHECK and len(passes) == 2
 
 
 _AFTER_STDIN_EOF = textwrap.dedent("""

@@ -321,7 +321,8 @@ def all_parabolics(spec):
 
 def w0_paired(pd, lam, Y=None):
     """Whether the localisation pass halves its sums by the w0 pairing."""
-    return height._localization_pass(pd, lam, Y, DEFAULT_CAP, [])[1]
+    coeffs = height._harmo_bott_kernel(*height._dim_and_lcm(pd))
+    return height._localization_pass(pd, lam, Y, DEFAULT_CAP, coeffs)[1]
 
 
 ORACLE_YS = {
@@ -404,21 +405,55 @@ def test_all_methods_walks_each_orbit_once(spec, monkeypatch):
         assert len(walks) == 1
 
 
+def _x_basis_kernel(N, L):
+    """Fixed-point's polynomial in x = phi - t, where
+    (phi^m - x^m) / theta = j h_{m-1}(phi, x) gives the coefficients
+    C_e = sum_{l>e} L/l of x^e phi^{N-e}, expanded in t: the coefficient
+    of t^l phi^{N-l} is (-1)^l sum_{e>=l} C_e C(e, l)."""
+    C = list(itertools.accumulate(L // l for l in range(N + 1, 0, -1)))[::-1]
+    return [(-1) ** l * sum(C[e] * math.comb(e, l) for e in range(l, N + 1))
+            for l in range(N + 1)]
+
+
+def test_fixed_point_and_harmo_bott_are_one_polynomial():
+    for N in range(201):
+        L = math.lcm(*range(1, N + 2))
+        oracle = _x_basis_kernel(N, L)
+        assert height._fixed_point_kernel(N, L) == oracle
+        assert height._harmo_bott_kernel(N, L) == oracle
+
+
+def _off_by_one(monkeypatch):
+    """Patch harmo-bott's kernel to have K_0 one too large."""
+    right = height._harmo_bott_kernel
+
+    def wrong(N, L):
+        coeffs = right(N, L)
+        coeffs[0] += 1
+        return coeffs
+
+    monkeypatch.setattr(height, "_harmo_bott_kernel", wrong)
+
+
+def test_differing_kernels_disagree_whatever_the_sums(monkeypatch):
+    # every pass returns 136 = 2L 17/3 (L = 12), the right sum for B2/P2
+    # at (1, 0); the lists still differ, so the methods disagree
+    _off_by_one(monkeypatch)
+    monkeypatch.setattr(height, "_localization_pass",
+                        lambda pd, lam, Y, cap, coeffs: (Fraction(136), True))
+    pd = build_parabolic(build_root_system("B2"), {1})
+    with pytest.raises(MethodDisagreement) as exc:
+        height_all_methods(pd, (1, 0))
+    assert set(exc.value.values.values()) == {Fraction(17, 3)}
+
+
 def test_method_disagreement_names_every_method_in_order(monkeypatch):
-    right = height._localization_pass
-
-    def wrong(pd, lam, Y, cap, kernels):
-        # harmo-bott's kernel comes last, and its height is its sum over 2L
-        sums, paired = right(pd, lam, Y, cap, kernels)
-        sums[-1] += 2 * math.lcm(*range(1, pd.dim + 2))
-        return sums, paired
-
-    monkeypatch.setattr(height, "_localization_pass", wrong)
+    _off_by_one(monkeypatch)
     pd = build_parabolic(build_root_system("B2"), {1})
     with pytest.raises(MethodDisagreement) as exc:
         height_all_methods(pd, (1, 0), (Fraction(1, 2), 3))
     assert str(exc.value) == "height methods disagree: substitution=17/3, " \
-        "fixed_point=17/3, harmo_bott=20/3"
+        "fixed_point=17/3, harmo_bott=6"
     assert exc.value.y == (Fraction(1, 2), 3) and exc.value.w0_paired
 
 
