@@ -248,95 +248,153 @@ def weyl_dim(rs: RootSystem, lam0) -> int:
     return dim
 
 
-def freudenthal(rs: RootSystem, lam0, subset=None) -> dict:
-    """Full weight-multiplicity table (weight -> multiplicity) of the
-    irreducible representation with highest weight lam0, by the Freudenthal
-    recursion over dominant weights and one Weyl-orbit walk.
+class WeightCore:
+    """The weights of the irreducible module of a dominant top weight, held
+    once for every dominant lam0 below the top.
 
-    With `subset` given, the representation is the one of the Levi subsystem
-    generated by those simple roots (lam0 must be dominant there); this is
-    used for the localized Lefschetz character sums.
+    With `subset` given, the module is the one of the Levi subsystem
+    generated by those simple roots (top must be dominant there).
 
-    The dominant weights below lam0 are the closure of lam0 under
+    The dominant weights below top are the closure of top under
     subtracting positive roots and keeping dominant results: when lam covers
     mu among dominant weights, lam - mu is a positive root (Stembridge, The
-    partial order of dominant weights, Adv. Math. 1998).  The closure carries
-    the root coordinates of lam0 - mu, so the recursion runs on integers.
+    partial order of dominant weights, Adv. Math. 1998).  The closure
+    carries the root coordinates of top - mu.  One weyl.orbit walk over the
+    orbits of all of them under the subset's reflections builds each weight
+    of the module once, from its parent, and so records its seed; a root
+    string through a seed is then read off as the seeds of its points.
 
-    One weyl.orbit walk over the orbits of all the dominant weights under
-    the subset's reflections builds each weight of the module once, from
-    its parent, and records the index of the dominant weight of its orbit.
-    That index is both the recursion's lookup, for every weight on a root
-    string, and, once the multiplicities are known, the table's value.
-    """
-    lam0 = rs.check_weight(lam0)
-    subset = tuple(range(rs.rank)) if subset is None else tuple(sorted(subset))
-    if not rs.is_dominant(lam0, subset):
-        raise ValueError(f"{lam0} is not dominant on {subset}")
+    Attributes: `seeds`, the dominant weights below top by depth, top
+    first; `index`, each seed's index; `below`, the root coordinates of
+    top - mu per seed; `strings`, per seed mu and positive root b with
+    mu + b a weight, ((b, mu), (b, b), the seed indices of mu + k b for
+    k = 1, 2, ... to the end of the string); `points`, the points of the
+    seeds' orbits, seeds first, and `seed_of`, each one's seed index."""
+
+    __slots__ = ("rs", "top", "seeds", "index", "below", "strings",
+                 "points", "seed_of")
+
+    def __init__(self, rs: RootSystem, top, subset=None):
+        top = rs.check_weight(top)
+        subset = tuple(range(rs.rank)) if subset is None \
+            else tuple(sorted(subset))
+        if not rs.is_dominant(top, subset):
+            raise ValueError(f"{top} is not dominant on {subset}")
+        d = rs._symmetrizer
+        fws = rs._root_weights
+        # per positive root b of the subset: b in fw coordinates, the
+        # coefficients of (b, nu) = sum_i b_i d_i nu_i, and (b, b)
+        pos = []
+        for b in rs.positive_roots:
+            if all(i in subset for i, c in enumerate(b.coords) if c):
+                fw = fws[b.coords]
+                bd = tuple(map(mul, b.coords, d))
+                pos.append((b.coords, fw, bd, sum(map(mul, bd, fw))))
+
+        # below[mu]: the root coordinates of top - mu, for every weight mu
+        # dominant on the subset with top - mu in the subset's positive cone
+        below = {top: (0,) * rs.rank}
+        frontier = [top]
+        while frontier:
+            nxt = []
+            for mu in frontier:
+                for coords, fw, _, _ in pos:
+                    nu = tuple(map(sub, mu, fw))
+                    if nu not in below and all(nu[i] >= 0 for i in subset):
+                        below[nu] = tuple(map(add, below[mu], coords))
+                        nxt.append(nu)
+            frontier = nxt
+
+        # the seeds by depth sum(below[mu]), top first; table maps each
+        # point of their orbits to the index of its orbit's seed
+        seeds = sorted(below, key=lambda mu: sum(below[mu]))
+        points, links = orbit(rs, seeds, subset, weyl_order(rs) * len(seeds))
+        seed_of = list(range(len(seeds)))
+        for parent, _ in links[len(seeds):]:
+            seed_of.append(seed_of[parent])
+        table = dict(zip(points, seed_of))
+        strings = []
+        for mu in seeds:
+            row = []
+            for _, fw, bd, step in pos:
+                chain = []
+                nu = tuple(map(add, mu, fw))
+                while (s := table.get(nu)) is not None:
+                    chain.append(s)
+                    nu = tuple(map(add, nu, fw))
+                if chain:
+                    row.append((sum(map(mul, bd, mu)), step, chain))
+            strings.append(row)
+        self.rs, self.top, self.seeds = rs, top, seeds
+        self.index = dict(zip(seeds, range(len(seeds))))
+        self.below = [below[mu] for mu in seeds]
+        self.strings, self.points, self.seed_of = strings, points, seed_of
+
+
+def dominant_multiplicities(core: WeightCore, lam0) -> list:
+    """The multiplicity in the irreducible module of lam0 of each seed of
+    core (0 for a seed not below lam0), by the Freudenthal recursion.
+    InvariantViolation unless lam0 is a seed of core.
+
+    Each mu needs only weights of smaller depth, so of smaller seed index.
+    The root strings of core run over the module of its top: weight sets
+    are saturated and strings are unbroken, so in the module of lam0 a
+    string stops at its first point whose seed is not below lam0, which
+    has multiplicity 0."""
+    rs, seeds, below = core.rs, core.seeds, core.below
+    i0 = core.index.get(lam0)
+    if i0 is None:
+        raise InvariantViolation(
+            f"{lam0} is not a dominant weight below {core.top}")
+    base = below[i0]
     d = rs._symmetrizer
-    fws = rs._root_weights
-    # per positive root b of the subset: b in fw coordinates, the
-    # coefficients of (b, nu) = sum_i b_i d_i nu_i, and (b, b)
-    pos = []
-    for b in rs.positive_roots:
-        if all(i in subset for i, c in enumerate(b.coords) if c):
-            fw = fws[b.coords]
-            bd = tuple(map(mul, b.coords, d))
-            pos.append((b.coords, fw, bd, sum(map(mul, bd, fw))))
-
-    # below[mu]: the root coordinates of lam0 - mu, for every weight mu
-    # dominant on the subset with lam0 - mu in the subset's positive cone
-    below = {lam0: (0,) * rs.rank}
-    frontier = [lam0]
-    while frontier:
-        nxt = []
-        for mu in frontier:
-            for coords, fw, _, _ in pos:
-                nu = tuple(map(sub, mu, fw))
-                if nu not in below and all(nu[i] >= 0 for i in subset):
-                    below[nu] = tuple(map(add, below[mu], coords))
-                    nxt.append(nu)
-        frontier = nxt
-
-    # the dominant weights by depth sum(below[mu]), lam0 first; table maps
-    # each point of their orbits to the index of its orbit's seed
-    seeds = sorted(below, key=lambda mu: sum(below[mu]))
-    points, links = orbit(rs, seeds, subset, weyl_order(rs) * len(seeds))
-    seed_of = list(range(len(seeds)))
-    for parent, _ in links[len(seeds):]:
-        seed_of.append(seed_of[parent])
-    table = dict(zip(points, seed_of))
-
-    # each mu needs only weights of smaller depth, so of smaller seed index;
-    # alpha-strings through weights are unbroken, so a string stops at its
-    # first nu that is not a weight of the module
-    mults = [1]
-    for mu in seeds[1:]:
+    mults = [0] * len(seeds)
+    mults[i0] = 1
+    for i in range(i0 + 1, len(seeds)):
+        # the root coordinates of lam0 - mu: mu is below lam0 iff all >= 0
+        coords = tuple(map(sub, below[i], base))
+        if min(coords) < 0:
+            continue
         acc = 0
-        for _, fw, bd, step in pos:
-            pair = sum(map(mul, bd, mu))
-            nu = mu
-            while True:
-                nu = tuple(map(add, nu, fw))
-                s = table.get(nu)
-                if s is None:
+        for pair, step, chain in core.strings[i]:
+            for s in chain:
+                m = mults[s]
+                if not m:
                     break
                 pair += step
-                acc += mults[s] * pair
+                acc += m * pair
         # (lam0 + rho)^2 - (mu + rho)^2 with the full rho works for the Levi
         # too, since lam0 - mu lies in the span of the subset roots
+        mu = seeds[i]
         denom = sum(c * di * (l + m + 2 * r) for c, di, l, m, r
-                    in zip(below[mu], d, lam0, mu, rs.rho))
+                    in zip(coords, d, lam0, mu, rs.rho))
         if denom <= 0 or 2 * acc % denom:
             raise InvariantViolation(
                 f"Freudenthal multiplicity of {mu} in the module of "
                 f"{lam0} is not an integer over a positive denominator: "
                 f"{2 * acc}/{denom}")
-        mults.append(2 * acc // denom)
+        mults[i] = 2 * acc // denom
+    return mults
 
-    for nu, s in table.items():
-        table[nu] = mults[s]
-    return table
+
+def expand(core: WeightCore, values) -> dict:
+    """{point: value of its seed} over the points of core, in their orbit
+    order, without zero values: a W-invariant function on the weights from
+    its values on the seeds."""
+    return {nu: values[s] for nu, s in zip(core.points, core.seed_of)
+            if values[s]}
+
+
+def freudenthal(rs: RootSystem, lam0, subset=None) -> dict:
+    """Full weight-multiplicity table (weight -> multiplicity) of the
+    irreducible representation with highest weight lam0: the Freudenthal
+    recursion over the dominant weights (dominant_multiplicities), over the
+    WeightCore of lam0, expanded once over its orbit points.
+
+    With `subset` given, the representation is the one of the Levi subsystem
+    generated by those simple roots (lam0 must be dominant there)."""
+    core = WeightCore(rs, lam0, subset)
+    return expand(core, dominant_multiplicities(core, core.top))
 
 
 # ---------------------------------------------------------------------

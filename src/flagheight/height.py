@@ -218,9 +218,19 @@ def _fixed_point_kernel(N: int, L: int) -> list:
     """The coefficients F_l of height_fixed_point, in t = j theta: its
     m-th term over theta is j sum_l (-1)^l C(m, l+1)/m t^l phi^{N-l}, so
     F_l = (-1)^l sum_{m=l+1}^{N+1} L C(m, l+1)/m, each summand the integer
-    (L/(l+1)) C(m-1, l)."""
-    return [(-1) ** l * sum(L * math.comb(m, l + 1) // m
-                            for m in range(l + 1, N + 2))
+    (L/(l+1)) C(m-1, l).
+
+    The sums over m add Pascal rows: row m-1 is (1 + X)^(m-1), packed as
+    one int at X = 2^(N+1), and the next row is row + row X.  A digit of
+    the sum is at most the sum of the row sums, 2^(N+1) - 1, so the digits
+    of the packed sum are the sum_m C(m-1, l)."""
+    width = N + 1
+    total, row = 0, 1
+    for _ in range(N + 1):
+        total += row
+        row += row << width
+    mask = (1 << width) - 1
+    return [(-1) ** l * (L // (l + 1)) * (total >> width * l & mask)
             for l in range(N + 1)]
 
 

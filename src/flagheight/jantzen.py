@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from operator import add
 
-from .charpoly import freudenthal, weyl_dim
+from .charpoly import WeightCore, dominant_multiplicities, expand, weyl_dim
 from .parabolic import ParabolicData, check_vanishes
 from .rootsys import InvariantViolation, RootSystem
 from .weyl import to_dominant_dotted
@@ -36,12 +36,17 @@ def jantzen_rhs(pd: ParabolicData, lam) -> dict:
 
     Coefficients first: each term is reduced by to_dominant_dotted to
     +-chi of one dominant lam0, and its sign times the exponent of p in k
-    is added to an integer c[lam0][p].  Many terms share a lam0, so the
-    Freudenthal table of each lam0 with some c != 0 is built once and
-    added c times into the bucket of p.  lam must vanish on theta
-    (check_vanishes).  For a dominant lam the sum is sum_p log p
-    sum_{i>0} ch V^i_p, a sum of true characters, so InvariantViolation
-    if some c_{p,mu} < 0."""
+    is added to an integer c[lam0][p].  Every such lam0 lies below the
+    normal form of lam (see jantzen_sizes), so one WeightCore, built
+    there, serves every term: its closure, its orbit walk and its root
+    strings.  Characters are summed on dominant weights: one Freudenthal
+    recursion (dominant_multiplicities) per lam0 with some c != 0, added c
+    times into the dominant list of p; then each list is expanded once over
+    the core's points.  InvariantViolation if some lam0 is not in the core.
+    lam must vanish on theta (check_vanishes).  For a dominant lam the sum
+    is sum_p log p sum_{i>0} ch V^i_p, a sum of true characters, so
+    InvariantViolation if some c_{p,mu} < 0; the coefficients are
+    W-invariant, so that is checked on the dominant lists."""
     rs = pd.rs
     lam = check_vanishes(pd, lam)
     nu = tuple(l + r for l, r in zip(lam, rs.rho))
@@ -62,27 +67,30 @@ def jantzen_rhs(pd: ParabolicData, lam) -> dict:
             per_prime = coeff.setdefault(lam0, {})
             for p, e in prime_factorization(k).items():
                 per_prime[p] = per_prime.get(p, 0) + scale * w.sign * e
-    rhs: dict[int, dict] = {}
-    for lam0, per_prime in coeff.items():
-        if any(per_prime.values()):
-            table = freudenthal(rs, lam0)
-            for p, c in per_prime.items():
-                if c:
-                    bucket = rhs.setdefault(p, {})
-                    for mu, m in table.items():
-                        bucket[mu] = bucket.get(mu, 0) + c * m
+    terms = {lam0: per_prime for lam0, per_prime in coeff.items()
+             if any(per_prime.values())}
+    if not terms:  # no normal form needed: rho + lam may be singular
+        return {}
+    core = WeightCore(rs, _lambda0(rs, lam))
+    sums: dict[int, list] = {}
+    for lam0, per_prime in terms.items():
+        mults = dominant_multiplicities(core, lam0)
+        for p, c in per_prime.items():
+            if c:
+                acc = sums.setdefault(p, [0] * len(mults))
+                for i, m in enumerate(mults):
+                    if m:
+                        acc[i] += c * m
     # a bucket with some c != 0 is not zero: the characters of distinct
     # dominant weights are independent
-    dominant = rs.is_dominant(lam)
-    for p, bucket in rhs.items():
-        for mu, c in list(bucket.items()):
-            if not c:
-                del bucket[mu]
-            elif c < 0 and dominant:
+    if rs.is_dominant(lam):
+        for p, acc in sums.items():
+            c = min(acc)
+            if c < 0:
                 raise InvariantViolation(
                     f"the sum at dominant {lam} has coefficient {c} "
-                    f"at weight {mu} under log {p}")
-    return rhs
+                    f"at weight {core.seeds[acc.index(c)]} under log {p}")
+    return {p: expand(core, acc) for p, acc in sums.items()}
 
 
 def _lambda0(rs: RootSystem, lam) -> tuple:
@@ -100,8 +108,9 @@ def jantzen_sizes(pd: ParabolicData, lam) -> tuple[int, int]:
     sum_{a in Psi} (|<a^vee, rho + lam>| - 2)^+, and dim V(lam0), lam0 the
     normal form of lam.  Each term's argument lies on a segment from
     rho + lam to a reflection of it, so in the convex hull of the W-orbit
-    of rho + lam0; its own normal form lies below lam0, and every
-    Freudenthal table has at most dim V(lam0) weights.  ValueError if
+    of rho + lam0; its own normal form lies below lam0, and the one
+    WeightCore of lam0 that serves them all has dim V(lam0) weights at
+    most.  ValueError if
     lam has the wrong length, does not vanish on theta (check_vanishes) or
     rho + lam is singular."""
     rs = pd.rs

@@ -15,7 +15,11 @@ from flagheight.charpoly import (
     freudenthal,
 )
 from flagheight.jantzen import jantzen_rhs, prime_factorization
-from flagheight.parabolic import ParabolicData, build_parabolic
+from flagheight.parabolic import (
+    ParabolicData,
+    build_parabolic,
+    check_vanishes,
+)
 from flagheight.rootsys import InvariantViolation, Root, RootSystem
 from flagheight.weyl import (
     WeylElement,
@@ -23,6 +27,7 @@ from flagheight.weyl import (
     enumerate_weyl,
     longest_element,
     orbit,
+    to_dominant_dotted,
     weyl_order,
 )
 
@@ -397,6 +402,41 @@ class LogCharacterCombo:
                     bucket.pop(mu, None)
             if not bucket:
                 del self.terms[p]
+
+
+def jantzen_rhs_per_weight(pd: ParabolicData, lam) -> dict:
+    """jantzen_rhs as it was computed before its characters were summed on
+    dominant weights: the same coefficients c[lam0][p], then the full
+    freudenthal table of each lam0 with some c != 0, added c times into
+    the bucket of p, weight by weight; zero entries dropped."""
+    rs = pd.rs
+    lam = check_vanishes(pd, lam)
+    nu = tuple(l + r for l, r in zip(lam, rs.rho))
+    coeff: dict[tuple, dict[int, int]] = {}
+    for alpha in pd.psi:
+        top = rs._pairing(nu, alpha)
+        scale = -1 if top >= 0 else 1  # alpha in Psi+ or Psi-
+        step = tuple(scale * f for f in rs.root_to_weight(alpha.coords))
+        for k in range(2, abs(top)):
+            arg = tuple(l + k * s for l, s in zip(lam, step))
+            res = to_dominant_dotted(rs, arg)
+            if res is None:
+                continue
+            w, lam0 = res
+            per_prime = coeff.setdefault(lam0, {})
+            for p, e in prime_factorization(k).items():
+                per_prime[p] = per_prime.get(p, 0) + scale * w.sign * e
+    rhs: dict[int, dict] = {}
+    for lam0, per_prime in coeff.items():
+        if any(per_prime.values()):
+            table = freudenthal(rs, lam0)
+            for p, c in per_prime.items():
+                if c:
+                    bucket = rhs.setdefault(p, {})
+                    for mu, m in table.items():
+                        bucket[mu] = bucket.get(mu, 0) + c * m
+    return {p: {mu: c for mu, c in bucket.items() if c}
+            for p, bucket in rhs.items()}
 
 
 def psi_signs(pd: ParabolicData, lam):

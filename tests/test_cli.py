@@ -570,9 +570,9 @@ def test_jantzen_positivity_is_a_cross_check(capsys, monkeypatch):
     assert code == EXIT_OK and err == ""
     assert json.loads(out)["primes"] == {"3": [{"coeff": -1,
                                                 "weight": [0, 0]}]}
-    freudenthal = jantzen.freudenthal
-    monkeypatch.setattr(jantzen, "freudenthal", lambda rs, lam0: {
-        mu: -m for mu, m in freudenthal(rs, lam0).items()})
+    recursion = jantzen.dominant_multiplicities
+    monkeypatch.setattr(jantzen, "dominant_multiplicities",
+                        lambda core, lam0: [-m for m in recursion(core, lam0)])
     code, out, err = run(capsys, "jantzen-rhs", "--group", "A2",
                          "--theta", "", "--lambda", "2,1")
     assert code == EXIT_CROSSCHECK and out == ""

@@ -3,8 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flagheight import jantzen
-from flagheight.charpoly import formal_character, freudenthal
+from flagheight import charpoly, jantzen
+from flagheight.charpoly import formal_character
 from flagheight.jantzen import (
     jantzen_rhs,
     jantzen_sizes,
@@ -12,9 +12,10 @@ from flagheight.jantzen import (
     prime_factorization,
 )
 from flagheight.parabolic import NotAmple, build_parabolic
-from flagheight.rootsys import build_root_system
+from flagheight.rootsys import InvariantViolation, build_root_system
 from oracles import (
     LogCharacterCombo,
+    jantzen_rhs_per_weight,
     psi_signs,
     verify_parabolic_independence,
     verify_w0_transform,
@@ -150,15 +151,25 @@ def test_rhs_matches_termwise_sum(spec, box):
     ("G2", (1, 3), 10),
 ])
 def test_rhs_runs_freudenthal_once_per_weight(monkeypatch, spec, lam, runs):
-    calls = []
+    # one orbit walk per call, and one dominant recursion per lam0 with a
+    # nonzero coefficient, over that walk's points
+    walks, calls = [], []
+    walk, recursion = charpoly.orbit, jantzen.dominant_multiplicities
 
-    def counted(rs, lam0, subset=None):
+    def counted_walk(*args):
+        walks.append(args)
+        return walk(*args)
+
+    def counted(core, lam0):
         calls.append(lam0)
-        return freudenthal(rs, lam0, subset)
+        return recursion(core, lam0)
 
-    monkeypatch.setattr(jantzen, "freudenthal", counted)
     pd = build_parabolic(build_root_system(spec), set())
-    assert jantzen_rhs(pd, lam) == _jantzen_rhs_termwise(pd, lam).terms
+    expected = _jantzen_rhs_termwise(pd, lam).terms
+    monkeypatch.setattr(charpoly, "orbit", counted_walk)
+    monkeypatch.setattr(jantzen, "dominant_multiplicities", counted)
+    assert jantzen_rhs(pd, lam) == expected
+    assert len(walks) == 1
     assert len(calls) == len(set(calls)) == runs
 
 
@@ -187,7 +198,8 @@ def test_rhs_and_sizes_require_lambda_vanishing_on_theta():
 
 @pytest.mark.parametrize("spec,p", [
     ("A2", 2), ("A2", 3), ("A3", 2), ("A3", 3), ("B2", 2), ("B2", 3),
-    ("G2", 2), ("G2", 3), ("B3", 2), ("C3", 2), ("D4", 2), ("B2", 5)])
+    ("G2", 2), ("G2", 3), ("B3", 2), ("C3", 2), ("D4", 2), ("B2", 5),
+    ("F4", 3)])
 def test_steinberg_weight_has_no_p_bucket(spec, p):
     # at lam = (p-1) rho, L(lam) is the Steinberg module, simple over F_p:
     # every layer V^i, i >= 1, of the Jantzen filtration is zero, and so is
@@ -199,13 +211,14 @@ def test_steinberg_weight_has_no_p_bucket(spec, p):
 
 
 @st.composite
-def _dominant_instances(draw):
-    """A small type, a dominant lambda and a theta on which it vanishes."""
+def _instances(draw, low=0):
+    """A small type, a lambda with entries from low up, and a theta on which
+    it vanishes; low=0 gives a dominant lambda."""
     spec = draw(st.sampled_from(["A1", "A2", "B2", "G2", "A3", "B3", "C3",
                                  "A1xA1"]))
     rs = build_root_system(spec)
     top = 2 if rs.rank == 3 else 4
-    lam = tuple(draw(st.lists(st.integers(0, top), min_size=rs.rank,
+    lam = tuple(draw(st.lists(st.integers(low, top), min_size=rs.rank,
                               max_size=rs.rank)))
     zeros = [i for i, l in enumerate(lam) if l == 0]
     theta = draw(st.sets(st.sampled_from(zeros))) if zeros else set()
@@ -213,10 +226,35 @@ def _dominant_instances(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_dominant_instances())
+@given(_instances())
 def test_rhs_of_a_dominant_weight_is_weightwise_positive(instance):
     # sum_p log p sum_{i>0} ch V^i_p is a sum of true characters
     pd, lam = instance
     for bucket in jantzen_rhs(pd, lam).values():
         assert bucket and all(c > 0 for c in bucket.values())
 
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_instances(), _instances(low=-3)))
+def test_rhs_matches_per_weight_oracle(instance):
+    # summed on dominant weights and expanded once per prime, against every
+    # lam0's full table added into every bucket
+    pd, lam = instance
+    assert jantzen_rhs(pd, lam) == jantzen_rhs_per_weight(pd, lam)
+
+
+def test_rhs_matches_per_weight_oracle_on_f4():
+    pd = build_parabolic(build_root_system("F4"), set())
+    rhs = jantzen_rhs(pd, (1, 1, 1, 1))
+    assert rhs == jantzen_rhs_per_weight(pd, (1, 1, 1, 1))
+    assert sum(map(len, rhs.values())) == 78943
+
+
+def test_rhs_refuses_a_term_above_the_normal_form(monkeypatch):
+    # every term's lam0 lies below the normal form of lambda; a closure
+    # built at a lower weight is missing some of them
+    pd = build_parabolic(build_root_system("B2"), set())
+    monkeypatch.setattr(jantzen, "_lambda0", lambda rs, lam: (0, 0))
+    with pytest.raises(InvariantViolation, match=r"^\(\d+, \d+\) is not a "
+                       r"dominant weight below \(0, 0\)$"):
+        jantzen_rhs(pd, (3, 2))
