@@ -5,8 +5,8 @@ characters.
 The two indeterminates are the scaling variable m of the line bundle and
 the shift variable k along an isotropy root.  Products of the linear
 dimension factors run on integers, keeping only the homogeneous parts asked
-for (dim_polynomial_parts, graded_part); BivariatePolynomial holds the
-exact sparse result over Fraction.
+for (_packed_sum, which dim_polynomial and graded_part call);
+BivariatePolynomial holds the exact sparse result over Fraction.
 
 Each homogeneous part sum_i e_i m^{d-i} k^i is held as one int, its
 k-polynomial evaluated at k = 2^B (Kronecker substitution).  A linear
@@ -161,30 +161,9 @@ def _unpack(x: int, count: int, width: int) -> list:
     return digits
 
 
-def dim_polynomial_parts(pd: ParabolicData, lam, alpha: Root,
-                         low: int = 0, top: int | None = None):
-    """The dimension polynomial of the positive root alpha (see
-    dim_polynomial) as R^{-1} times an integer polynomial,
-    R = prod_beta <beta^vee, rho>.
-
-    Scaling the factor of beta by r = <beta^vee, rho> makes it the integer
-    linear form r + a m + c k with a = <beta^vee, lam> and c = -<beta^vee,
-    alpha>.  Returns (R, parts), parts[d - low] = [e_0, ..., e_d] the
-    homogeneous part of degree d (e_i the coefficient of m^{d-i} k^i) for
-    low <= d <= top (default: the full degree |Sigma+|).  Parts below `low`
-    are never formed: after t of n factors only the degrees that the
-    remaining n - t factors can still lift to `low` are kept."""
-    rs = pd.rs
-    top = rs.num_positive_roots if top is None else top
-    pairings = _pairings(rs, lam)
-    width, packed = _packed_sum(rs, pairings, (alpha,), low, top)
-    return (math.prod(r for _, r, _ in pairings),
-            [_unpack(x, d + 1, width) for d, x in enumerate(packed, low)])
-
-
 def graded_part(pd: ParabolicData, lam, d: int):
     """R and, per grading index j, the degree-d part [e_0, ..., e_d] of
-    R f_j (see f_j and dim_polynomial_parts).  The pairings with rho and
+    R f_j (see f_j and dim_polynomial).  The pairings with rho and
     lam are taken once; the packed parts of one bucket are added before a
     single unpack."""
     rs = pd.rs
@@ -201,14 +180,23 @@ def dim_polynomial(pd: ParabolicData, lam, alpha: Root) -> BivariatePolynomial:
     """The Weyl dimension polynomial of the weight rho + m*lam - k*alpha:
     the product over beta in Sigma+ of
     (1 + (m <beta^vee, lam> - k <beta^vee, alpha>) / <beta^vee, rho>),
-    for an ample lam (check_ample)."""
+    for an ample lam (check_ample).
+
+    Scaling the factor of beta by r = <beta^vee, rho> makes it the integer
+    linear form r + a m + c k with a = <beta^vee, lam> and c = -<beta^vee,
+    alpha>; their product, of every degree up to |Sigma+|, is divided by
+    R = prod_beta <beta^vee, rho>."""
     if alpha not in pd.psi:
         raise ValueError(f"{alpha.coords} is not an isotropy root")
+    rs = pd.rs
     lam = check_ample(pd, lam)
-    denom, parts = dim_polynomial_parts(pd, lam, alpha)
+    pairings = _pairings(rs, lam)
+    width, packed = _packed_sum(rs, pairings, (alpha,), 0,
+                                rs.num_positive_roots)
+    denom = math.prod(r for _, r, _ in pairings)
     return BivariatePolynomial.from_dict(
-        {(d - i, i): Fraction(e, denom)
-         for d, part in enumerate(parts) for i, e in enumerate(part)})
+        {(d - i, i): Fraction(e, denom) for d, x in enumerate(packed)
+         for i, e in enumerate(_unpack(x, d + 1, width))})
 
 
 def f_j(pd: ParabolicData, lam, j: int) -> BivariatePolynomial:
@@ -228,9 +216,7 @@ def weyl_product(rs: RootSystem, lam0) -> tuple[int, int]:
     """(num, den), the products over Sigma+ of <a^vee, rho + lam0> and of
     <a^vee, rho>: the Weyl dimension of lam0 is num / den.  ValueError
     unless lam0 is a dominant weight."""
-    lam0 = rs.check_weight(lam0)
-    if not rs.is_dominant(lam0):
-        raise ValueError(f"weight {lam0} is not dominant")
+    lam0 = rs.check_dominant(lam0)
     shifted = tuple(l + r for l, r in zip(lam0, rs.rho))
     num = math.prod(rs._pairing(shifted, beta) for beta in rs.positive_roots)
     den = math.prod(rs._pairing(rs.rho, beta) for beta in rs.positive_roots)
@@ -252,17 +238,14 @@ class WeightCore:
     """The weights of the irreducible module of a dominant top weight, held
     once for every dominant lam0 below the top.
 
-    With `subset` given, the module is the one of the Levi subsystem
-    generated by those simple roots (top must be dominant there).
-
     The dominant weights below top are the closure of top under
     subtracting positive roots and keeping dominant results: when lam covers
     mu among dominant weights, lam - mu is a positive root (Stembridge, The
     partial order of dominant weights, Adv. Math. 1998).  The closure
     carries the root coordinates of top - mu.  One weyl.orbit walk over the
-    orbits of all of them under the subset's reflections builds each weight
-    of the module once, from its parent, and so records its seed; a root
-    string through a seed is then read off as the seeds of its points.
+    W-orbits of all of them builds each weight of the module once, from its
+    parent, and so records its seed; a root string through a seed is then
+    read off as the seeds of its points.
 
     Attributes: `seeds`, the dominant weights below top by depth, top
     first; `index`, each seed's index; `below`, the root coordinates of
@@ -274,25 +257,20 @@ class WeightCore:
     __slots__ = ("rs", "top", "seeds", "index", "below", "strings",
                  "points", "seed_of")
 
-    def __init__(self, rs: RootSystem, top, subset=None):
-        top = rs.check_weight(top)
-        subset = tuple(range(rs.rank)) if subset is None \
-            else tuple(sorted(subset))
-        if not rs.is_dominant(top, subset):
-            raise ValueError(f"{top} is not dominant on {subset}")
+    def __init__(self, rs: RootSystem, top):
+        top = rs.check_dominant(top)
         d = rs._symmetrizer
         fws = rs._root_weights
-        # per positive root b of the subset: b in fw coordinates, the
-        # coefficients of (b, nu) = sum_i b_i d_i nu_i, and (b, b)
+        # per positive root b: b in fw coordinates, the coefficients of
+        # (b, nu) = sum_i b_i d_i nu_i, and (b, b)
         pos = []
         for b in rs.positive_roots:
-            if all(i in subset for i, c in enumerate(b.coords) if c):
-                fw = fws[b.coords]
-                bd = tuple(map(mul, b.coords, d))
-                pos.append((b.coords, fw, bd, sum(map(mul, bd, fw))))
+            fw = fws[b.coords]
+            bd = tuple(map(mul, b.coords, d))
+            pos.append((b.coords, fw, bd, sum(map(mul, bd, fw))))
 
-        # below[mu]: the root coordinates of top - mu, for every weight mu
-        # dominant on the subset with top - mu in the subset's positive cone
+        # below[mu]: the root coordinates of top - mu, for every dominant
+        # weight mu with top - mu in the positive root cone
         below = {top: (0,) * rs.rank}
         frontier = [top]
         while frontier:
@@ -300,7 +278,7 @@ class WeightCore:
             for mu in frontier:
                 for coords, fw, _, _ in pos:
                     nu = tuple(map(sub, mu, fw))
-                    if nu not in below and all(nu[i] >= 0 for i in subset):
+                    if nu not in below and min(nu) >= 0:
                         below[nu] = tuple(map(add, below[mu], coords))
                         nxt.append(nu)
             frontier = nxt
@@ -308,7 +286,7 @@ class WeightCore:
         # the seeds by depth sum(below[mu]), top first; table maps each
         # point of their orbits to the index of its orbit's seed
         seeds = sorted(below, key=lambda mu: sum(below[mu]))
-        points, links = orbit(rs, seeds, subset, weyl_order(rs) * len(seeds))
+        points, links = orbit(rs, seeds, weyl_order(rs) * len(seeds))
         seed_of = list(range(len(seeds)))
         for parent, _ in links[len(seeds):]:
             seed_of.append(seed_of[parent])
@@ -363,8 +341,7 @@ def dominant_multiplicities(core: WeightCore, lam0) -> list:
                     break
                 pair += step
                 acc += m * pair
-        # (lam0 + rho)^2 - (mu + rho)^2 with the full rho works for the Levi
-        # too, since lam0 - mu lies in the span of the subset roots
+        # (lam0 + rho, lam0 + rho) - (mu + rho, mu + rho)
         mu = seeds[i]
         denom = sum(c * di * (l + m + 2 * r) for c, di, l, m, r
                     in zip(coords, d, lam0, mu, rs.rho))
@@ -385,15 +362,12 @@ def expand(core: WeightCore, values) -> dict:
             if values[s]}
 
 
-def freudenthal(rs: RootSystem, lam0, subset=None) -> dict:
+def freudenthal(rs: RootSystem, lam0) -> dict:
     """Full weight-multiplicity table (weight -> multiplicity) of the
     irreducible representation with highest weight lam0: the Freudenthal
     recursion over the dominant weights (dominant_multiplicities), over the
-    WeightCore of lam0, expanded once over its orbit points.
-
-    With `subset` given, the representation is the one of the Levi subsystem
-    generated by those simple roots (lam0 must be dominant there)."""
-    core = WeightCore(rs, lam0, subset)
+    WeightCore of lam0, expanded once over its orbit points."""
+    core = WeightCore(rs, lam0)
     return expand(core, dominant_multiplicities(core, core.top))
 
 

@@ -173,7 +173,7 @@ def _localization_pass(pd: ParabolicData, lam, Y, cap: int, coeffs):
     positive = [beta.coords for beta in rs.positive_roots]
     roots = positive + [tuple(-c for c in coords) for coords in positive]
     value = [sum(c * y for c, y in zip(coords, ys)) for coords in roots]
-    points, links = orbit(rs, [lam], range(rs.rank), cap)
+    points, links = orbit(rs, [lam], cap)
     _check_coset_count(rs, pd.theta, len(points))
     paired = w0_negates(rs, ys)
     table = _root_index_table(rs, roots)

@@ -43,12 +43,14 @@ def jantzen_rhs(pd: ParabolicData, lam) -> dict:
     recursion (dominant_multiplicities) per lam0 with some c != 0, added c
     times into the dominant list of p; then each list is expanded once over
     the core's points.  InvariantViolation if some lam0 is not in the core.
-    lam must vanish on theta (check_vanishes).  For a dominant lam the sum
+    lam must vanish on theta (check_vanishes); ValueError if rho + lam is
+    singular, even where no term survives.  For a dominant lam the sum
     is sum_p log p sum_{i>0} ch V^i_p, a sum of true characters, so
     InvariantViolation if some c_{p,mu} < 0; the coefficients are
     W-invariant, so that is checked on the dominant lists."""
     rs = pd.rs
     lam = check_vanishes(pd, lam)
+    normal = _lambda0(rs, lam)
     nu = tuple(l + r for l, r in zip(lam, rs.rho))
     fws = rs._root_weights
     coeff: dict[tuple, dict[int, int]] = {}
@@ -69,9 +71,9 @@ def jantzen_rhs(pd: ParabolicData, lam) -> dict:
                 per_prime[p] = per_prime.get(p, 0) + scale * w.sign * e
     terms = {lam0: per_prime for lam0, per_prime in coeff.items()
              if any(per_prime.values())}
-    if not terms:  # no normal form needed: rho + lam may be singular
+    if not terms:
         return {}
-    core = WeightCore(rs, _lambda0(rs, lam))
+    core = WeightCore(rs, normal)
     sums: dict[int, list] = {}
     for lam0, per_prime in terms.items():
         mults = dominant_multiplicities(core, lam0)

@@ -252,9 +252,16 @@ class RootSystem:
 
     # -- dominance ----------------------------------------------------
 
-    def is_dominant(self, mu, subset=None) -> bool:
-        idx = range(self.rank) if subset is None else subset
-        return all(mu[i] >= 0 for i in idx)
+    def is_dominant(self, mu) -> bool:
+        return min(mu) >= 0
+
+    def check_dominant(self, mu) -> tuple:
+        """mu as a tuple; ValueError unless it is a weight (check_weight)
+        and dominant."""
+        mu = self.check_weight(mu)
+        if not self.is_dominant(mu):
+            raise ValueError(f"weight {mu} is not dominant")
+        return mu
 
     # -- invariant bilinear form --------------------------------------
 

@@ -71,30 +71,28 @@ def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_CAP) -> list[WeylElement]:
     if order > cap:
         raise GroupTooLarge(
             f"Weyl group of {rs.spec} has order {order}, exceeding the cap {cap}")
-    _, links = orbit(rs, [rs.rho], range(rs.rank), cap)
+    _, links = orbit(rs, [rs.rho], cap)
     return _elements(links)
 
 
-def orbit(rs: RootSystem, seeds, generators, cap: int):
-    """The orbits of the seeds (tuples, each dominant on `generators`, no
-    two in one orbit) under the group W' those simple reflections generate:
+def orbit(rs: RootSystem, seeds, cap: int):
+    """The W-orbits of the seeds (dominant tuples, no two in one orbit):
     (points, links), the seeds first, then length-first.  links[n] =
     (parent, letter) with points[n] = s_letter(points[parent]), and
     (-1, -1) for a seed.  The point w xi stands for the minimal-length
-    representative w = s_letter * (parent's w) of w Stab(xi) in W'/Stab(xi).
+    representative w = s_letter * (parent's w) of w Stab(xi) in W/Stab(xi).
     GroupTooLarge once there are more than cap points."""
     A = rs.cartan_matrix
-    gens = sorted(generators)
-    # s_i moves coordinate i and its neighbours, even outside the generators
     moves = rs._neighbours
+    ranks = range(rs.rank)
     # p has the child s_i p iff p_i > 0 and p_k >= p_i A[k][i] for every
-    # generator k < i.  steps[l] lists the i to try on a point whose letter
-    # is l, with the k to check: p_k >= 0 for k < l, so an i < l needs none,
-    # and p_l < 0, so an i > l must be a neighbour of l.  The last entry, for
+    # k < i.  steps[l] lists the i to try on a point whose letter is l, with
+    # the k to check: p_k >= 0 for k < l, so an i < l needs none, and
+    # p_l < 0, so an i > l must be a neighbour of l.  The last entry, for
     # the letter -1, is a seed's, which is dominant.
-    steps = [[(i, [(k, A[k][i]) for k in gens if k < i] if i > l else (),
-               moves[i]) for i in gens if i < l or i > l and A[l][i]]
-             for l in range(rs.rank)] + [[(i, (), moves[i]) for i in gens]]
+    steps = [[(i, [(k, A[k][i]) for k in range(i)] if i > l else (),
+               moves[i]) for i in ranks if i < l or i > l and A[l][i]]
+             for l in ranks] + [[(i, (), moves[i]) for i in ranks]]
     points = list(seeds)
     links = [(-1, -1)] * len(seeds)
     # the loop runs on over the points it appends: a FIFO queue
@@ -150,7 +148,7 @@ def coset_representatives(rs: RootSystem, theta, cap: int = DEFAULT_CAP) -> tupl
     element per coset is ever materialized."""
     theta = rs.check_theta(theta)
     xi = tuple(0 if i in theta else 1 for i in range(rs.rank))
-    _, links = orbit(rs, [xi], range(rs.rank), cap)
+    _, links = orbit(rs, [xi], cap)
     reps = _elements(links)
     _check_coset_count(rs, theta, len(reps))
     return tuple(reps)

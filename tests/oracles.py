@@ -70,14 +70,43 @@ def dominant_representative(rs, mu, subset=None):
             return mu, count
 
 
+def _bfs_orbit_expansion(rs, table, subset):
+    """{point: value} over the orbits, under the simple reflections of
+    `subset`, of the weights of `table` dominant on it: a BFS with a
+    visited set from each, reflecting every point by every index of the
+    subset.  The orbit expansion freudenthal ran before its orbit walk, and
+    the one these oracles use for a Levi subgroup."""
+    mult = {}
+    for mu, m in table.items():
+        if any(mu[i] < 0 for i in subset):
+            continue
+        orbit = {mu}
+        frontier = [mu]
+        while frontier:
+            nxt = []
+            for nu in frontier:
+                for i in subset:
+                    r = rs.simple_reflect_weight(i, nu)
+                    if r not in orbit:
+                        orbit.add(r)
+                        nxt.append(r)
+            frontier = nxt
+        for nu in orbit:
+            mult[nu] = m
+    return mult
+
+
 def freudenthal_by_dominant_lookup(rs, lam0, subset=None) -> dict:
     """The weight-multiplicity table of the irreducible with highest weight
-    lam0 (of the Levi of `subset`), as freudenthal computed it before its
-    root strings were looked up in its own orbit walk: the Freudenthal
-    recursion over the dominant weights below lam0 finds the multiplicity
-    of each weight on a root string at its dominant representative, then
-    one weyl.orbit walk expands the dominant table.  Same keys in the same
-    order as freudenthal."""
+    lam0, as freudenthal computed it before its root strings were looked up
+    in its own orbit walk: the Freudenthal recursion over the dominant
+    weights below lam0 finds the multiplicity of each weight on a root
+    string at its dominant representative, then one weyl.orbit walk
+    expands the dominant table, so the keys come in freudenthal's order.
+
+    With `subset` given, the module is the one of the Levi subsystem
+    generated by those simple roots (lam0 must be dominant there), and
+    _bfs_orbit_expansion expands it under their reflections."""
     lam0 = rs.check_weight(lam0)
     subset = tuple(range(rs.rank)) if subset is None else tuple(sorted(subset))
     d = rs._symmetrizer
@@ -120,8 +149,10 @@ def freudenthal_by_dominant_lookup(rs, lam0, subset=None) -> dict:
                 f"multiplicity of {mu} is {2 * acc}/{denom}")
         dom_mult[mu] = 2 * acc // denom
 
+    if len(subset) < rs.rank:
+        return _bfs_orbit_expansion(rs, dom_mult, subset)
     seeds = list(dom_mult)
-    points, links = orbit(rs, seeds, subset, weyl_order(rs) * len(seeds))
+    points, links = orbit(rs, seeds, weyl_order(rs) * len(seeds))
     mults = [dom_mult[mu] for mu in seeds]
     for parent, _ in links[len(seeds):]:
         mults.append(mults[parent])
@@ -165,7 +196,7 @@ def element_from_word(rs: RootSystem, word) -> WeylElement:
 def subgroup_order(rs: RootSystem, theta) -> int:
     """|W_Theta| for the standard Levi of type theta (0-based indices),
     as the size of the W_Theta-orbit of rho."""
-    return len(orbit(rs, [rs.rho], theta, weyl_order(rs))[0])
+    return len(_bfs_orbit_expansion(rs, {rs.rho: 1}, theta))
 
 
 # ---------------------------------------------------------------------
@@ -363,7 +394,7 @@ def lefschetz_localized_character(pd: ParabolicData, lam, X) -> complex:
     check_regular_point(rs, X)
     if not rs.is_dominant(lam):
         raise ValueError(f"{lam} must be dominant")
-    levi_table = freudenthal(rs, lam, subset=pd.theta)
+    levi_table = freudenthal_by_dominant_lookup(rs, lam, pd.theta)
     total = 0j
     for w in coset_representatives(rs, pd.theta):
         td = 1 + 0j

@@ -12,7 +12,6 @@ from flagheight.charpoly import (
     _unpack,
     _width,
     dim_polynomial,
-    dim_polynomial_parts,
     f_j,
     formal_character,
     freudenthal,
@@ -22,6 +21,7 @@ from flagheight.parabolic import NotAmple, build_parabolic, psi_grading
 from flagheight.rootsys import RootSystem, build_root_system
 from oracles import (
     NotRegular,
+    _bfs_orbit_expansion,
     char_value,
     check_regular_point,
     freudenthal_by_dominant_lookup,
@@ -159,14 +159,17 @@ def test_truncated_parts_match_full_product(spec, theta, lam):
     rs = build_root_system(spec)
     pd = build_parabolic(rs, theta)
     n = rs.num_positive_roots
+    pairings = _pairings(rs, lam)
+
+    def parts(alpha, low, top):
+        width, packed = _packed_sum(rs, pairings, (alpha,), low, top)
+        return [_unpack(x, d + 1, width) for d, x in enumerate(packed, low)]
+
     for alpha in pd.psi:
-        R, full = dim_polynomial_parts(pd, lam, alpha)
-        assert R == math.prod(rs._pairing(rs.rho, b)
-                              for b in rs.positive_roots)
+        full = parts(alpha, 0, n)
         assert [len(part) for part in full] == list(range(1, n + 2))
         for low, top in [(pd.dim, pd.dim), (0, 3), (2, n - 1), (n, n)]:
-            assert dim_polynomial_parts(pd, lam, alpha, low, top) == \
-                (R, full[low:top + 1])
+            assert parts(alpha, low, top) == full[low:top + 1]
 
 
 def _factors(rs, lam, alpha):
@@ -224,7 +227,7 @@ def test_packed_width_holds_every_digit(spec, theta, lam):
     for pd, lam in cases:
         pairings = _pairings(rs, lam)
         for bucket in psi_grading(pd, lam).values():
-            # graded_part's call, and dim_polynomial_parts' on one root
+            # graded_part's call, and dim_polynomial's on one root
             for alphas, low, top in [(bucket, pd.dim, pd.dim),
                                      (bucket[:1], 0, n)]:
                 jobs = [_factors(rs, lam, alpha) for alpha in alphas]
@@ -298,8 +301,14 @@ def test_wrong_length_weight_rejected():
         weyl_dim(a3, (1, 1))
     with pytest.raises(ValueError, match="rank is 3"):
         freudenthal(a3, (1, 1))
-    with pytest.raises(ValueError, match="rank is 3"):
-        freudenthal(a3, (1, 1, 1, 1), subset={0})
+
+
+def test_non_dominant_weight_rejected(a2):
+    # weyl_dim and freudenthal share RootSystem.check_dominant
+    message = r"^weight \(1, -1\) is not dominant$"
+    for f in (weyl_dim, freudenthal):
+        with pytest.raises(ValueError, match=message):
+            f(a2, (1, -1))
 
 
 def test_freudenthal_adjoint_a2(a2):
@@ -329,7 +338,7 @@ def test_freudenthal_vs_kostant_b2(b2):
 @pytest.mark.parametrize("spec", ["A3", "B3", "C3"])
 def test_freudenthal_vs_kostant_rank3(spec):
     rs = build_root_system(spec)
-    # dominant weights only: the Levi test below checks W-invariance
+    # dominant weights only: the orbit-walk test below checks W-invariance
     for lam0 in itertools.product(range(2), repeat=3):
         for mu, m in freudenthal(rs, lam0).items():
             if rs.is_dominant(mu):
@@ -363,7 +372,7 @@ def test_freudenthal_levi_dim_and_invariance(data):
                    if theta else st.just([]))
     off = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
     lam0 = tuple(on.count(i) if i in theta else off[i] for i in range(n))
-    table = freudenthal(rs, lam0, subset=theta)
+    table = freudenthal_by_dominant_lookup(rs, lam0, theta)
     lr = tuple(l + r for l, r in zip(lam0, rs.rho))
     levi = [b for b in rs.positive_roots
             if all(i in theta for i, c in enumerate(b.coords) if c)]
@@ -375,61 +384,39 @@ def test_freudenthal_levi_dim_and_invariance(data):
                 for mu, m in table.items()} == table
 
 
-def _bfs_orbit_expansion(rs, table, subset):
-    """The orbit expansion freudenthal used to run, as an oracle: a BFS with
-    a set from each subset-dominant weight of `table`, reflecting every
-    point by every simple index of the subset."""
-    mult = {}
-    for mu, m in table.items():
-        if not rs.is_dominant(mu, subset):
-            continue
-        orbit = {mu}
-        frontier = [mu]
-        while frontier:
-            nxt = []
-            for nu in frontier:
-                for i in subset:
-                    r = rs.simple_reflect_weight(i, nu)
-                    if r not in orbit:
-                        orbit.add(r)
-                        nxt.append(r)
-            frontier = nxt
-        for nu in orbit:
-            mult[nu] = m
-    return mult
-
-
 def _orbit_walk_cases():
-    """Every subset of the rank-3 types and B2xA1, and rank-3 subsets of
-    D4 and F4 whose roots have neighbours outside the subset."""
+    """Supports of the highest weights: every subset of the simple indices
+    of the rank-3 types and B2xA1, and three of rank 3 each in D4 and F4."""
     for spec in ["A3", "B3", "C3", "G2", "B2xA1"]:
         n = build_root_system(spec).rank
         for r in range(n + 1):
-            yield from ((spec, subset)
-                        for subset in itertools.combinations(range(n), r))
+            yield from ((spec, support)
+                        for support in itertools.combinations(range(n), r))
     yield from [("D4", (0, 1, 2)), ("D4", (0, 2, 3)), ("D4", (1, 2, 3)),
                 ("F4", (0, 1, 2)), ("F4", (1, 2, 3)), ("F4", (0, 2, 3))]
 
 
-@pytest.mark.parametrize("spec,subset", [
-    pytest.param(spec, subset, id=f"{spec}-{''.join(map(str, subset))}")
-    for spec, subset in _orbit_walk_cases()])
-def test_freudenthal_orbit_walk_matches_bfs(spec, subset):
+@pytest.mark.parametrize("spec,support", [
+    pytest.param(spec, support, id=f"{spec}-{''.join(map(str, support))}")
+    for spec, support in _orbit_walk_cases()])
+def test_freudenthal_orbit_walk_matches_bfs(spec, support):
+    # lam0 in a box on the support and 0 off it: the reflections off the
+    # support fix lam0, so the walk must stop at their walls
     rs = build_root_system(spec)
-    box = 2 if len(subset) < 3 else 1
-    for on in itertools.product(range(box + 1), repeat=len(subset)):
-        for off in (0, -1, -2):
-            # off-subset coordinates are negative and unequal, so that the
-            # reflections push them around
-            lam0 = [off - i % 2 if off else 0 for i in range(rs.rank)]
-            for i, v in zip(subset, on):
-                lam0[i] = v
-            table = freudenthal(rs, tuple(lam0), subset)
-            assert table == _bfs_orbit_expansion(rs, table, subset)
-            # the same dict, in the same key order, as the string walk
-            # that looks up dominant representatives
-            expected = freudenthal_by_dominant_lookup(rs, tuple(lam0), subset)
-            assert list(table.items()) == list(expected.items())
+    box = 2 if len(support) < 3 else 1
+    for on in itertools.product(range(box + 1), repeat=len(support)):
+        lam0 = [0] * rs.rank
+        for i, v in zip(support, on):
+            lam0[i] = v
+        lam0 = tuple(lam0)
+        if weyl_dim(rs, lam0) > 2500:  # F4 reaches 1801371
+            continue
+        table = freudenthal(rs, lam0)
+        assert table == _bfs_orbit_expansion(rs, table, range(rs.rank))
+        # the same dict, in the same key order, as the string walk that
+        # looks up dominant representatives
+        expected = freudenthal_by_dominant_lookup(rs, lam0)
+        assert list(table.items()) == list(expected.items())
 
 
 def _small_dominant_weights(rs, top=2, max_dim=1500):
@@ -456,29 +443,18 @@ def test_freudenthal_finds_no_dominant_representative(monkeypatch):
     # the root strings are looked up in the orbit walk: with the simple
     # reflection of a weight, from which a dominant representative is
     # found, made to raise, freudenthal still runs
-    cases = [("B3", (1, 0, 1), None), ("F4", (1, 0, 0, 1), None),
-             ("C3", (2, -1, 1), (0, 2))]
-    expected = [freudenthal_by_dominant_lookup(build_root_system(spec), lam0,
-                                               subset)
-                for spec, lam0, subset in cases]
+    cases = [("B3", (1, 0, 1)), ("F4", (1, 0, 0, 1))]
+    expected = [freudenthal_by_dominant_lookup(build_root_system(spec), lam0)
+                for spec, lam0 in cases]
 
     def refuse(*args, **kwargs):
         raise RuntimeError("a weight was reflected")
 
     monkeypatch.setattr(RootSystem, "simple_reflect_weight", refuse)
     assert not hasattr(RootSystem, "dominant_representative")
-    for (spec, lam0, subset), table in zip(cases, expected):
+    for (spec, lam0), table in zip(cases, expected):
         rs = build_root_system(spec)
-        assert list(freudenthal(rs, lam0, subset).items()) == \
-            list(table.items())
-
-
-def test_levi_character(b2):
-    # Levi {alpha_2} of B2: h.w. om_1 restricts to the trivial module,
-    # h.w. om_2 to a two-dimensional sl2 string
-    assert freudenthal(b2, (1, 0), subset={1}) == {(1, 0): 1}
-    table = freudenthal(b2, (0, 1), subset={1})
-    assert table == {(0, 1): 1, (1, -1): 1}
+        assert list(freudenthal(rs, lam0).items()) == list(table.items())
 
 
 # -- formal characters --------------------------------------------------

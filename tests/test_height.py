@@ -394,9 +394,9 @@ def test_all_methods_walks_each_orbit_once(spec, monkeypatch):
     # one walk of the orbit of lam feeds both localisation kernels
     walks = []
 
-    def counted(*args):
-        walks.append(args)
-        return orbit(*args)
+    def counted(rs, seeds, cap):
+        walks.append(seeds)
+        return orbit(rs, seeds, cap)
 
     monkeypatch.setattr(height, "orbit", counted)
     for pd, lam in all_parabolics(spec):

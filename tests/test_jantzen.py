@@ -13,6 +13,7 @@ from flagheight.jantzen import (
 )
 from flagheight.parabolic import NotAmple, build_parabolic
 from flagheight.rootsys import InvariantViolation, build_root_system
+from flagheight.weyl import to_dominant_dotted
 from oracles import (
     LogCharacterCombo,
     jantzen_rhs_per_weight,
@@ -64,6 +65,18 @@ def test_lambda0_component_vanishes():
         pd = build_parabolic(rs, set())
         rhs = jantzen_rhs(pd, lam)
         assert lambda0_component(rhs, pd, lam) == {}
+
+
+@pytest.mark.parametrize("lam", [
+    (-1, 3),  # no term survives
+    (-4, 2),  # terms survive
+])
+def test_rhs_refuses_singular_weight(lam):
+    pd = build_parabolic(build_root_system("A2"), set())
+    message = (rf"^rho \+ \({lam[0]}, {lam[1]}\) is singular; "
+               r"lambda0 undefined$")
+    with pytest.raises(ValueError, match=message):
+        jantzen_rhs(pd, lam)
 
 
 def test_lambda0_component_rejects_singular():
@@ -140,8 +153,12 @@ def test_rhs_matches_termwise_sum(spec, box):
         # the Borel, one zero of lam, and all of them
         for theta in {(), tuple(zeros[:1]), tuple(zeros)}:
             pd = build_parabolic(rs, set(theta))
-            assert jantzen_rhs(pd, lam) == \
-                _jantzen_rhs_termwise(pd, lam).terms
+            if to_dominant_dotted(rs, lam) is None:
+                with pytest.raises(ValueError, match="is singular"):
+                    jantzen_rhs(pd, lam)
+            else:
+                assert jantzen_rhs(pd, lam) == \
+                    _jantzen_rhs_termwise(pd, lam).terms
 
 
 @pytest.mark.parametrize("spec,lam,runs", [
@@ -156,9 +173,9 @@ def test_rhs_runs_freudenthal_once_per_weight(monkeypatch, spec, lam, runs):
     walks, calls = [], []
     walk, recursion = charpoly.orbit, jantzen.dominant_multiplicities
 
-    def counted_walk(*args):
-        walks.append(args)
-        return walk(*args)
+    def counted_walk(rs, seeds, cap):
+        walks.append(seeds)
+        return walk(rs, seeds, cap)
 
     def counted(core, lam0):
         calls.append(lam0)
@@ -238,9 +255,14 @@ def test_rhs_of_a_dominant_weight_is_weightwise_positive(instance):
 @given(st.one_of(_instances(), _instances(low=-3)))
 def test_rhs_matches_per_weight_oracle(instance):
     # summed on dominant weights and expanded once per prime, against every
-    # lam0's full table added into every bucket
+    # lam0's full table added into every bucket; a singular rho + lam is
+    # refused
     pd, lam = instance
-    assert jantzen_rhs(pd, lam) == jantzen_rhs_per_weight(pd, lam)
+    if to_dominant_dotted(pd.rs, lam) is None:
+        with pytest.raises(ValueError, match="is singular"):
+            jantzen_rhs(pd, lam)
+    else:
+        assert jantzen_rhs(pd, lam) == jantzen_rhs_per_weight(pd, lam)
 
 
 def test_rhs_matches_per_weight_oracle_on_f4():
