@@ -4,21 +4,22 @@ Subcommands: height, jantzen-rhs, char, dim, bwb, scan.  Simple roots are
 numbered 1..rank in the deterministic ordering printed by
 --print-numbering; --theta and --lambda refer to that numbering.
 
-Exit codes: 0 success, 2 argument or parse error (a negative --cap, an
-option number or --group rank beyond the interpreter's digit limit, a --y
-in exponent form), 3 invalid mathematical input, refused by the library's
-one check of each rule with its message (a --lambda of the wrong length,
-a --theta index out of range, a weight that does not vanish on theta or
-is not ample, for char and dim one that is not dominant, for jantzen-rhs
-a singular rho + lambda, a bad localization vector), 4 enumeration size
-cap exceeded (for char: the module's dimension, which bounds its weight
-table; for jantzen-rhs: its number of k-loop terms, or the dimension that
-bounds each of its weight tables), 5 internal cross-check failure (for
-jantzen-rhs: a negative coefficient at a dominant lambda).  When the
-height methods disagree, the `error:` line on stderr is followed by one
-JSON line with the instance (group, theta, lambda, y), the values of
-substitution, fixed_point and harmo_bott, and w0_paired, true when the
-localisation sums counted only half of the cosets (w0 Y = -Y).
+Exit codes: 0 success, 2 argument or parse error (a malformed --group, a
+negative --cap, an option number or --group rank beyond the interpreter's
+digit limit, a --y in exponent form), 3 invalid mathematical input,
+refused by the library's one check of each rule with its message (a
+--lambda of the wrong length, a --theta index out of range, a weight that
+does not vanish on theta or is not ample, for char and dim one that is not
+dominant, for jantzen-rhs a singular rho + lambda, a bad localization
+vector), 4 enumeration size cap exceeded (for char: the module's
+dimension, which bounds its weight table; for jantzen-rhs: its number of
+k-loop terms, or the dimension that bounds each of its weight tables), 5
+internal cross-check failure (for jantzen-rhs: a negative coefficient at a
+dominant lambda).  When the height methods disagree, the `error:` line on
+stderr is followed by one JSON line with the instance (group, theta,
+lambda, y), the values of substitution, fixed_point and harmo_bott, and
+w0_paired, true when the localisation sums counted only half of the cosets
+(w0 Y = -Y).
 
 JSON output (the default) is `json.dumps(doc, indent=2, sort_keys=True)`
 plus a newline, byte for byte; only `elapsed_ms` differs between runs.  The
@@ -195,22 +196,26 @@ def _render_table(table: _Table, nl: str) -> str:
             % values + nl + "]")
 
 
-def _emit(doc: dict, fmt: str, rows=None) -> str:
-    """Render a result document: json through _dumps, csv from the flat
-    rows, text as aligned key/value lines."""
+def _emit(doc, fmt: str) -> str:
+    """Render a result document, or scan's list of them: json through
+    _dumps, csv as one flat row per document, text as aligned key/value
+    lines, with a blank line after each document of a list."""
     if fmt == "json":
         return _dumps(doc)
+    docs, end = (doc, "\n") if isinstance(doc, list) else ([doc], "")
     if fmt == "csv":
-        rows = rows if rows is not None else [_flatten(doc)]
+        rows = [_flatten(d) for d in docs]
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
         return buf.getvalue()
-    width = max(len(k) for k in doc)
-    return "".join(f"{k.ljust(width)}  {_textval(v)}\n"
-                   for k, v in doc.items())
+    out = []
+    for d in docs:
+        width = max(map(len, d))
+        out += [f"{k.ljust(width)}  {_textval(v)}\n" for k, v in d.items()]
+        out.append(end)
+    return "".join(out)
 
 
 def _write(text: str) -> None:
@@ -265,8 +270,7 @@ _HEIGHT_METHODS = {
 }
 
 
-def _height_doc(args, pd, lam, Y) -> dict:
-    rs = pd.rs
+def _height_doc(args, rs, pd, lam, Y) -> dict:
     if args.method == "substitution":
         check_y(rs, Y)  # no Y in this kernel, but the same --y is refused
     start = time.monotonic()
@@ -306,7 +310,7 @@ def _disagreement_doc(exc: MethodDisagreement) -> dict:
     return doc
 
 
-def _jantzen_doc(args, pd, lam) -> dict:
+def _jantzen_doc(args, rs, pd, lam) -> dict:
     terms, dim = jantzen_sizes(pd, lam)
     if terms > args.cap:
         raise GroupTooLarge(f"the sum at {list(lam)} has {terms} terms, "
@@ -318,7 +322,7 @@ def _jantzen_doc(args, pd, lam) -> dict:
     rhs = jantzen_rhs(pd, lam)
     lam0 = lambda0_component(rhs, pd, lam)
     return {
-        "group": str(pd.rs.spec),
+        "group": str(rs.spec),
         "theta": one_based(pd.theta),
         "lambda": list(lam),
         "primes": {str(p): _Table(bucket, "coeff")
@@ -369,7 +373,7 @@ def _scan_docs(args, rs, Y) -> list:
     for i in range(rs.rank):
         pd = build_parabolic(rs, set(range(rs.rank)) - {i})
         lam = tuple(1 if j == i else 0 for j in range(rs.rank))
-        docs.append(_height_doc(args, pd, lam, Y))
+        docs.append(_height_doc(args, rs, pd, lam, Y))
     return docs
 
 
@@ -425,19 +429,23 @@ _OPTION_GROUPS = {
     ),
 }
 
-# subcommand -> (help line, option groups)
+# subcommand -> (help line, option groups, document builder).  The groups
+# give the subcommand its options; main parses --lambda, --theta and --y
+# where the subcommand has them and passes them to the builder as lam, pd
+# and Y, after the arguments and the root system
 _SUBCOMMANDS = {
     "height": ("height of (G/P_theta, L_lambda)",
-               ("common", "theta", "lambda", "height")),
+               ("common", "theta", "lambda", "height"), _height_doc),
     "jantzen-rhs": ("prime-indexed character table of the sum formula",
-                    ("common", "theta", "lambda")),
+                    ("common", "theta", "lambda"), _jantzen_doc),
     "char": ("weight multiplicities of the irreducible module",
-             ("common", "lambda")),
-    "dim": ("dimension of the irreducible module", ("common", "lambda")),
+             ("common", "lambda"), _char_doc),
+    "dim": ("dimension of the irreducible module", ("common", "lambda"),
+            _dim_doc),
     "bwb": ("dotted-action normal form (cohomology degree, dominant "
-            "weight)", ("common", "lambda")),
+            "weight)", ("common", "lambda"), _bwb_doc),
     "scan": ("heights of all maximal parabolics of a group",
-             ("common", "height")),
+             ("common", "height"), _scan_docs),
 }
 
 
@@ -455,7 +463,7 @@ def build_argument_parser() -> argparse.ArgumentParser:
         prog="flagheight",
         description="Exact heights of flag varieties from root-system data.")
     sub = parser.add_subparsers(dest="command", required=False)
-    for command, (help_line, _) in _SUBCOMMANDS.items():
+    for command, (help_line, *_) in _SUBCOMMANDS.items():
         _add_options(sub.add_parser(command, help=help_line), command)
     return parser
 
@@ -542,6 +550,16 @@ def _attach_negative_values(argv) -> list:
     return out
 
 
+# error kind -> exit code; the first kind that the error is an instance of
+# gives the code
+_EXIT_CODES = (
+    ((_ParseError, InvalidCartanSpec), EXIT_PARSE),
+    (GroupTooLarge, EXIT_CAP),
+    (InvariantViolation, EXIT_CROSSCHECK),
+    (ValueError, EXIT_MATH),  # NotAmple, NotRegularY and the other checks
+)
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -552,63 +570,33 @@ def main(argv=None) -> int:
     if args is None:
         return EXIT_PARSE
 
-    try:
-        rs = build_root_system(parse_cartan_spec(args.group))
-    except InvalidCartanSpec as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
-    if args.print_numbering:
-        _write(rs.numbering_table() + "\n")
-        return EXIT_OK
-
     limit = sys.get_int_max_str_digits()
     try:
         # the options are read under the interpreter's digit limit; the
         # answers, which may have more digits, are formed and rendered in full
-        if args.command != "scan":
-            lam = rs.check_weight(_parse_list(args.lam, int, "--lambda"))
-        if args.command in ("height", "jantzen-rhs"):
-            pd = build_parabolic(rs, [
-                i - 1 for i in _parse_list(args.theta, int, "--theta")])
-        if args.command in ("height", "scan"):
-            Y = _parse_list(args.y, Fraction, "--y") or None
-        sys.set_int_max_str_digits(0)
-        if args.command == "scan":
-            docs = _scan_docs(args, rs, Y)
-            if args.output == "json":
-                out = _dumps(docs)
-            elif args.output == "csv":
-                out = _emit(docs[0], "csv", [_flatten(d) for d in docs])
-            else:
-                out = "".join(_emit(d, "text") + "\n" for d in docs)
+        rs = build_root_system(parse_cartan_spec(args.group))
+        if args.print_numbering:
+            out = rs.numbering_table() + "\n"
         else:
-            if args.command == "height":
-                doc = _height_doc(args, pd, lam, Y)
-            elif args.command == "jantzen-rhs":
-                doc = _jantzen_doc(args, pd, lam)
-            elif args.command == "char":
-                doc = _char_doc(args, rs, lam)
-            elif args.command == "dim":
-                doc = _dim_doc(args, rs, lam)
-            else:
-                doc = _bwb_doc(args, rs, lam)
-            out = _emit(doc, args.output)
-    except _ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except GroupTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except InvariantViolation as exc:
+            values = {}
+            if "lam" in args:
+                values["lam"] = rs.check_weight(
+                    _parse_list(args.lam, int, "--lambda"))
+            if "theta" in args:
+                values["pd"] = build_parabolic(rs, [
+                    i - 1 for i in _parse_list(args.theta, int, "--theta")])
+            if "y" in args:
+                values["Y"] = _parse_list(args.y, Fraction, "--y") or None
+            sys.set_int_max_str_digits(0)
+            out = _emit(_SUBCOMMANDS[args.command][2](args, rs, **values),
+                        args.output)
+    except (ValueError, InvariantViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, MethodDisagreement):
             print(json.dumps(_disagreement_doc(exc), sort_keys=True),
                   file=sys.stderr)
-        return EXIT_CROSSCHECK
-    except ValueError as exc:  # NotAmple, NotRegularY and the other checks
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MATH
+        return next(code for kind, code in _EXIT_CODES
+                    if isinstance(exc, kind))
     finally:
         sys.set_int_max_str_digits(limit)
 

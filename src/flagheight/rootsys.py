@@ -128,9 +128,6 @@ class Root:
     coords: tuple[int, ...]
     coroot: tuple[int, ...]
 
-    def __neg__(self):
-        return Root(tuple(-c for c in self.coords), tuple(-c for c in self.coroot))
-
     def height(self) -> int:
         return sum(self.coords)
 

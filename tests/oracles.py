@@ -52,6 +52,12 @@ def positive_roots_by_closure(cartan_matrix) -> set:
     return {beta for beta in roots if min(beta) >= 0}
 
 
+def negated(beta: Root) -> Root:
+    """The root -beta, with the coroot -beta^vee."""
+    return Root(tuple(-c for c in beta.coords),
+                tuple(-c for c in beta.coroot))
+
+
 def dominant_representative(rs, mu, subset=None):
     """The dominant element of the W-orbit of mu (ordinary action), by
     reflecting in the least simple index with a negative coordinate until
@@ -500,7 +506,7 @@ def verify_w0_transform(rs: RootSystem, lam) -> bool:
     combo = LogCharacterCombo()
     plus, minus = psi_signs(pd, lam)
     for alpha in plus:
-        ap = -(w0.act_root(rs, alpha))
+        ap = negated(w0.act_root(rs, alpha))
         fw = rs.root_to_weight(ap.coords)
         # <ap^vee, w0 nu> = -<a^vee, nu>, so the bound is unchanged
         top = -rs._pairing(w0nu, ap)
@@ -508,7 +514,7 @@ def verify_w0_transform(rs: RootSystem, lam) -> bool:
             arg = tuple(n + k * f for n, f in zip(w0nu, fw))
             combo.add_character(k, formal_character(rs, arg), scale=-w0.sign)
     for alpha in minus:
-        ap = -(w0.act_root(rs, alpha))
+        ap = negated(w0.act_root(rs, alpha))
         fw = rs.root_to_weight(ap.coords)
         top = rs._pairing(w0nu, ap)
         for k in range(1, top):

@@ -327,6 +327,55 @@ def test_print_numbering(capsys):
     assert "B2" in out
 
 
+_SCAN_A2_TEXT = """\
+group           A2
+theta           2
+lambda          1,0
+dim             2
+height          5/4
+methods_agreed  True
+coxeter         3
+cor82_ok        True
+conjecture_ok   True
+elapsed_ms      0
+
+group           A2
+theta           1
+lambda          0,1
+dim             2
+height          5/4
+methods_agreed  True
+coxeter         3
+cor82_ok        True
+conjecture_ok   True
+elapsed_ms      0
+
+"""
+
+_SCAN_A2_CSV = (
+    "group,theta,lambda,dim,height_num,height_den,methods_agreed,coxeter,"
+    "cor82_ok,conjecture_ok,elapsed_ms\r\n"
+    'A2,2,"1,0",2,5,4,True,3,True,True,0\r\n'
+    'A2,1,"0,1",2,5,4,True,3,True,True,0\r\n')
+
+
+def test_scan_outputs_and_numbering_are_pinned(capsys):
+    # elapsed_ms, zeroed, ends each text record and each csv row
+    for fmt, elapsed, want in (("text", r"(?m)^(elapsed_ms +)\d+$",
+                                _SCAN_A2_TEXT),
+                               ("csv", r"(?m)(,)\d+(?=\r$)", _SCAN_A2_CSV)):
+        code, out, _ = run(capsys, "scan", "--group", "A2", "--output", fmt)
+        assert code == EXIT_OK
+        assert re.sub(elapsed, r"\g<1>0", out) == want
+    # the numbering is printed before any other option is read
+    code, out, _ = run(capsys, "height", "--group", "B2", "--print-numbering",
+                       "--lambda", "x")
+    assert (code, out) == (
+        EXIT_OK, "B2: simple roots 1, 2 (chain, last root short)\n")
+    assert run(capsys, "height", "--group", "Q9",
+               "--print-numbering")[0] == EXIT_PARSE
+
+
 def test_parse_errors(capsys):
     assert run(capsys, "height", "--group", "Q9", "--theta", "",
                "--lambda", "1")[0] == EXIT_PARSE
@@ -859,17 +908,6 @@ def test_readme_examples_run(capsys, line):
     assert code == EXIT_OK, err
 
 
-def _full_tree_parse(argv):
-    """What main parsed with before the per-subcommand parser: the full
-    tree of build_argument_parser on every argv."""
-    parser = cli.build_argument_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_help()
-        return None
-    return args
-
-
 _SUBCOMMANDS = ("height", "jantzen-rhs", "char", "dim", "bwb", "scan")
 _PARSE_BATTERY = (
     [(cmd, "-h") for cmd in _SUBCOMMANDS]
@@ -883,30 +921,6 @@ _PARSE_BATTERY = (
        ("height", "--group", "B2", "--theta", "", "--lambda", "1,1",
         "--method", "fixed-point", "--y", "-1,3")]
 )
-
-
-@pytest.mark.parametrize("argv", _PARSE_BATTERY,
-                         ids=lambda argv: " ".join(argv) or "no arguments")
-def test_parse_contract(capsys, monkeypatch, argv):
-    """main gives the bytes and exit code of the full tree: help and usage
-    wrap to the terminal width, so both runs see COLUMNS=80."""
-    monkeypatch.setenv("COLUMNS", "80")
-    runs = []
-    for parse in (cli._parse_args, _full_tree_parse):
-        monkeypatch.setattr(cli, "_parse_args", parse)
-        code, out, err = run(capsys, *argv)
-        runs.append(
-            (code, re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out), err))
-    assert runs[0] == runs[1]
-
-
-def test_named_subcommand_builds_only_its_parser(capsys, monkeypatch):
-    def refuse():
-        raise RuntimeError("full parser tree built")
-
-    monkeypatch.setattr(cli, "build_argument_parser", refuse)
-    code, out, _ = run(capsys, "dim", "--group", "A2", "--lambda", "1,1")
-    assert code == EXIT_OK and json.loads(out)["dim"] == 8
 
 
 # each option that changes a call, then the same call without it; both
@@ -942,13 +956,17 @@ def _zeroed(capsys, argv):
     return code, re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out), err
 
 
-def test_plain_lines_give_what_argparse_gives(capsys, monkeypatch):
-    """Each call gives the bytes and exit code it gives when argparse reads
-    every line."""
+@pytest.mark.parametrize("argv", dict.fromkeys([*_PARSE_BATTERY,
+                                                *_PLAIN_BATTERY]),
+                         ids=lambda argv: " ".join(argv) or "no arguments")
+def test_parse_contract(capsys, monkeypatch, argv):
+    """main gives the bytes and exit code that it gives when the full tree
+    of build_argument_parser reads every line: help and usage wrap to the
+    terminal width, so both runs see COLUMNS=80."""
     monkeypatch.setenv("COLUMNS", "80")
-    plain = [_zeroed(capsys, argv) for argv in _PLAIN_BATTERY]
+    plain = _zeroed(capsys, argv)
     monkeypatch.setattr(cli, "_plain_args", lambda command, tokens: None)
-    assert [_zeroed(capsys, argv) for argv in _PLAIN_BATTERY] == plain
+    assert _zeroed(capsys, argv) == plain
 
 
 def _argparse_args(command, tokens):
@@ -994,7 +1012,7 @@ def test_plain_args_agree_with_argparse(capsys):
     arguments, attribute for attribute and in the same order."""
     rng = random.Random(16)
     read = 0
-    for command, (_, groups) in cli._SUBCOMMANDS.items():
+    for command, (_, groups, _) in cli._SUBCOMMANDS.items():
         flags = [flag for group in groups
                  for flag, _ in cli._OPTION_GROUPS[group]]
         for _ in range(250):
@@ -1017,3 +1035,5 @@ def test_plain_line_builds_no_parser(capsys, monkeypatch):
     code, out, _ = run(capsys, "height", "--group", "A3", "--theta", "",
                        "--lambda=1,1,1", "--method", "substitution")
     assert code == EXIT_OK and json.loads(out)["height"]
+    code, out, _ = run(capsys, "dim", "--group", "A2", "--lambda", "1,1")
+    assert code == EXIT_OK and json.loads(out)["dim"] == 8

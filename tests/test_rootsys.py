@@ -8,7 +8,11 @@ from flagheight.rootsys import (
     build_root_system,
     parse_cartan_spec,
 )
-from oracles import dominant_representative, positive_roots_by_closure
+from oracles import (
+    dominant_representative,
+    negated,
+    positive_roots_by_closure,
+)
 
 SIMPLE_TYPES = {
     "A1": (1, 2), "A2": (3, 3), "A3": (6, 4), "A4": (10, 5),
@@ -219,7 +223,7 @@ def test_numbering_table_mentions_every_type():
 
 def test_negative_roots_are_roots(b2):
     # Sigma+ and its negatives are closed under every simple reflection
-    roots = list(b2.positive_roots) + [-beta for beta in b2.positive_roots]
+    roots = [*b2.positive_roots, *map(negated, b2.positive_roots)]
     coords = {beta.coords for beta in roots}
     for i in range(b2.rank):
         assert {b2.simple_reflect_root(i, beta).coords

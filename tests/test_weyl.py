@@ -24,6 +24,7 @@ from flagheight.weyl import (
 )
 from oracles import (
     element_from_word,
+    negated,
     subgroup_order,
     to_dominant_dotted_by_reflection,
 )
@@ -196,7 +197,7 @@ def test_word_action_on_weights_matches_roots(spec):
     n = rs.rank
     mus = [rs.rho, tuple(2 - 3 * k for k in range(n)),
            tuple((-1) ** k * (k + 1) for k in range(n))]
-    roots = list(rs.positive_roots) + [-beta for beta in rs.positive_roots]
+    roots = [*rs.positive_roots, *map(negated, rs.positive_roots)]
     for w in enumerate_weyl(rs):
         for beta in roots:
             wbeta = w.act_root(rs, beta)
@@ -308,7 +309,7 @@ def _opposition(rs):
     """sigma with -w0(alpha_i) = alpha_sigma(i), read off the roots."""
     w0 = longest_element(rs)
     simple = [b for b in rs.positive_roots if b.height() == 1]
-    return {b.coords.index(1): (-w0.act_root(rs, b)).coords.index(1)
+    return {b.coords.index(1): negated(w0.act_root(rs, b)).coords.index(1)
             for b in simple}
 
 
