@@ -23,7 +23,6 @@ balanced base-2^B digits of the final int, unpacked once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, sub
 
@@ -37,12 +36,14 @@ from .weyl import orbit, to_dominant_dotted, weyl_order
 # ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class BivariatePolynomial:
     """Sparse exact polynomial in (m, k): terms maps (deg_m, deg_k) to a
     nonzero Fraction coefficient."""
 
-    terms: dict
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self.terms = terms
 
     @staticmethod
     def from_dict(d: dict) -> "BivariatePolynomial":

@@ -29,12 +29,16 @@ _Table (the sorted weights and their values), which _dumps writes with one
 
 A reader that closes stdout early (e.g. `flagheight scan ... | head`) is
 not an error: the rest of the output is discarded and the exit code is 0.
+
+Every command line is a fresh process, so the import is kept lean: the
+library defines plain classes, without dataclasses or typing; a plain
+line (see _plain_args) is read without argparse, which is imported only
+where the full parser tree is built or --cap is refused; csv is imported
+only for --output csv.
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
 import io
 import json
 import os
@@ -44,6 +48,7 @@ from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
 from operator import itemgetter
+from types import SimpleNamespace
 
 from .charpoly import freudenthal, weyl_dim, weyl_product
 from .height import (
@@ -204,6 +209,7 @@ def _emit(doc, fmt: str) -> str:
         return _dumps(doc)
     docs, end = (doc, "\n") if isinstance(doc, list) else ([doc], "")
     if fmt == "csv":
+        import csv
         rows = [_flatten(d) for d in docs]
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
@@ -383,9 +389,11 @@ def _cap(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
+        import argparse
         raise argparse.ArgumentTypeError(
             f"invalid int value: {text!r}") from None
     if value < 0:
+        import argparse
         raise argparse.ArgumentTypeError(
             f"invalid cap {value}: a size cannot be negative")
     return value
@@ -449,16 +457,17 @@ _SUBCOMMANDS = {
 }
 
 
-def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
+def _add_options(parser, command: str) -> None:
     """Add the options of a subcommand to parser."""
     for group in _SUBCOMMANDS[command][1]:
         for flag, kwargs in _OPTION_GROUPS[group]:
             parser.add_argument(flag, **kwargs)
 
 
-def build_argument_parser() -> argparse.ArgumentParser:
-    """The full tree: the top-level parser and one subparser per
-    subcommand."""
+def build_argument_parser():
+    """The full tree, an argparse.ArgumentParser: the top-level parser and
+    one subparser per subcommand."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="flagheight",
         description="Exact heights of flag varieties from root-system data.")
@@ -501,7 +510,7 @@ def _plain_args(command: str, tokens):
         if "type" in kwargs:
             try:
                 value = kwargs["type"](value)
-            except argparse.ArgumentTypeError:
+            except Exception:  # every error is argparse's to report
                 return None
         if "choices" in kwargs and value not in kwargs["choices"]:
             return None
@@ -509,7 +518,7 @@ def _plain_args(command: str, tokens):
         given.add(flag)
     if "--group" not in given:
         return None
-    return argparse.Namespace(**values)
+    return SimpleNamespace(**values)
 
 
 def _parse_args(argv):
@@ -578,14 +587,14 @@ def main(argv=None) -> int:
         if args.print_numbering:
             out = rs.numbering_table() + "\n"
         else:
-            values = {}
-            if "lam" in args:
+            values, given = {}, vars(args)
+            if "lam" in given:
                 values["lam"] = rs.check_weight(
                     _parse_list(args.lam, int, "--lambda"))
-            if "theta" in args:
+            if "theta" in given:
                 values["pd"] = build_parabolic(rs, [
                     i - 1 for i in _parse_list(args.theta, int, "--theta")])
-            if "y" in args:
+            if "y" in given:
                 values["Y"] = _parse_list(args.y, Fraction, "--y") or None
             sys.set_int_max_str_digits(0)
             out = _emit(_SUBCOMMANDS[args.command][2](args, rs, **values),

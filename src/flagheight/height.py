@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .charpoly import graded_part
@@ -52,12 +51,14 @@ class MethodDisagreement(InvariantViolation):
             f"{method}={value}" for method, value in self.values.items()))
 
 
-@dataclass(frozen=True)
 class HeightResult:
     """The exact height; the benchmark's tracer (flagbench/tracer.py)
     reads its bit length off .value."""
 
-    value: Fraction
+    __slots__ = ("value",)
+
+    def __init__(self, value: Fraction):
+        self.value = value
 
 
 # ---------------------------------------------------------------------

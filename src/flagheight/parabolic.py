@@ -3,8 +3,6 @@ by the pairing with an ample weight."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .rootsys import Root, RootSystem, one_based
 
 
@@ -12,13 +10,16 @@ class NotAmple(ValueError):
     """The weight fails the ampleness condition for this parabolic."""
 
 
-@dataclass(frozen=True)
 class ParabolicData:
     """Parabolic of type theta (0-based simple indices kept in the Levi)."""
 
-    rs: RootSystem
-    theta: frozenset
-    psi: tuple[Root, ...]
+    __slots__ = ("rs", "theta", "psi")
+
+    def __init__(self, rs: RootSystem, theta: frozenset,
+                 psi: tuple[Root, ...]):
+        self.rs = rs
+        self.theta = theta
+        self.psi = psi
 
     @property
     def dim(self) -> int:
@@ -32,7 +33,7 @@ def build_parabolic(rs: RootSystem, theta) -> ParabolicData:
     theta = rs.check_theta(theta)
     psi = tuple(beta for beta in rs.positive_roots
                 if not {i for i, c in enumerate(beta.coords) if c} <= theta)
-    return ParabolicData(rs=rs, theta=theta, psi=psi)
+    return ParabolicData(rs, theta, psi)
 
 
 def check_vanishes(pd: ParabolicData, lam) -> tuple:

@@ -19,23 +19,16 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Callable, NamedTuple
 
-
-class _Family(NamedTuple):
-    """A Dynkin family at rank n, simple roots 0-based in Bourbaki's
-    numbering: the ranks it exists in, its Dynkin edges {i, j}, the root
-    lengths d_i = (alpha_i, alpha_i) / 2 in the least integral scale, and
-    the note of `numbering_table`."""
-
-    rank_ok: Callable[[int], bool]
-    edges: Callable[[int], list]
-    lengths: Callable[[int], list]
-    note: str
+# A Dynkin family at rank n, simple roots 0-based in Bourbaki's numbering:
+# rank_ok(n), whether it exists at rank n; edges(n), its Dynkin edges
+# {i, j}; lengths(n), the root lengths d_i = (alpha_i, alpha_i) / 2 in the
+# least integral scale; and note, the text of `numbering_table`
+_Family = namedtuple("_Family", "rank_ok edges lengths note")
 
 
 def _chain(n: int) -> list:
@@ -75,20 +68,20 @@ class InvariantViolation(AssertionError):
     explicitly rather than by `assert`, so that it survives `python -O`."""
 
 
-@dataclass(frozen=True)
 class CartanSpec:
     """An ordered product of simple factors, e.g. B2 x A1."""
 
-    factors: tuple[tuple[str, int], ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        if not self.factors:
+    def __init__(self, factors: tuple[tuple[str, int], ...]):
+        if not factors:
             raise InvalidCartanSpec("empty Cartan spec")
-        for fam, rank in self.factors:
+        for fam, rank in factors:
             if fam not in _FAMILIES:
                 raise InvalidCartanSpec(f"unknown family {fam!r}")
             if not _FAMILIES[fam].rank_ok(rank):
                 raise InvalidCartanSpec(f"rank {rank} not allowed for family {fam}")
+        self.factors = factors
 
     @property
     def rank(self) -> int:
@@ -117,7 +110,6 @@ def parse_cartan_spec(text: str) -> CartanSpec:
     return CartanSpec(tuple(factors))
 
 
-@dataclass(frozen=True)
 class Root:
     """A root, stored in the simple-root basis together with its coroot.
 
@@ -125,8 +117,11 @@ class Root:
     coordinates of the associated coroot; both are all >= 0 or all <= 0.
     """
 
-    coords: tuple[int, ...]
-    coroot: tuple[int, ...]
+    __slots__ = ("coords", "coroot")
+
+    def __init__(self, coords: tuple[int, ...], coroot: tuple[int, ...]):
+        self.coords = coords
+        self.coroot = coroot
 
     def height(self) -> int:
         return sum(self.coords)
@@ -151,15 +146,23 @@ def _scaled_inverse(M) -> tuple[int, list[list[int]]]:
     return d, [row[n:] for row in aug]
 
 
-@dataclass(frozen=True)
 class RootSystem:
-    spec: CartanSpec
-    rank: int
-    cartan_matrix: tuple[tuple[int, ...], ...]
-    positive_roots: tuple[Root, ...]
-    rho: tuple[int, ...]
-    coxeter_numbers: tuple[int, ...]  # one per simple factor
-    _symmetrizer: tuple[int, ...]  # d_i with d_i A[i][j] symmetric
+    """The root system of a Cartan spec, as build_root_system forms it.
+    A plain class, not slotted: each cached_property below keeps its value
+    in the instance __dict__."""
+
+    def __init__(self, spec: CartanSpec,
+                 cartan_matrix: tuple[tuple[int, ...], ...],
+                 positive_roots: tuple[Root, ...],
+                 coxeter_numbers: tuple[int, ...],
+                 symmetrizer: tuple[int, ...]):
+        self.spec = spec
+        self.rank = spec.rank
+        self.cartan_matrix = cartan_matrix
+        self.positive_roots = positive_roots
+        self.rho = (1,) * self.rank
+        self.coxeter_numbers = coxeter_numbers  # one per simple factor
+        self._symmetrizer = symmetrizer  # d_i with d_i A[i][j] symmetric
 
     # -- basics -------------------------------------------------------
 
@@ -359,12 +362,4 @@ def build_root_system(spec: CartanSpec | str) -> RootSystem:
                 f"{nroots} roots on a factor of rank {r}")
         cox.append(c)
 
-    return RootSystem(
-        spec=spec,
-        rank=rank,
-        cartan_matrix=A,
-        positive_roots=positive,
-        rho=tuple([1] * rank),
-        coxeter_numbers=tuple(cox),
-        _symmetrizer=tuple(symmetrizer),
-    )
+    return RootSystem(spec, A, positive, tuple(cox), tuple(symmetrizer))

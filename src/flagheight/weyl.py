@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from operator import add, sub
 
 from .rootsys import InvariantViolation, Root, RootSystem, one_based
@@ -30,14 +29,16 @@ class GroupTooLarge(ValueError):
     """Enumeration refused because the group/quotient exceeds the cap."""
 
 
-@dataclass(frozen=True)
 class WeylElement:
     """A Weyl group element as a word in the simple reflections (0-based
     indices), w = s_{word[0]} ... s_{word[-1]}, and its length.  It acts on
     weights and roots by replaying the word from right to left."""
 
-    word: tuple[int, ...]
-    length: int
+    __slots__ = ("word", "length")
+
+    def __init__(self, word: tuple[int, ...], length: int):
+        self.word = word
+        self.length = length
 
     @property
     def sign(self) -> int:

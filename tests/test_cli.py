@@ -129,14 +129,6 @@ def test_jantzen_rhs(capsys):
                                    {"weight": [1], "coeff": 1}]}
 
 
-def test_scan_csv(capsys):
-    code, out, _ = run(capsys, "scan", "--group", "A2", "--output", "csv")
-    assert code == EXIT_OK
-    lines = out.strip().splitlines()
-    assert len(lines) == 3  # header + two maximal parabolics
-    assert lines[0].startswith("group,")
-
-
 def test_scan_check_conjecture(capsys):
     code, out, _ = run(capsys, "scan", "--group", "A2", "--output", "text",
                        "--check-conjecture")
@@ -1037,3 +1029,84 @@ def test_plain_line_builds_no_parser(capsys, monkeypatch):
     assert code == EXIT_OK and json.loads(out)["height"]
     code, out, _ = run(capsys, "dim", "--group", "A2", "--lambda", "1,1")
     assert code == EXIT_OK and json.loads(out)["dim"] == 8
+
+
+# Records, in a fresh process, which of the modules that flagheight.cli
+# loads only on demand are loaded after its import and after each command
+# line it is given: one JSON record per step on stdout, with main's exit
+# code, stdout and stderr
+_LAZY_IMPORTS = textwrap.dedent("""
+    import io
+    import json
+    import sys
+
+    sys.path.insert(0, sys.argv[1])
+    watched = ("dataclasses", "inspect", "typing", "argparse", "csv")
+    out = sys.stdout
+
+    def loaded():
+        return [name for name in watched if name in sys.modules]
+
+    import flagheight.cli
+    records = [{"argv": None, "loaded": loaded()}]
+    for argv in json.loads(sys.argv[2]):
+        sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+        code = flagheight.cli.main(argv)
+        records.append({"argv": argv, "code": code,
+                        "out": sys.stdout.getvalue(),
+                        "err": sys.stderr.getvalue(), "loaded": loaded()})
+    out.write(json.dumps(records))
+""")
+
+_LAZY_PLAIN_LINES = [
+    ["height", "--group", "A1", "--theta", "", "--lambda", "1"],
+    ["jantzen-rhs", "--group", "A2", "--theta", "", "--lambda", "1,1"],
+    ["char", "--group", "A2", "--lambda", "1,0"],
+    ["dim", "--group", "A2", "--lambda", "1,1"],
+    ["bwb", "--group", "G2", "--lambda", "-2,-1"],
+    ["scan", "--group", "A2", "--method", "substitution"],
+]
+
+_CAP_USAGE = (
+    "usage: flagheight dim [-h] --group GROUP [--output {json,csv,text}]\n"
+    "                      [--cap CAP] [--print-numbering] [--lambda LAM]\n"
+    "flagheight dim: error: argument --cap: ")
+
+
+def test_fresh_process_loads_argparse_and_csv_only_on_demand():
+    """Importing flagheight.cli loads none of dataclasses, inspect, typing,
+    argparse or csv; plain json and text lines load neither argparse nor
+    csv, csv output loads csv alone, and an abbreviation or a bad --cap
+    loads argparse, which gives the same bytes as before.  The child runs
+    under -S, since a site hook may preload typing, and pytest has loaded
+    argparse in this process."""
+    dim = ["dim", "--group", "A2", "--lambda", "1,1"]
+    steps = [*(line + ["--output", fmt] for fmt in ("json", "text")
+               for line in _LAZY_PLAIN_LINES),
+             dim + ["--output", "csv"],
+             dim[:3] + ["--lam", "1,1"],
+             dim + ["--cap", "x"],
+             dim + ["--cap", "-1"]]
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _LAZY_IMPORTS, os.path.abspath(src),
+         json.dumps(steps)],
+        env=dict(os.environ, COLUMNS="80"), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    imported, *records = json.loads(proc.stdout)
+    assert imported["loaded"] == []
+    *plain, csv_line, abbreviated, cap_x, cap_negative = records
+    for record in plain:
+        assert (record["code"], record["err"]) == (EXIT_OK, ""), record
+        assert record["loaded"] == [], record["argv"]
+    assert (csv_line["code"], csv_line["loaded"]) == (EXIT_OK, ["csv"])
+    assert csv_line["out"] == "group,lambda,dim\r\nA2,\"1,1\",8\r\n"
+    assert abbreviated["loaded"] == ["argparse", "csv"]
+    assert (abbreviated["code"], abbreviated["out"]) == \
+        (EXIT_OK, plain[_LAZY_PLAIN_LINES.index(dim)]["out"])
+    for record, message in ((cap_x, "invalid int value: 'x'"),
+                            (cap_negative,
+                             "invalid cap -1: a size cannot be negative")):
+        assert (record["code"], record["out"], record["err"]) == \
+            (EXIT_PARSE, "", _CAP_USAGE + message + "\n")
