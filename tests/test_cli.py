@@ -129,6 +129,14 @@ def test_jantzen_rhs(capsys):
                                    {"weight": [1], "coeff": 1}]}
 
 
+def test_scan_csv(capsys):
+    code, out, _ = run(capsys, "scan", "--group", "A2", "--output", "csv")
+    assert code == EXIT_OK
+    lines = out.strip().splitlines()
+    assert len(lines) == 3  # header + two maximal parabolics
+    assert lines[0].startswith("group,")
+
+
 def test_scan_check_conjecture(capsys):
     code, out, _ = run(capsys, "scan", "--group", "A2", "--output", "text",
                        "--check-conjecture")
