@@ -22,10 +22,12 @@ w0_paired, true when the localisation sums counted only half of the cosets
 (w0 Y = -Y).
 
 JSON output (the default) is `json.dumps(doc, indent=2, sort_keys=True)`
-plus a newline, byte for byte; only `elapsed_ms` differs between runs.  The
-weight tables of char and jantzen-rhs, weight -> int dicts, are held as
-_Table (the sorted weights and their values), which _dumps writes with one
-%d template and the text and csv outputs print as their lists of records.
+plus a newline, byte for byte; only `elapsed_ms` differs between runs.
+json.dumps writes each document (_dumps).  The weight tables of char and
+jantzen-rhs, weight -> int dicts, are held as _Table (the sorted weights
+and their values); json.dumps leaves a NaN in place of each, which no
+document holds otherwise, and one %d template per table writes its records
+there.  The text and csv outputs print a table as its list of records.
 
 A reader that closes stdout early (e.g. `flagheight scan ... | head`) is
 not an error: the rest of the output is discarded and the exit code is 0.
@@ -41,7 +43,9 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -103,9 +107,9 @@ def _rational(x: Fraction) -> dict:
 class _Table:
     """The records {"weight": mu, name: c} of a weight -> int table, by
     weight (descending if reverse), held as the sorted weights and their
-    values.  _dumps writes a table with one %d template; records gives
-    back the list of dicts it stands for, which the text and csv outputs
-    print."""
+    values.  _render_table writes a table's JSON with one %d template;
+    records gives back the list of dicts it stands for, which the text and
+    csv outputs print."""
 
     __slots__ = ("name", "weights", "values")
 
@@ -119,54 +123,37 @@ class _Table:
                 for mu, c in zip(self.weights, self.values)]
 
 
+# a hole that _dumps leaves for a table in its text, json.dumps plus a
+# newline: a NaN followed by an optional comma and a newline.  No JSON
+# string holds a raw newline, so a NaN inside a string never matches
+_HOLE = re.compile(r"NaN(?=,?\n)")
+
+
 def _dumps(doc) -> str:
     """`json.dumps(doc, indent=2, sort_keys=True) + "\\n"`, byte for byte,
     for documents of dicts with str keys, lists, ints, bools, None and
-    strings, where a _Table stands for its list of records.  A list of ints
-    is written by one join and a _Table by one %-format over its
-    interleaved weights and values, not token by token."""
-    out = []
-    _render(doc, "\n", out)
-    out.append("\n")
-    return "".join(out)
+    strings, where a _Table stands for its list of records.  json.dumps
+    writes every byte but the tables' records: it puts a NaN in place of
+    each table, and _render_table fills each hole at the indentation of its
+    line.  Documents hold no other NaN, so no hole is mistaken; a str or int
+    sentinel could equal a string or an int of the document."""
+    tables = []
 
+    def hole(table):
+        if not isinstance(table, _Table):
+            raise TypeError(f"{type(table).__name__} is not JSON serializable")
+        tables.append(table)
+        return math.nan
 
-def _render(o, nl: str, out: list) -> None:
-    """Append the indented JSON of o to out; nl is the newline plus the
-    indentation of the line that o starts on."""
-    inner = nl + "  "
-    if isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
-        sep = "{" + inner
-        for k in sorted(o):
-            out.append(sep + _encode_str(k) + ": ")
-            _render(o[k], inner, out)
-            sep = "," + inner
-        out.append(nl + "}")
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-        elif _all_ints(o):
-            out.append("[" + inner + ("," + inner).join(map(str, o)) + nl
-                       + "]")
-        else:
-            sep = "[" + inner
-            for item in o:
-                out.append(sep)
-                _render(item, inner, out)
-                sep = "," + inner
-            out.append(nl + "]")
-    elif isinstance(o, _Table):
-        out.append(_render_table(o, nl))
-    else:
-        out.append(json.dumps(o))
+    text = json.dumps(doc, indent=2, sort_keys=True, default=hole) + "\n"
+    in_order = iter(tables)  # json.dumps calls hole in the order of the text
 
+    def fill(m):
+        line = text[text.rfind("\n", 0, m.start()) + 1:m.start()]
+        return _render_table(next(in_order),
+                             "\n" + " " * (len(line) - len(line.lstrip())))
 
-def _all_ints(xs) -> bool:
-    """True if every item is an exact int (a bool is not)."""
-    return set(map(type, xs)) <= {int}
+    return _HOLE.sub(fill, text)
 
 
 def _render_table(table: _Table, nl: str) -> str:
@@ -186,15 +173,11 @@ def _render_table(table: _Table, nl: str) -> str:
     slots = ['"weight": ' + ("[" + item_nl + ("," + item_nl).join(
         ["%d"] * width) + key_nl + "]" if width else "[]")]
     parts = [map(itemgetter(j), weights) for j in range(width)]
-    value_slot = _encode_str(table.name).replace("%", "%%") + ": %d"
-    if table.name < "weight":
-        slots.insert(0, value_slot)
-        parts.insert(0, table.values)
-    else:
-        slots.append(value_slot)
-        parts.append(table.values)
+    after = table.name > "weight"  # the value's key sorts after "weight"
+    slots.insert(after, _encode_str(table.name).replace("%", "%%") + ": %d")
+    parts.insert(after * width, table.values)
     values = tuple(chain.from_iterable(zip(*parts)))
-    if not _all_ints(values):
+    if not set(map(type, values)) <= {int}:
         raise TypeError("a weight or a value is not an exact int")
     template = "{" + key_nl + ("," + key_nl).join(slots) + row_nl + "}"
     return ("[" + row_nl + ("," + row_nl).join([template] * len(weights))
@@ -283,7 +266,7 @@ def _height_doc(args, rs, pd, lam, Y) -> dict:
     res = _HEIGHT_METHODS[args.method](pd, lam, Y, args.cap)
     elapsed_ms = int(1000 * (time.monotonic() - start))
     c = rs.coxeter_number
-    doc = {
+    return {
         "group": str(rs.spec),
         "theta": one_based(pd.theta),
         "lambda": list(lam),
@@ -295,11 +278,6 @@ def _height_doc(args, rs, pd, lam, Y) -> dict:
         "conjecture_ok": denominator_check(res, c - 1),
         "elapsed_ms": elapsed_ms,
     }
-    if args.check_conjecture and args.output == "text":
-        doc["conjecture_note"] = (
-            f"prime powers in denom(2h) vs bound {c - 1}: "
-            f"{'ok' if doc['conjecture_ok'] else 'exceeded'}")
-    return doc
 
 
 def _disagreement_doc(exc: MethodDisagreement) -> dict:
@@ -431,9 +409,6 @@ _OPTION_GROUPS = {
         ("--y", dict(default="",
                      help="localization vector (alpha_i(Y) values), comma "
                           "list")),
-        ("--check-conjecture", dict(
-            action="store_true",
-            help="also print the conjectural denominator verdict")),
     ),
 }
 
@@ -544,14 +519,16 @@ def _parse_args(argv):
 
 
 def _attach_negative_values(argv) -> list:
-    """Write `--lambda -1,0` as `--lambda=-1,0`, and so `--y -.5,1` and the
-    abbreviations of --lambda: argparse takes a value that starts with '-'
-    and is not a lone number for an option."""
+    """Write `--lambda -1,0` as `--lambda=-1,0`, and so `--y -.5,1`,
+    `--theta -1,2` and the abbreviations of --lambda and --theta: argparse
+    takes a value that starts with '-' and is not a lone number for an
+    option."""
     out = []
     for tok in argv:
         prev = out[-1] if out else ""
         number = tok[1:2].isdigit() or tok[1:2] == "." and tok[2:3].isdigit()
-        if (prev == "--y" or len(prev) > 2 and "--lambda".startswith(prev)) \
+        if (prev == "--y" or len(prev) > 2 and (
+                "--lambda".startswith(prev) or "--theta".startswith(prev))) \
                 and tok[:1] == "-" and number:
             out[-1] += "=" + tok
         else:

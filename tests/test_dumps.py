@@ -162,5 +162,16 @@ def test_edge_cases():
                 [{"w": [1, 2]}, {"w": (3, 4)}], 7, "x", None,
                 _Table({}, "mult"), [_Table({}, "b"), _Table({}, "x")],
                 _Table({(): -2}, "%d"), _Table({(): 3}, "zz"),
-                {"t": _Table({(1, 2, 3): 10**40, (0, 0, 0): 1}, "%s")}):
+                {"t": _Table({(1, 2, 3): 10**40, (0, 0, 0): 1}, "%s")},
+                # text that spells the NaN a table leaves in json.dumps
+                {"NaN": "NaN", '": NaN,': ' ": NaN,', "NaN\n": " NaN\n",
+                 "t": _Table({(1,): 2}, "NaN")},
+                [" NaN", "NaN,\n", _Table({(0,): 1}, "c"), "NaN"],
+                _Table({(1,): 2, (3,): -4}, "mult"),
+                [_Table({(1,): 2}, "m"), _Table({(0, 1): 3, (2, 2): 0}, "m")],
+                [_Table({}, "c"), _Table({(1,): 1}, "c"), _Table({}, "c")],
+                {"a": _Table({}, "c"), "b": _Table({(2,): 5}, "c")},
+                {"x": {"a": 1, "z": _Table({(1, 2): 3}, "coeff")}, "y": 2},
+                [{"b": [_Table({(1,): 1}, "m")]}],
+                _Table({(7,): 1}, '%d"%%'), _Table({(7,): 1}, 'a"b\n')):
         assert _dumps(doc) == reference(plain(doc)), doc
