@@ -96,7 +96,7 @@ def _width(jobs, low: int) -> int:
                for scale, factors in jobs).bit_length() + 1
 
 
-def _packed_sum(rs: RootSystem, pairings, alphas, low: int, top: int):
+def _packed_sum(pairings, alphas, low: int, top: int):
     """The one product routine.  Returns (B, packed): packed[d - low] is the
     homogeneous part of degree d, low <= d <= top, of R times the sum of
     the dimension polynomials of alphas (positive roots), packed as the
@@ -109,10 +109,9 @@ def _packed_sum(rs: RootSystem, pairings, alphas, low: int, top: int):
     base-2^B digits of the result are the e_i.  Evaluation at k = 2^B is a
     ring homomorphism, so only the final digits need to fit; intermediate
     products may carry between digits."""
-    fws = rs._root_weights
     jobs = []
     for alpha in alphas:
-        walpha = fws[alpha.coords]
+        walpha = alpha.weight
         scale, flat, steep = 1, [], []
         for coroot, r, a in pairings:
             c = -sum(map(mul, coroot, walpha))
@@ -172,7 +171,7 @@ def graded_part(pd: ParabolicData, lam, d: int):
     pairings = _pairings(rs, lam)
     parts = {}
     for j, bucket in buckets.items():
-        width, (x,) = _packed_sum(rs, pairings, bucket, d, d)
+        width, (x,) = _packed_sum(pairings, bucket, d, d)
         parts[j] = _unpack(x, d + 1, width)
     return math.prod(r for _, r, _ in pairings), parts
 
@@ -192,7 +191,7 @@ def dim_polynomial(pd: ParabolicData, lam, alpha: Root) -> BivariatePolynomial:
     rs = pd.rs
     lam = check_ample(pd, lam)
     pairings = _pairings(rs, lam)
-    width, packed = _packed_sum(rs, pairings, (alpha,), 0,
+    width, packed = _packed_sum(pairings, (alpha,), 0,
                                 rs.num_positive_roots)
     denom = math.prod(r for _, r, _ in pairings)
     return BivariatePolynomial.from_dict(
@@ -261,14 +260,12 @@ class WeightCore:
     def __init__(self, rs: RootSystem, top):
         top = rs.check_dominant(top)
         d = rs._symmetrizer
-        fws = rs._root_weights
         # per positive root b: b in fw coordinates, the coefficients of
         # (b, nu) = sum_i b_i d_i nu_i, and (b, b)
         pos = []
         for b in rs.positive_roots:
-            fw = fws[b.coords]
             bd = tuple(map(mul, b.coords, d))
-            pos.append((b.coords, fw, bd, sum(map(mul, bd, fw))))
+            pos.append((b.coords, b.weight, bd, sum(map(mul, bd, b.weight))))
 
         # below[mu]: the root coordinates of top - mu, for every dominant
         # weight mu with top - mu in the positive root cone

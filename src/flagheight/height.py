@@ -123,6 +123,8 @@ class _PhiRow(dict):
     """t -> sum_l coeffs[l] t^l phi^{N-l} for one phi, N = len(coeffs) - 1:
     each value is formed by Horner's rule in t on first lookup and kept."""
 
+    __slots__ = ("scaled",)
+
     def __init__(self, coeffs, phi):
         super().__init__()
         N = len(coeffs) - 1

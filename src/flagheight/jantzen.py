@@ -52,12 +52,11 @@ def jantzen_rhs(pd: ParabolicData, lam) -> dict:
     lam = check_vanishes(pd, lam)
     normal = _lambda0(rs, lam)
     nu = tuple(l + r for l, r in zip(lam, rs.rho))
-    fws = rs._root_weights
     coeff: dict[tuple, dict[int, int]] = {}
     for alpha in pd.psi:
         top = rs._pairing(nu, alpha)
         scale = -1 if top >= 0 else 1  # alpha in Psi+ or Psi-
-        step = tuple(scale * f for f in fws[alpha.coords])
+        step = tuple(scale * f for f in alpha.weight)
         arg = tuple(map(add, lam, step))
         for k in range(2, abs(top)):  # log 1 = 0
             # chi_{rho+lam-/+k alpha}: the dotted form takes it less rho

@@ -4,10 +4,11 @@ Conventions (fixed once, used everywhere):
 
 * Weights are integer tuples in the fundamental-weight basis, so the
   pairing with a simple coroot is just a coordinate lookup.
-* Roots carry two integer tuples: their simple-root coordinates and the
-  simple-coroot coordinates of their coroot.  Both are maintained through
-  the reflection closure, so no inner product or root length is ever
-  needed to evaluate <beta^vee, mu>.
+* Roots carry three integer tuples: their simple-root coordinates, the
+  simple-coroot coordinates of their coroot and their fundamental-weight
+  coordinates.  All three are maintained through the reflection closure,
+  so no inner product or root length is ever needed to evaluate
+  <beta^vee, mu>, and no root is ever converted to a weight.
 * Simple roots are numbered 1..rank in the Bourbaki ordering per factor
   (chains run left to right; in B_n the last root is short, in C_n long,
   in D_n/E_n the branch node follows Bourbaki, in G2 the first root is
@@ -21,7 +22,6 @@ import math
 import re
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 from operator import mul
 
 # A Dynkin family at rank n, simple roots 0-based in Bourbaki's numbering:
@@ -111,17 +111,21 @@ def parse_cartan_spec(text: str) -> CartanSpec:
 
 
 class Root:
-    """A root, stored in the simple-root basis together with its coroot.
+    """A root, stored in the simple-root basis together with its coroot
+    and its weight.
 
     `coords` are the simple-root coordinates, `coroot` the simple-coroot
-    coordinates of the associated coroot; both are all >= 0 or all <= 0.
+    coordinates of the associated coroot, both all >= 0 or all <= 0;
+    `weight` the fundamental-weight coordinates, A @ coords.
     """
 
-    __slots__ = ("coords", "coroot")
+    __slots__ = ("coords", "coroot", "weight")
 
-    def __init__(self, coords: tuple[int, ...], coroot: tuple[int, ...]):
+    def __init__(self, coords: tuple[int, ...], coroot: tuple[int, ...],
+                 weight: tuple[int, ...]):
         self.coords = coords
         self.coroot = coroot
+        self.weight = weight
 
     def height(self) -> int:
         return sum(self.coords)
@@ -148,14 +152,19 @@ def _scaled_inverse(M) -> tuple[int, list[list[int]]]:
 
 class RootSystem:
     """The root system of a Cartan spec, as build_root_system forms it.
-    A plain class, not slotted: each cached_property below keeps its value
-    in the instance __dict__."""
+    _neighbours[i] lists the (k, A[k][i]) with k != i and A[k][i] != 0:
+    s_i negates coordinate i of a weight mu and subtracts mu_i A[k][i]
+    from each such coordinate k."""
+
+    __slots__ = ("spec", "rank", "cartan_matrix", "positive_roots", "rho",
+                 "coxeter_numbers", "_symmetrizer", "_neighbours")
 
     def __init__(self, spec: CartanSpec,
                  cartan_matrix: tuple[tuple[int, ...], ...],
                  positive_roots: tuple[Root, ...],
                  coxeter_numbers: tuple[int, ...],
-                 symmetrizer: tuple[int, ...]):
+                 symmetrizer: tuple[int, ...],
+                 neighbours: tuple[tuple[tuple[int, int], ...], ...]):
         self.spec = spec
         self.rank = spec.rank
         self.cartan_matrix = cartan_matrix
@@ -163,6 +172,7 @@ class RootSystem:
         self.rho = (1,) * self.rank
         self.coxeter_numbers = coxeter_numbers  # one per simple factor
         self._symmetrizer = symmetrizer  # d_i with d_i A[i][j] symmetric
+        self._neighbours = neighbours
 
     # -- basics -------------------------------------------------------
 
@@ -174,30 +184,6 @@ class RootSystem:
     @property
     def num_positive_roots(self) -> int:
         return len(self.positive_roots)
-
-    @cached_property
-    def _cartan_inverse(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(d, d A^{-1}) in int, formed on first use: only
-        weight_to_root_coords reads it."""
-        d, scaled = _scaled_inverse(self.cartan_matrix)
-        return d, tuple(map(tuple, scaled))
-
-    @cached_property
-    def _root_weights(self) -> dict:
-        """Simple-root coordinates -> root_to_weight of every positive
-        root, formed on first use."""
-        return {beta.coords: self.root_to_weight(beta.coords)
-                for beta in self.positive_roots}
-
-    @cached_property
-    def _neighbours(self) -> tuple:
-        """_neighbours[i] lists the (k, A[k][i]) with k != i and A[k][i] != 0:
-        s_i negates coordinate i of a weight mu and subtracts mu_i A[k][i]
-        from each such coordinate k, formed on first use."""
-        A = self.cartan_matrix
-        return tuple(tuple((k, A[k][i]) for k in range(self.rank)
-                           if k != i and A[k][i])
-                     for i in range(self.rank))
 
     # -- coordinate conversions ---------------------------------------
 
@@ -221,13 +207,10 @@ class RootSystem:
                     f"theta index {i + 1} out of range 1..{self.rank}")
         return frozenset(theta)
 
-    def root_to_weight(self, coords) -> tuple:
-        """Simple-root coordinates -> fundamental-weight coordinates (A @ c)."""
-        return tuple([sum(map(mul, row, coords)) for row in self.cartan_matrix])
-
     def weight_to_root_coords(self, mu) -> tuple[Fraction, ...]:
-        """Fundamental-weight coordinates -> (rational) simple-root coordinates."""
-        d, scaled = self._cartan_inverse
+        """Fundamental-weight coordinates -> (rational) simple-root
+        coordinates, through d A^{-1} formed on each call."""
+        d, scaled = _scaled_inverse(self.cartan_matrix)
         return tuple(Fraction(sum(map(mul, row, mu)), d) for row in scaled)
 
     # -- pairings and reflections -------------------------------------
@@ -242,13 +225,14 @@ class RootSystem:
         return tuple(m - mu[i] * A[r][i] for r, m in enumerate(mu))
 
     def simple_reflect_root(self, i: int, beta: Root) -> Root:
-        """s_i(beta), transforming root and coroot coordinates together."""
-        A, n = self.cartan_matrix, self.rank
+        """s_i(beta), transforming root, coroot and weight together: the
+        root moves by <beta, alpha_i^vee> = beta.weight[i] along alpha_i."""
         rc = list(beta.coords)
-        rc[i] -= sum(A[i][j] * beta.coords[j] for j in range(n))
+        rc[i] -= beta.weight[i]
         cc = list(beta.coroot)
-        cc[i] -= sum(beta.coroot[j] * A[j][i] for j in range(n))
-        return Root(tuple(rc), tuple(cc))
+        cc[i] = -cc[i] - sum(cc[k] * a for k, a in self._neighbours[i])
+        return Root(tuple(rc), tuple(cc),
+                    self.simple_reflect_weight(i, beta.weight))
 
     # -- dominance ----------------------------------------------------
 
@@ -321,31 +305,35 @@ def build_root_system(spec: CartanSpec | str) -> RootSystem:
     # raise each positive root beta by the simple roots alpha_i with
     # p = <beta, alpha_i^vee> < 0: s_i(beta) = beta - p alpha_i is then a
     # higher root, and every positive root is reached from a simple root by
-    # such steps.  The pairings are the fw coordinates of beta, carried
-    # along; the coroot and the Root are formed for new roots only, with
-    # <alpha_i, beta^vee> from the nonzero entries of column i of A.
+    # such steps.  The pairings are the fw coordinates of beta, its weight;
+    # the Root is formed for new roots only, with <alpha_i, beta^vee> from
+    # the nonzero entries of column i of A, which less the diagonal are
+    # the neighbours of i.
     alpha_fw = [tuple(row[i] for row in A) for i in range(rank)]
     cols = [[(j, a) for j, a in enumerate(col) if a] for col in alpha_fw]
     roots = {}
     todo = []
     for i in range(rank):
         e = tuple(int(i == j) for j in range(rank))
-        roots[e] = Root(e, e)
-        todo.append((roots[e], alpha_fw[i]))
+        roots[e] = Root(e, e, alpha_fw[i])
+        todo.append(roots[e])
     while todo:
-        beta, fw = todo.pop()
-        c = beta.coords
+        beta = todo.pop()
+        c, fw = beta.coords, beta.weight
         for i, p in enumerate(fw):
             if p < 0:
                 rc = c[:i] + (c[i] - p,) + c[i + 1:]
                 if rc not in roots:
                     cv = beta.coroot
                     q = sum(cv[j] * a for j, a in cols[i])
-                    gamma = Root(rc, cv[:i] + (cv[i] - q,) + cv[i + 1:])
+                    gamma = Root(rc, cv[:i] + (cv[i] - q,) + cv[i + 1:],
+                                 tuple(f - p * a
+                                       for f, a in zip(fw, alpha_fw[i])))
                     roots[rc] = gamma
-                    todo.append((gamma, tuple(
-                        f - p * a for f, a in zip(fw, alpha_fw[i]))))
+                    todo.append(gamma)
     positive = tuple(roots[c] for c in sorted(roots))
+    neighbours = tuple(tuple((j, a) for j, a in col if j != i)
+                       for i, col in enumerate(cols))
 
     # Coxeter numbers per factor: c * rank_factor = #roots of factor; a
     # root lives in the factor of its first nonzero coordinate
@@ -362,4 +350,5 @@ def build_root_system(spec: CartanSpec | str) -> RootSystem:
                 f"{nroots} roots on a factor of rank {r}")
         cox.append(c)
 
-    return RootSystem(spec, A, positive, tuple(cox), tuple(symmetrizer))
+    return RootSystem(spec, A, positive, tuple(cox), tuple(symmetrizer),
+                      neighbours)

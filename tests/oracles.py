@@ -7,6 +7,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from flagheight.charpoly import (
     BivariatePolynomial,
@@ -52,10 +53,16 @@ def positive_roots_by_closure(cartan_matrix) -> set:
     return {beta for beta in roots if min(beta) >= 0}
 
 
+def root_to_weight(rs: RootSystem, coords) -> tuple:
+    """Simple-root coordinates -> fundamental-weight coordinates (A @ c)."""
+    return tuple([sum(map(mul, row, coords)) for row in rs.cartan_matrix])
+
+
 def negated(beta: Root) -> Root:
-    """The root -beta, with the coroot -beta^vee."""
+    """The root -beta, with the coroot -beta^vee and the weight -beta."""
     return Root(tuple(-c for c in beta.coords),
-                tuple(-c for c in beta.coroot))
+                tuple(-c for c in beta.coroot),
+                tuple(-c for c in beta.weight))
 
 
 def dominant_representative(rs, mu, subset=None):
@@ -119,7 +126,7 @@ def freudenthal_by_dominant_lookup(rs, lam0, subset=None) -> dict:
     pos = []
     for b in rs.positive_roots:
         if all(i in subset for i, c in enumerate(b.coords) if c):
-            fw = rs.root_to_weight(b.coords)
+            fw = root_to_weight(rs, b.coords)
             bd = tuple(c * di for c, di in zip(b.coords, d))
             pos.append((b.coords, fw, bd, sum(x * f for x, f in zip(bd, fw))))
 
@@ -453,7 +460,7 @@ def jantzen_rhs_per_weight(pd: ParabolicData, lam) -> dict:
     for alpha in pd.psi:
         top = rs._pairing(nu, alpha)
         scale = -1 if top >= 0 else 1  # alpha in Psi+ or Psi-
-        step = tuple(scale * f for f in rs.root_to_weight(alpha.coords))
+        step = tuple(scale * f for f in root_to_weight(rs, alpha.coords))
         for k in range(2, abs(top)):
             arg = tuple(l + k * s for l, s in zip(lam, step))
             res = to_dominant_dotted(rs, arg)
@@ -507,7 +514,7 @@ def verify_w0_transform(rs: RootSystem, lam) -> bool:
     plus, minus = psi_signs(pd, lam)
     for alpha in plus:
         ap = negated(w0.act_root(rs, alpha))
-        fw = rs.root_to_weight(ap.coords)
+        fw = root_to_weight(rs, ap.coords)
         # <ap^vee, w0 nu> = -<a^vee, nu>, so the bound is unchanged
         top = -rs._pairing(w0nu, ap)
         for k in range(1, top):
@@ -515,7 +522,7 @@ def verify_w0_transform(rs: RootSystem, lam) -> bool:
             combo.add_character(k, formal_character(rs, arg), scale=-w0.sign)
     for alpha in minus:
         ap = negated(w0.act_root(rs, alpha))
-        fw = rs.root_to_weight(ap.coords)
+        fw = root_to_weight(rs, ap.coords)
         top = rs._pairing(w0nu, ap)
         for k in range(1, top):
             arg = tuple(n - k * f for n, f in zip(w0nu, fw))

@@ -36,6 +36,7 @@ from oracles import (
     poly_mul,
     poly_substitute_k,
     poly_total_degree,
+    root_to_weight,
     skew_symmetry_holds,
 )
 
@@ -119,7 +120,7 @@ def test_dim_polynomial_specializes_to_weyl_dim(b2):
 def _dim_polynomial_by_fractions(pd, lam, alpha):
     """The product of the Fraction linear factors, multiplied out in full."""
     rs = pd.rs
-    walpha = rs._root_weights[alpha.coords]
+    walpha = root_to_weight(rs, alpha.coords)
     poly = poly_constant(1)
     for beta in rs.positive_roots:
         r = rs._pairing(rs.rho, beta)
@@ -162,7 +163,7 @@ def test_truncated_parts_match_full_product(spec, theta, lam):
     pairings = _pairings(rs, lam)
 
     def parts(alpha, low, top):
-        width, packed = _packed_sum(rs, pairings, (alpha,), low, top)
+        width, packed = _packed_sum(pairings, (alpha,), low, top)
         return [_unpack(x, d + 1, width) for d, x in enumerate(packed, low)]
 
     for alpha in pd.psi:
@@ -176,7 +177,7 @@ def _factors(rs, lam, alpha):
     """(scale, [(r, a, c), ...]): the integer factors r + a m + c k of R
     times the dimension polynomial of alpha, the constant ones multiplied
     into scale; the job format of charpoly._width."""
-    walpha = rs._root_weights[alpha.coords]
+    walpha = root_to_weight(rs, alpha.coords)
     scale, factors = 1, []
     for beta in rs.positive_roots:
         r, a = rs._pairing(rs.rho, beta), rs._pairing(lam, beta)
@@ -242,7 +243,7 @@ def test_packed_width_holds_every_digit(spec, theta, lam):
                     *(_parts_by_lists(*job, top)[low:] for job in jobs))]
                 assert all(abs(e) < 1 << width - 1
                            for part in truth for e in part)
-                kernel_width, packed = _packed_sum(rs, pairings, alphas,
+                kernel_width, packed = _packed_sum(pairings, alphas,
                                                    low, top)
                 assert kernel_width == width
                 assert [_unpack(x, d + 1, width)

@@ -13,7 +13,7 @@ import textwrap
 from datetime import timedelta
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from flagheight import cli, height, jantzen
 from flagheight.cli import (
@@ -267,6 +267,22 @@ def test_method_all_runs_one_localisation_pass(capsys, monkeypatch):
     passes.clear()
     code, _, _ = run(capsys, *argv)
     assert code == EXIT_CROSSCHECK and len(passes) == 2
+
+
+def test_substitution_disagreement_diagnostic(capsys, monkeypatch):
+    # substitution alone one too large: --method all exits 5 and names it
+    right = height.height_substitution
+    monkeypatch.setattr(height, "height_substitution", lambda pd, lam:
+                        height.HeightResult(right(pd, lam).value + 1))
+    code, out, err = run(capsys, "height", "--group", "B2", "--theta", "2",
+                         "--lambda", "1,0", "--method", "all")
+    assert code == EXIT_CROSSCHECK and out == ""
+    error, diagnostic = err.splitlines()
+    assert error.startswith("error: height methods disagree")
+    doc = json.loads(diagnostic)
+    assert doc["substitution"] == {"num": "20", "den": "3"}
+    assert doc["fixed_point"] == doc["harmo_bott"] == \
+        {"num": "17", "den": "3"}
 
 
 _AFTER_STDIN_EOF = textwrap.dedent("""
@@ -805,6 +821,15 @@ def _capped_lines(draw):
 @settings(max_examples=150, deadline=timedelta(seconds=20),
           suppress_health_check=[HealthCheck.too_slow])
 @given(_capped_lines())
+# the large root systems on every run: a draw of 150 may miss each of them
+@example(["bwb", "--group", "A100", "--lambda", ",".join(["-3"] * 100),
+          "--cap", "10000", "--output", "json"])
+@example(["dim", "--group", "D50", "--lambda", ",".join(["1"] * 50),
+          "--cap", "10000", "--output", "text"])
+@example(["jantzen-rhs", "--group", "E7", "--lambda", "1,0,0,0,0,0,0",
+          "--theta", "2,3,4,5,6,7", "--cap", "10000", "--output", "json"])
+@example(["char", "--group", "E8", "--lambda", "0,0,0,0,0,0,0,1",
+          "--cap", "10000", "--output", "csv"])
 def test_capped_subcommands_end_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -457,6 +457,24 @@ def test_method_disagreement_names_every_method_in_order(monkeypatch):
     assert exc.value.y == (Fraction(1, 2), 3) and exc.value.w0_paired
 
 
+def _substitution_off_by_one(monkeypatch):
+    """Patch substitution to return the true height plus 1."""
+    right = height.height_substitution
+    monkeypatch.setattr(height, "height_substitution", lambda pd, lam:
+                        HeightResult(right(pd, lam).value + 1))
+
+
+def test_substitution_alone_wrong_disagrees(monkeypatch):
+    # equal kernels and two distinct values among the three methods
+    _substitution_off_by_one(monkeypatch)
+    pd = build_parabolic(build_root_system("B2"), {1})
+    with pytest.raises(MethodDisagreement) as exc:
+        height_all_methods(pd, (1, 0))
+    assert exc.value.values == {"substitution": Fraction(20, 3),
+                                "fixed_point": Fraction(17, 3),
+                                "harmo_bott": Fraction(17, 3)}
+
+
 # -- localization properties -------------------------------------------
 
 

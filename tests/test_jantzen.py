@@ -18,6 +18,7 @@ from oracles import (
     LogCharacterCombo,
     jantzen_rhs_per_weight,
     psi_signs,
+    root_to_weight,
     verify_parabolic_independence,
     verify_w0_transform,
 )
@@ -130,13 +131,13 @@ def _jantzen_rhs_termwise(pd, lam):
     combo = LogCharacterCombo()
     plus, minus = psi_signs(pd, lam)
     for alpha in plus:
-        fw = rs.root_to_weight(alpha.coords)
+        fw = root_to_weight(rs, alpha.coords)
         top = rs._pairing(nu, alpha)
         for k in range(1, top):
             arg = tuple(n - k * f for n, f in zip(nu, fw))
             combo.add_character(k, formal_character(rs, arg), scale=-1)
     for alpha in minus:
-        fw = rs.root_to_weight(alpha.coords)
+        fw = root_to_weight(rs, alpha.coords)
         top = -rs._pairing(nu, alpha)
         for k in range(1, top):
             arg = tuple(n + k * f for n, f in zip(nu, fw))

@@ -62,7 +62,7 @@ def _defined_names(node) -> list:
 
 def _is_property(node) -> bool:
     return any(isinstance(d, ast.Name)
-               and d.id in ("property", "cached_property")
+               and d.id == "property"
                for d in node.decorator_list)
 
 

@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from flagheight import rootsys
 from flagheight.rootsys import (
     InvalidCartanSpec,
+    InvariantViolation,
     build_root_system,
     parse_cartan_spec,
 )
@@ -12,6 +14,7 @@ from oracles import (
     dominant_representative,
     negated,
     positive_roots_by_closure,
+    root_to_weight,
 )
 
 SIMPLE_TYPES = {
@@ -50,6 +53,15 @@ def test_product_spec():
     assert rs.num_positive_roots == 5
     assert rs.coxeter_numbers == (4, 2)
     assert rs.coxeter_number == 4
+
+
+def test_coxeter_identity_is_checked(monkeypatch):
+    # A3 drawn as A2 + A1: 4 positive roots, 8 roots on rank 3
+    monkeypatch.setitem(rootsys._FAMILIES, "A", rootsys._FAMILIES["A"]
+                        ._replace(edges=lambda n: [(0, 1)]))
+    with pytest.raises(InvariantViolation, match="8 roots on a factor of "
+                                                 "rank 3"):
+        build_root_system("A3")
 
 
 def test_spec_parsing_case_insensitive():
@@ -125,7 +137,7 @@ def test_highest_root_heights(b2, g2):
 
 def test_root_weight_coordinate_round_trip(a2):
     for beta in a2.positive_roots:
-        mu = a2.root_to_weight(beta.coords)
+        mu = root_to_weight(a2, beta.coords)
         assert a2.weight_to_root_coords(mu) == tuple(
             Fraction(c) for c in beta.coords)
 
@@ -140,7 +152,7 @@ def test_weight_to_root_coords_inverts_the_cartan_matrix(spec):
     for mu in weights:
         coords = rs.weight_to_root_coords(mu)
         assert all(type(c) is Fraction for c in coords)
-        assert rs.root_to_weight(coords) == mu
+        assert root_to_weight(rs, coords) == mu
 
 
 def test_coroot_pairing_against_weight_form(b2):
@@ -148,7 +160,7 @@ def test_coroot_pairing_against_weight_form(b2):
     # invariant-form definition 2(beta, mu)/(beta, beta)
     for beta in b2.positive_roots:
         for mu in [(1, 0), (0, 1), (2, -1), (-1, 3)]:
-            brw = b2.root_to_weight(beta.coords)
+            brw = root_to_weight(b2, beta.coords)
             expect = 2 * b2.inner(brw, mu) / b2.inner(brw, brw)
             assert b2._pairing(mu, beta) == expect
 
@@ -157,7 +169,7 @@ def test_reflection_is_involution(b2):
     # S_beta(mu) = mu - <beta^vee, mu> beta is an involution iff
     # <beta^vee, beta> = 2
     for beta in b2.positive_roots:
-        assert b2._pairing(b2.root_to_weight(beta.coords), beta) == 2
+        assert b2._pairing(root_to_weight(b2, beta.coords), beta) == 2
 
 
 def test_simple_reflection_fixes_orthogonal_part(a2):
@@ -186,8 +198,8 @@ def test_inner_form_symmetric_bilinear(a, b, c, d):
 
 def test_root_lengths_g2(g2):
     # alpha_1 short, alpha_2 long, ratio 3
-    a1 = g2.root_to_weight((1, 0))
-    a2_ = g2.root_to_weight((0, 1))
+    a1 = root_to_weight(g2, (1, 0))
+    a2_ = root_to_weight(g2, (0, 1))
     assert g2.inner(a2_, a2_) == 3 * g2.inner(a1, a1)
 
 
@@ -228,6 +240,30 @@ def test_negative_roots_are_roots(b2):
     for i in range(b2.rank):
         assert {b2.simple_reflect_root(i, beta).coords
                 for beta in roots} == coords
+
+
+@pytest.mark.parametrize("spec", ["A1", "B5", "C4", "D6", "E7", "E8", "F4",
+                                  "G2", "G2xC2xA1", "A100"])
+def test_roots_carry_their_weights_and_neighbours(spec):
+    """Each positive root carries its weight A @ coords; _neighbours[i]
+    lists the off-diagonal nonzero entries (k, A[k][i]) of column i; and
+    s_i sends the (root, coroot, weight) triple of a root, positive or
+    negated, to the triple the build formed for its image."""
+    rs = build_root_system(spec)
+    A, n = rs.cartan_matrix, rs.rank
+    for beta in rs.positive_roots:
+        assert beta.weight == root_to_weight(rs, beta.coords), beta.coords
+    assert rs._neighbours == tuple(
+        tuple((k, A[k][i]) for k in range(n) if k != i and A[k][i])
+        for i in range(n))
+    roots = [*rs.positive_roots, *map(negated, rs.positive_roots)]
+    triples = {beta.coords: (beta.coroot, beta.weight) for beta in roots}
+    # every root up to E8's 240; every 41st of A100's 10100
+    for beta in roots[::1 + len(roots) // 250]:
+        for i in range(n):
+            gamma = rs.simple_reflect_root(i, beta)
+            assert (gamma.coroot, gamma.weight) == triples[gamma.coords], \
+                (beta.coords, i)
 
 
 # (|Sigma+|, Coxeter number) in closed form per family and rank

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from flagheight import weyl
 from flagheight.height import (
     height_all_methods,
     height_fixed_point,
@@ -25,6 +26,7 @@ from flagheight.weyl import (
 from oracles import (
     element_from_word,
     negated,
+    root_to_weight,
     subgroup_order,
     to_dominant_dotted_by_reflection,
 )
@@ -189,6 +191,19 @@ def test_longest_element_exceptional(spec, length):
     assert w0.act_weight(rs, rs.rho) == tuple(-r for r in rs.rho)
 
 
+def test_short_w0_word_is_refused(monkeypatch):
+    # a word one letter short of the reduction of -rho
+    right = weyl.to_dominant_dotted
+
+    def short(rs, lam):
+        w, lam0 = right(rs, lam)
+        return weyl.WeylElement(w.word[:-1], w.length - 1), lam0
+
+    monkeypatch.setattr(weyl, "to_dominant_dotted", short)
+    with pytest.raises(InvariantViolation, match="w0 of B2 has length 3"):
+        longest_element(build_root_system("B2"))
+
+
 @pytest.mark.parametrize("spec", ["G2", "B3", "B2xA1"])
 def test_word_action_on_weights_matches_roots(spec):
     # replaying a word on the weight of a root gives the weight of the
@@ -201,8 +216,8 @@ def test_word_action_on_weights_matches_roots(spec):
     for w in enumerate_weyl(rs):
         for beta in roots:
             wbeta = w.act_root(rs, beta)
-            assert rs.root_to_weight(wbeta.coords) == \
-                w.act_weight(rs, rs.root_to_weight(beta.coords))
+            assert root_to_weight(rs, wbeta.coords) == \
+                w.act_weight(rs, root_to_weight(rs, beta.coords))
             for mu in mus:
                 assert rs._pairing(w.act_weight(rs, mu), wbeta) == \
                     rs._pairing(mu, beta)
