@@ -21,13 +21,7 @@ from fractions import Fraction
 from .charpoly import graded_part
 from .parabolic import ParabolicData, check_ample
 from .rootsys import InvariantViolation, RootSystem
-from .weyl import (
-    DEFAULT_CAP,
-    _check_coset_count,
-    _root_index_table,
-    orbit,
-    w0_negates,
-)
+from .weyl import DEFAULT_CAP, _check_coset_count, orbit, w0_negates
 
 
 class NotRegularY(ValueError):
@@ -154,7 +148,10 @@ def _localization_pass(pd: ParabolicData, lam, Y, cap: int, coeffs):
     of lam is walked first (its stabilizer is W_Theta, so each point is one
     coset), so a cap is hit before any term is formed.  Each coset then
     takes its phi, through phi(s_i w) = phi(w) - (w lam)_i Y_i, and the
-    indices of w(Psi) in the list of all roots from its parent's.
+    indices of w(Psi) in the list of all roots from its parent's, through
+    a table of each s_i on that list: s_i(beta) = beta - <beta,
+    alpha_i^vee> alpha_i, the pairing read off as coordinate i of beta's
+    weight.
 
     w0_paired is True iff w0 Y = -Y, decided on the scaled integers.  Then
     the coset w0 w has phi and every theta_a negated and the same term
@@ -173,14 +170,16 @@ def _localization_pass(pd: ParabolicData, lam, Y, cap: int, coeffs):
     lam_y = sum(c * y for c, y in zip(rs.weight_to_root_coords(lam), Y))
     s = math.lcm(lam_y.denominator, *(y.denominator for y in Y))
     ys = [int(s * y) for y in Y]
-    positive = [beta.coords for beta in rs.positive_roots]
-    roots = positive + [tuple(-c for c in coords) for coords in positive]
-    value = [sum(c * y for c, y in zip(coords, ys)) for coords in roots]
+    positive = [(beta.coords, beta.weight) for beta in rs.positive_roots]
+    roots = positive + [(tuple(-x for x in c), tuple(-x for x in w))
+                        for c, w in positive]
+    index = {c: k for k, (c, _) in enumerate(roots)}
+    value = [sum(c * y for c, y in zip(coords, ys)) for coords, _ in roots]
     points, links = orbit(rs, [lam], cap)
     _check_coset_count(rs, pd.theta, len(points))
     paired = w0_negates(rs, ys)
-    table = _root_index_table(rs, roots)
-    index = {coords: k for k, coords in enumerate(positive)}
+    table = [[index[c[:i] + (c[i] - w[i],) + c[i + 1:]] for c, w in roots]
+             for i in range(rs.rank)]
     grades = [rs._pairing(lam, alpha) for alpha in pd.psi]
     mul = operator.mul
     rows, sums = {}, {}  # phi -> its _PhiRow; prod_a theta_a -> numerators

@@ -155,22 +155,6 @@ def coset_representatives(rs: RootSystem, theta, cap: int = DEFAULT_CAP) -> tupl
     return tuple(reps)
 
 
-def _root_index_table(rs: RootSystem, roots) -> list[list[int]]:
-    """table[i][k] = the index in `roots` of s_i(roots[k]), for a list of
-    simple-root coordinate tuples closed under the Weyl group."""
-    index = {c: k for k, c in enumerate(roots)}
-    table = []
-    for i, row in enumerate(rs.cartan_matrix):
-        perm = []
-        for c in roots:
-            # s_i(beta) = beta - <beta, alpha_i^vee> alpha_i
-            image = list(c)
-            image[i] -= sum(a * x for a, x in zip(row, c))
-            perm.append(index[tuple(image)])
-        table.append(perm)
-    return table
-
-
 # -- dotted action ----------------------------------------------------
 
 

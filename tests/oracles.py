@@ -601,3 +601,13 @@ def height_grassmannian(m: int, k: int) -> Fraction:
                     inner += (1 - (1 - x) ** l) / (2 * l * (a - b))
         total += Fraction(sI) ** n1 / prod * inner
     return total
+
+
+def degree(pd: ParabolicData, mu) -> Fraction:
+    """The degree of G/P in the line bundle of mu, c_1(L_mu)^N, N = |Psi|:
+    N! prod_{beta in Psi} <mu, beta^vee> / <rho, beta^vee> (Borel and
+    Hirzebruch 1958)."""
+    rs = pd.rs
+    return math.factorial(pd.dim) * math.prod(
+        Fraction(rs._pairing(mu, beta), rs._pairing(rs.rho, beta))
+        for beta in pd.psi)
