@@ -8,6 +8,10 @@ dimension factors run on integers, keeping only the homogeneous parts asked
 for (_packed_sum, which dim_polynomial and graded_part call);
 BivariatePolynomial holds the exact sparse result over Fraction.
 
+The factors of an isotropy root alpha need <beta^vee, alpha> for every
+positive root beta; _factor_lists reads them all off one integer per alpha,
+packed at base 256 as the parts are packed at base 2^B below.
+
 Each homogeneous part sum_i e_i m^{d-i} k^i is held as one int, its
 k-polynomial evaluated at k = 2^B (Kronecker substitution).  A linear
 factor r + a m + c k becomes r + lin m with lin = a + c 2^B, so it updates
@@ -96,35 +100,56 @@ def _width(jobs, low: int) -> int:
                for scale, factors in jobs).bit_length() + 1
 
 
+def _factor_lists(pairings, alphas) -> list:
+    """Per root alpha, (scale, flat, steep) for the factors r + a m + c k of
+    R times its dimension polynomial, c = -<beta_k^vee, alpha> for the root
+    beta_k of pairing k: steep holds the (r, a, c) with c != 0, flat those
+    with c = 0 != a, both in the order of pairings, and scale is the
+    product of the other r.
+
+    With cols[i] = sum_k beta_k^vee[i] 256^k (coroot coordinates are 0..6),
+    byte k of 128 sum_k 256^k - sum_i alpha.weight[i] cols[i] is 128 + c_k:
+    the pairing of two roots lies in [-3, 3], so no byte borrows."""
+    n = len(pairings)
+    cols = [int.from_bytes(bytes(col), "little")
+            for col in zip(*(coroot for coroot, _, _ in pairings))]
+    base = int.from_bytes(b"\x80" * n, "little")
+    lists = []
+    for alpha in alphas:
+        x = base
+        for w, col in zip(alpha.weight, cols):
+            if w:
+                x -= w * col
+        scale, flat, steep = 1, [], []
+        for (_, r, a), b in zip(pairings, x.to_bytes(n, "little")):
+            if b != 128:
+                steep.append((r, a, b - 128))
+            elif a:
+                flat.append((r, a, 0))
+            else:
+                scale *= r  # the factor is the constant r
+        lists.append((scale, flat, steep))
+    return lists
+
+
 def _packed_sum(pairings, alphas, low: int, top: int):
     """The one product routine.  Returns (B, packed): packed[d - low] is the
     homogeneous part of degree d, low <= d <= top, of R times the sum of
     the dimension polynomials of alphas (positive roots), packed as the
     integer sum_i e_i 2^{B i} (e_i the coefficient of m^{d-i} k^i).
 
-    Evaluated at k = 2^B, the factor r + a m + c k is r + lin m with
-    lin = a + c 2^B, so it sends the packed part P[d] to
-    r P[d] + lin P[d-1]: two big-int products per degree.  B comes from
-    _width, which bounds every |e_i| of degree >= low; so the balanced
-    base-2^B digits of the result are the e_i.  Evaluation at k = 2^B is a
-    ring homomorphism, so only the final digits need to fit; intermediate
-    products may carry between digits."""
-    jobs = []
-    for alpha in alphas:
-        walpha = alpha.weight
-        scale, flat, steep = 1, [], []
-        for coroot, r, a in pairings:
-            c = -sum(map(mul, coroot, walpha))
-            if c:
-                steep.append((r, a, c))
-            elif a:
-                flat.append((r, a, c))
-            else:
-                scale *= r  # the factor is the constant r
-        # the factors free of k (c = 0) first: until the first factor in k
-        # every part is its k^0 digit alone, so their updates multiply small
-        # ints where a later place would multiply whole packed parts
-        jobs.append((scale, flat + steep))
+    The factors of each alpha come from _factor_lists.  Evaluated at
+    k = 2^B, the factor r + a m + c k is r + lin m with lin = a + c 2^B, so
+    it sends the packed part P[d] to r P[d] + lin P[d-1]: two big-int
+    products per degree.  B comes from _width, which bounds every |e_i| of
+    degree >= low; so the balanced base-2^B digits of the result are the
+    e_i.  Evaluation at k = 2^B is a ring homomorphism, so only the final
+    digits need to fit; intermediate products may carry between digits."""
+    # the factors free of k (c = 0) first: until the first factor in k
+    # every part is its k^0 digit alone, so their updates multiply small
+    # ints where a later place would multiply whole packed parts
+    jobs = [(scale, flat + steep)
+            for scale, flat, steep in _factor_lists(pairings, alphas)]
     width = _width(jobs, low)
     total = [0] * (top - low + 1)
     for scale, factors in jobs:

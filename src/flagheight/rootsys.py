@@ -217,7 +217,7 @@ class RootSystem:
 
     def _pairing(self, mu, alpha: Root):
         """<alpha^vee, mu> for a weight mu in fw coordinates."""
-        return sum(c * m for c, m in zip(alpha.coroot, mu))
+        return sum(map(mul, alpha.coroot, mu))
 
     def simple_reflect_weight(self, i: int, mu) -> tuple:
         """s_i(mu) for a 0-based simple index, in fw coordinates."""
@@ -279,7 +279,11 @@ def one_based(theta) -> list:
 
 def build_root_system(spec: CartanSpec | str) -> RootSystem:
     """Construct the root system: Cartan matrix, positive roots (the simple
-    roots raised by simple reflections), rho, Coxeter numbers."""
+    roots raised by simple reflections, level by level, each new root's
+    coroot and weight formed from its parent's), rho, and the Coxeter
+    numbers, one per factor from the count of the roots raised from its
+    simple roots; InvariantViolation unless each count is a multiple of
+    the factor's rank."""
     if isinstance(spec, str):
         spec = parse_cartan_spec(spec)
     rank = spec.rank
@@ -292,63 +296,71 @@ def build_root_system(spec: CartanSpec | str) -> RootSystem:
     lengths = [_FAMILIES[fam].lengths(r) for fam, r in spec.factors]
     lead = math.lcm(*(d[0] for d in lengths))
     symmetrizer = []
-    factor_of_index = []  # simple index -> factor number
-    for f, ((fam, r), d) in enumerate(zip(spec.factors, lengths)):
+    for (fam, r), d in zip(spec.factors, lengths):
         offset = len(symmetrizer)
         for i, j in _FAMILIES[fam].edges(r):
             A[offset + i][offset + j] = -max(1, d[j] // d[i])
             A[offset + j][offset + i] = -max(1, d[i] // d[j])
         symmetrizer += [x * (lead // d[0]) for x in d]
-        factor_of_index += [f] * r
     A = tuple(tuple(row) for row in A)
 
-    # raise each positive root beta by the simple roots alpha_i with
-    # p = <beta, alpha_i^vee> < 0: s_i(beta) = beta - p alpha_i is then a
-    # higher root, and every positive root is reached from a simple root by
-    # such steps.  The pairings are the fw coordinates of beta, its weight;
-    # the Root is formed for new roots only, with <alpha_i, beta^vee> from
-    # the nonzero entries of column i of A, which less the diagonal are
-    # the neighbours of i.
+    # raise the roots level by level, one factor at a time: a root beta of
+    # height h with p = <beta, alpha_i^vee> < 0 gives the root
+    # s_i(beta) = beta - p alpha_i of height h - p, and every positive root
+    # is reached from a simple root of its factor by such steps, each from
+    # a lower level.  The pairings are the fw coordinates of beta, its
+    # weight.  s_i changes coordinate i of the root, and of the coroot and
+    # the weight only coordinate i and those of i's neighbours, the
+    # nonzero entries of column i of A less the diagonal.  The Root is
+    # formed for new roots only.
     alpha_fw = [tuple(row[i] for row in A) for i in range(rank)]
-    cols = [[(j, a) for j, a in enumerate(col) if a] for col in alpha_fw]
+    neighbours = tuple(tuple((j, a) for j, a in enumerate(col)
+                             if a and j != i)
+                       for i, col in enumerate(alpha_fw))
     roots = {}
-    todo = []
-    for i in range(rank):
-        e = tuple(int(i == j) for j in range(rank))
-        roots[e] = Root(e, e, alpha_fw[i])
-        todo.append(roots[e])
-    while todo:
-        beta = todo.pop()
-        c, fw = beta.coords, beta.weight
-        for i, p in enumerate(fw):
-            if p < 0:
-                rc = c[:i] + (c[i] - p,) + c[i + 1:]
-                if rc not in roots:
-                    cv = beta.coroot
-                    q = sum(cv[j] * a for j, a in cols[i])
-                    gamma = Root(rc, cv[:i] + (cv[i] - q,) + cv[i + 1:],
-                                 tuple(f - p * a
-                                       for f, a in zip(fw, alpha_fw[i])))
-                    roots[rc] = gamma
-                    todo.append(gamma)
-    positive = tuple(roots[c] for c in sorted(roots))
-    neighbours = tuple(tuple((j, a) for j, a in col if j != i)
-                       for i, col in enumerate(cols))
-
-    # Coxeter numbers per factor: c * rank_factor = #roots of factor; a
-    # root lives in the factor of its first nonzero coordinate
-    counts = [0] * len(spec.factors)
-    for r in positive:
-        first = next(i for i, x in enumerate(r.coords) if x)
-        counts[factor_of_index[first]] += 2
     cox = []
-    for (_, r), nroots in zip(spec.factors, counts):
+    offset = 0
+    for _, r in spec.factors:
+        start = len(roots)
+        levels = {1: []}
+        for i in range(offset, offset + r):
+            e = (0,) * i + (1,) + (0,) * (rank - i - 1)
+            roots[e] = Root(e, e, alpha_fw[i])
+            levels[1].append(roots[e])
+        offset += r
+        h = 1
+        while h in levels:
+            for beta in levels.pop(h):
+                fw = beta.weight
+                if min(fw) >= 0:
+                    continue
+                c, cv = beta.coords, beta.coroot
+                for i, p in enumerate(fw):
+                    if p < 0:
+                        rc = c[:i] + (c[i] - p,) + c[i + 1:]
+                        if rc not in roots:
+                            w = list(fw)
+                            w[i] = -p
+                            for k, a in neighbours[i]:
+                                w[k] -= p * a
+                            q = -cv[i] - sum(cv[k] * a
+                                             for k, a in neighbours[i])
+                            gamma = Root(rc, cv[:i] + (q,) + cv[i + 1:],
+                                         tuple(w))
+                            roots[rc] = gamma
+                            levels.setdefault(h - p, []).append(gamma)
+            h += 1
+
+        # Coxeter number of the factor: c * rank = #roots, counting the
+        # roots raised from the factor's simple roots
+        nroots = 2 * (len(roots) - start)
         c, rem = divmod(nroots, r)
         if rem:
             raise InvariantViolation(
                 f"Coxeter identity c * rank = #roots failed for {spec}: "
                 f"{nroots} roots on a factor of rank {r}")
         cox.append(c)
+    positive = tuple(roots[c] for c in sorted(roots))
 
     return RootSystem(spec, A, positive, tuple(cox), tuple(symmetrizer),
                       neighbours)

@@ -58,6 +58,25 @@ def root_to_weight(rs: RootSystem, coords) -> tuple:
     return tuple([sum(map(mul, row, coords)) for row in rs.cartan_matrix])
 
 
+def factor_lists_by_pairs(pairings, alphas) -> list:
+    """The reference for charpoly._factor_lists: per root alpha,
+    (scale, flat, steep), with c = -<beta^vee, alpha> from one pairing of
+    beta's coroot with alpha's weight per pair of roots."""
+    lists = []
+    for alpha in alphas:
+        scale, flat, steep = 1, [], []
+        for coroot, r, a in pairings:
+            c = -sum(map(mul, coroot, alpha.weight))
+            if c:
+                steep.append((r, a, c))
+            elif a:
+                flat.append((r, a, c))
+            else:
+                scale *= r
+        lists.append((scale, flat, steep))
+    return lists
+
+
 def negated(beta: Root) -> Root:
     """The root -beta, with the coroot -beta^vee and the weight -beta."""
     return Root(tuple(-c for c in beta.coords),

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from flagheight.charpoly import (
     BivariatePolynomial,
+    _factor_lists,
     _packed_sum,
     _pairings,
     _unpack,
@@ -24,6 +25,7 @@ from oracles import (
     _bfs_orbit_expansion,
     char_value,
     check_regular_point,
+    factor_lists_by_pairs,
     freudenthal_by_dominant_lookup,
     kostant_multiplicity,
     lefschetz_localized_character,
@@ -39,6 +41,7 @@ from oracles import (
     root_to_weight,
     skew_symmetry_holds,
 )
+from test_rootsys import CLASSIFICATION
 
 B = BivariatePolynomial
 
@@ -171,6 +174,25 @@ def test_truncated_parts_match_full_product(spec, theta, lam):
         assert [len(part) for part in full] == list(range(1, n + 2))
         for low, top in [(pd.dim, pd.dim), (0, 3), (2, n - 1), (n, n)]:
             assert parts(alpha, low, top) == full[low:top + 1]
+
+
+@pytest.mark.parametrize("spec", [*CLASSIFICATION, "G2xC2xA1", "A100"])
+def test_factor_lists_match_pairwise_reference(spec):
+    """The factor lists that _packed_sum reads from one packed integer per
+    alpha equal those of one pairing per pair of roots, for every alpha of
+    the Borel at rho and of each maximal parabolic at its fundamental
+    weight; on A100, every 41st alpha of the Borel."""
+    rs = build_root_system(spec)
+    cases = [(build_parabolic(rs, set()), rs.rho)]
+    if spec != "A100":
+        cases += [(build_parabolic(rs, set(range(rs.rank)) - {i}),
+                   tuple(int(k == i) for k in range(rs.rank)))
+                  for i in range(rs.rank)]
+    for pd, lam in cases:
+        pairings = _pairings(rs, lam)
+        alphas = pd.psi[::41] if spec == "A100" else pd.psi
+        assert _factor_lists(pairings, alphas) == \
+            factor_lists_by_pairs(pairings, alphas), (spec, lam)
 
 
 def _factors(rs, lam, alpha):

@@ -6,9 +6,11 @@ numbering, or a short root taken for a long one, that no single type can
 show."""
 
 import math
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flagheight.height import height_all_methods, height_substitution
 from flagheight.jantzen import jantzen_rhs
@@ -114,6 +116,58 @@ def test_borel_heights_are_invariant_under_diagram_automorphisms(spec, lam):
     while image != lam:
         assert height_substitution(pd, image).value == value
         image = act(sigma, image)
+
+
+def diagram_automorphisms(spec):
+    """Generators of the diagram automorphisms of an A_n, D_n or E6 spec:
+    the reversal of A_n, the swap of the last two nodes of D_n, triality
+    on D4, and (1 6)(3 5) on E6."""
+    n = int(spec[1:])
+    if spec[0] == "A":
+        return [tuple(reversed(range(n)))]
+    if spec[0] == "D":
+        swap = (*range(n - 2), n - 1, n - 2)
+        return [swap, AUTOMORPHISMS["D4"]] if n == 4 else [swap]
+    return [AUTOMORPHISMS["E6"]]
+
+
+BOREL_SYMMETRIC = ([f"A{n}" for n in range(2, 9)]
+                   + [f"D{n}" for n in range(4, 9)] + ["E6"])
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=20))
+@given(st.sampled_from(BOREL_SYMMETRIC),
+       st.lists(st.integers(1, 4), min_size=8, max_size=8))
+def test_borel_heights_are_invariant_under_every_automorphism(spec, draw):
+    # h(G/B, lam) = h(G/B, sigma lam) at a regular dominant lam, by
+    # substitution, along the orbit of each generator sigma
+    pd = borel(spec)
+    lam = tuple(draw[:pd.rs.rank])
+    value = height_substitution(pd, lam).value
+    for sigma in diagram_automorphisms(spec):
+        image = act(sigma, lam)
+        while image != lam:
+            assert height_substitution(pd, image).value == value, \
+                (spec, lam, sigma)
+            image = act(sigma, image)
+
+
+ISOMORPHIC = ([((f"C{n}", 1), (f"A{2 * n - 1}", 1)) for n in range(2, 9)]
+              + [((f"B{n}", n), (f"D{n + 1}", n + 1)) for n in range(2, 8)]
+              + [(("G2", 1), ("B3", 1))])
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=20))
+@given(st.sampled_from(ISOMORPHIC), st.integers(1, 8))
+def test_isomorphic_flag_varieties_agree_at_multiples(pair, m):
+    # C_n/P1 = A_{2n-1}/P1 up to C8, B_n/P_n = D_{n+1}/P_{n+1} up to D8,
+    # G2/P1 = B3/P1, at m omega, by substitution
+    values = set()
+    for spec, node in pair:
+        pd, omega = maximal(spec, node)
+        values.add(height_substitution(
+            pd, tuple(m * x for x in omega)).value)
+    assert len(values) == 1, (pair, m, values)
 
 
 @pytest.mark.parametrize("x,y,value", [

@@ -53,6 +53,11 @@ def test_product_spec():
     assert rs.num_positive_roots == 5
     assert rs.coxeter_numbers == (4, 2)
     assert rs.coxeter_number == 4
+    # one Coxeter number per factor, in the order of the spec, also for a
+    # repeated factor
+    for spec, cox in [("A2xA2xB3", (3, 3, 6)), ("B3xA2xA2", (6, 3, 3)),
+                      ("G2xC2xA1", (6, 4, 2))]:
+        assert build_root_system(spec).coxeter_numbers == cox
 
 
 def test_coxeter_identity_is_checked(monkeypatch):
