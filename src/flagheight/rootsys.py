@@ -279,11 +279,11 @@ def one_based(theta) -> list:
 
 def build_root_system(spec: CartanSpec | str) -> RootSystem:
     """Construct the root system: Cartan matrix, positive roots (the simple
-    roots raised by simple reflections, level by level, each new root's
-    coroot and weight formed from its parent's), rho, and the Coxeter
-    numbers, one per factor from the count of the roots raised from its
-    simple roots; InvariantViolation unless each count is a multiple of
-    the factor's rank."""
+    roots raised by simple reflections, each new root's coroot and weight
+    formed from its parent's), rho, and the Coxeter numbers, one per factor
+    from the count of the roots raised from its simple roots;
+    InvariantViolation unless each count is a multiple of the factor's
+    rank."""
     if isinstance(spec, str):
         spec = parse_cartan_spec(spec)
     rank = spec.rank
@@ -304,15 +304,14 @@ def build_root_system(spec: CartanSpec | str) -> RootSystem:
         symmetrizer += [x * (lead // d[0]) for x in d]
     A = tuple(tuple(row) for row in A)
 
-    # raise the roots level by level, one factor at a time: a root beta of
-    # height h with p = <beta, alpha_i^vee> < 0 gives the root
-    # s_i(beta) = beta - p alpha_i of height h - p, and every positive root
-    # is reached from a simple root of its factor by such steps, each from
-    # a lower level.  The pairings are the fw coordinates of beta, its
-    # weight.  s_i changes coordinate i of the root, and of the coroot and
-    # the weight only coordinate i and those of i's neighbours, the
-    # nonzero entries of column i of A less the diagonal.  The Root is
-    # formed for new roots only.
+    # raise the roots one factor at a time: a root beta with
+    # p = <beta, alpha_i^vee> < 0 gives the higher root
+    # s_i(beta) = beta - p alpha_i, and every positive root is reached from
+    # a simple root of its factor by such steps.  The pairings are the fw
+    # coordinates of beta, its weight.  s_i changes coordinate i of the
+    # root, and of the coroot and the weight only coordinate i and those of
+    # i's neighbours, the nonzero entries of column i of A less the
+    # diagonal.  The Root is formed for new roots only.
     alpha_fw = [tuple(row[i] for row in A) for i in range(rank)]
     neighbours = tuple(tuple((j, a) for j, a in enumerate(col)
                              if a and j != i)
@@ -322,34 +321,29 @@ def build_root_system(spec: CartanSpec | str) -> RootSystem:
     offset = 0
     for _, r in spec.factors:
         start = len(roots)
-        levels = {1: []}
+        todo = []
         for i in range(offset, offset + r):
             e = (0,) * i + (1,) + (0,) * (rank - i - 1)
             roots[e] = Root(e, e, alpha_fw[i])
-            levels[1].append(roots[e])
+            todo.append(roots[e])
         offset += r
-        h = 1
-        while h in levels:
-            for beta in levels.pop(h):
-                fw = beta.weight
-                if min(fw) >= 0:
-                    continue
-                c, cv = beta.coords, beta.coroot
-                for i, p in enumerate(fw):
-                    if p < 0:
-                        rc = c[:i] + (c[i] - p,) + c[i + 1:]
-                        if rc not in roots:
-                            w = list(fw)
-                            w[i] = -p
-                            for k, a in neighbours[i]:
-                                w[k] -= p * a
-                            q = -cv[i] - sum(cv[k] * a
-                                             for k, a in neighbours[i])
-                            gamma = Root(rc, cv[:i] + (q,) + cv[i + 1:],
-                                         tuple(w))
-                            roots[rc] = gamma
-                            levels.setdefault(h - p, []).append(gamma)
-            h += 1
+        while todo:
+            beta = todo.pop()
+            c, cv, fw = beta.coords, beta.coroot, beta.weight
+            for i, p in enumerate(fw):
+                if p < 0:
+                    rc = c[:i] + (c[i] - p,) + c[i + 1:]
+                    if rc not in roots:
+                        w = list(fw)
+                        w[i] = -p
+                        for k, a in neighbours[i]:
+                            w[k] -= p * a
+                        q = -cv[i] - sum(cv[k] * a
+                                         for k, a in neighbours[i])
+                        gamma = Root(rc, cv[:i] + (q,) + cv[i + 1:],
+                                     tuple(w))
+                        roots[rc] = gamma
+                        todo.append(gamma)
 
         # Coxeter number of the factor: c * rank = #roots, counting the
         # roots raised from the factor's simple roots
