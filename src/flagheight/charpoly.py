@@ -244,7 +244,8 @@ def weyl_product(rs: RootSystem, lam0) -> tuple[int, int]:
     lam0 = rs.check_dominant(lam0)
     shifted = tuple(l + r for l, r in zip(lam0, rs.rho))
     num = math.prod(rs._pairing(shifted, beta) for beta in rs.positive_roots)
-    den = math.prod(rs._pairing(rs.rho, beta) for beta in rs.positive_roots)
+    # rho = (1, ..., 1): <a^vee, rho> is the height of the coroot
+    den = math.prod(sum(beta.coroot) for beta in rs.positive_roots)
     return num, den
 
 
@@ -267,20 +268,22 @@ class WeightCore:
     subtracting positive roots and keeping dominant results: when lam covers
     mu among dominant weights, lam - mu is a positive root (Stembridge, The
     partial order of dominant weights, Adv. Math. 1998).  The closure
-    carries the root coordinates of top - mu.  One weyl.orbit walk over the
-    W-orbits of all of them builds each weight of the module once, from its
-    parent, and so records its seed; a root string through a seed is then
-    read off as the seeds of its points.
+    carries the root coordinates of top - mu.  One weyl.orbit call walks
+    the W-orbits of all of them, one block per seed; the seeds with the
+    same zero coordinates share one walked tree.  So each weight of the
+    module is built once and its seed is known; a root string through a
+    seed is then read off as the seeds of its points.
 
     Attributes: `seeds`, the dominant weights below top by depth, top
     first; `index`, each seed's index; `below`, the root coordinates of
     top - mu per seed; `strings`, per seed mu and positive root b with
     mu + b a weight, ((b, mu), (b, b), the seed indices of mu + k b for
-    k = 1, 2, ... to the end of the string); `points`, the points of the
-    seeds' orbits, seeds first, and `seed_of`, each one's seed index."""
+    k = 1, 2, ... to the end of the string); `seed_of`, each weight of the
+    module (a point of the seeds' orbits, in the order of the walk) to
+    its seed's index."""
 
     __slots__ = ("rs", "top", "seeds", "index", "below", "strings",
-                 "points", "seed_of")
+                 "seed_of")
 
     def __init__(self, rs: RootSystem, top):
         top = rs.check_dominant(top)
@@ -306,21 +309,22 @@ class WeightCore:
                         nxt.append(nu)
             frontier = nxt
 
-        # the seeds by depth sum(below[mu]), top first; table maps each
-        # point of their orbits to the index of its orbit's seed
+        # the seeds by depth sum(below[mu]), top first; each heads the
+        # block of its orbit's points, the one point there with no parent
         seeds = sorted(below, key=lambda mu: sum(below[mu]))
         points, links = orbit(rs, seeds, weyl_order(rs) * len(seeds))
-        seed_of = list(range(len(seeds)))
-        for parent, _ in links[len(seeds):]:
-            seed_of.append(seed_of[parent])
-        table = dict(zip(points, seed_of))
+        seed_of, s = {}, -1
+        for nu, (parent, _) in zip(points, links):
+            if parent < 0:
+                s += 1
+            seed_of[nu] = s
         strings = []
         for mu in seeds:
             row = []
             for _, fw, bd, step in pos:
                 chain = []
                 nu = tuple(map(add, mu, fw))
-                while (s := table.get(nu)) is not None:
+                while (s := seed_of.get(nu)) is not None:
                     chain.append(s)
                     nu = tuple(map(add, nu, fw))
                 if chain:
@@ -329,7 +333,7 @@ class WeightCore:
         self.rs, self.top, self.seeds = rs, top, seeds
         self.index = dict(zip(seeds, range(len(seeds))))
         self.below = [below[mu] for mu in seeds]
-        self.strings, self.points, self.seed_of = strings, points, seed_of
+        self.strings, self.seed_of = strings, seed_of
 
 
 def dominant_multiplicities(core: WeightCore, lam0) -> list:
@@ -378,11 +382,10 @@ def dominant_multiplicities(core: WeightCore, lam0) -> list:
 
 
 def expand(core: WeightCore, values) -> dict:
-    """{point: value of its seed} over the points of core, in their orbit
+    """{weight: value of its seed} over the weights of core, in their orbit
     order, without zero values: a W-invariant function on the weights from
     its values on the seeds."""
-    return {nu: values[s] for nu, s in zip(core.points, core.seed_of)
-            if values[s]}
+    return {nu: values[s] for nu, s in core.seed_of.items() if values[s]}
 
 
 def freudenthal(rs: RootSystem, lam0) -> dict:

@@ -24,10 +24,13 @@ w0_paired, true when the localisation sums counted only half of the cosets
 JSON output (the default) is `json.dumps(doc, indent=2, sort_keys=True)`
 plus a newline, byte for byte; only `elapsed_ms` differs between runs.
 json.dumps writes each document (_dumps).  The weight tables of char and
-jantzen-rhs, weight -> int dicts, are held as _Table (the sorted weights
-and their values); json.dumps leaves a NaN in place of each, which no
-document holds otherwise, and one %d template per table writes its records
-there.  The text and csv outputs print a table as its list of records.
+jantzen-rhs come from values on the seeds of one charpoly.WeightCore: its
+weights are sorted once, and each table (char's, or one per prime) is a
+_Table of those weights and their seeds' values, without zero rows and
+without a dict per table (_core_tables).  json.dumps leaves a NaN in place
+of each table, which no document holds otherwise, and one %d template per
+table writes its records there.  The text and csv outputs print a table
+as its list of records.
 
 A reader that closes stdout early (e.g. `flagheight scan ... | head`) is
 not an error: the rest of the output is discarded and the exit code is 0.
@@ -49,12 +52,13 @@ import re
 import sys
 import time
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii as _encode_str
 from operator import itemgetter
 from types import SimpleNamespace
 
-from .charpoly import freudenthal, weyl_dim, weyl_product
+from .charpoly import WeightCore, dominant_multiplicities, weyl_dim, \
+    weyl_product
 from .height import (
     MethodDisagreement,
     check_y,
@@ -64,7 +68,7 @@ from .height import (
     height_harmo_bott,
     height_substitution,
 )
-from .jantzen import jantzen_rhs, jantzen_sizes, lambda0_component
+from .jantzen import jantzen_sizes, rhs_on_seeds
 from .parabolic import build_parabolic
 from .rootsys import InvalidCartanSpec, InvariantViolation, \
     build_root_system, one_based, parse_cartan_spec
@@ -105,22 +109,38 @@ def _rational(x: Fraction) -> dict:
 
 
 class _Table:
-    """The records {"weight": mu, name: c} of a weight -> int table, by
-    weight (descending if reverse), held as the sorted weights and their
-    values.  _render_table writes a table's JSON with one %d template;
-    records gives back the list of dicts it stands for, which the text and
-    csv outputs print."""
+    """The records {"weight": mu, name: c} of a weight -> int table, held
+    as its weights, in the order of the records, and their values.
+    _render_table writes a table's JSON with one %d template; records gives
+    back the list of dicts it stands for, which the text and csv outputs
+    print."""
 
     __slots__ = ("name", "weights", "values")
 
-    def __init__(self, table: dict, name: str, reverse: bool = False):
-        self.name = name
-        self.weights = sorted(table, reverse=reverse)
-        self.values = list(map(table.__getitem__, self.weights))
+    def __init__(self, name: str, weights: list, values: list):
+        self.name, self.weights, self.values = name, weights, values
 
     def records(self) -> list:
         return [{"weight": mu, self.name: c}
                 for mu, c in zip(self.weights, self.values)]
+
+
+def _core_tables(core, name: str, columns, reverse: bool = False) -> list:
+    """One _Table per list of seed values in columns: the weights of core
+    by weight (descending if reverse), each with its seed's value, without
+    the zero rows.  The weights are sorted once for every table."""
+    seed_of = core.seed_of
+    weights = sorted(seed_of, reverse=reverse)
+    seeds = list(map(seed_of.__getitem__, weights))
+    tables = []
+    for column in columns:
+        values = list(map(column.__getitem__, seeds))
+        if all(column):
+            tables.append(_Table(name, weights, values))
+        else:
+            tables.append(_Table(name, list(compress(weights, values)),
+                                 list(filter(None, values))))
+    return tables
 
 
 # a hole that _dumps leaves for a table in its text, json.dumps plus a
@@ -165,7 +185,7 @@ def _render_table(table: _Table, nl: str) -> str:
     if not weights:
         return "[]"
     width = len(weights[0])
-    if any(len(mu) != width for mu in weights):
+    if set(map(len, weights)) != {width}:
         raise TypeError("the weights are not int tuples of one width")
     row_nl = nl + "  "
     key_nl = row_nl + "  "
@@ -303,32 +323,37 @@ def _jantzen_doc(args, rs, pd, lam) -> dict:
         raise GroupTooLarge(
             f"the weight tables of the sum at {list(lam)} are bounded by "
             f"dimension {dim}, exceeding the cap {args.cap}")
-    rhs = jantzen_rhs(pd, lam)
-    lam0 = lambda0_component(rhs, pd, lam)
+    core, sums = rhs_on_seeds(pd, lam)
+    primes = sorted(sums)
+    columns = [sums[p] for p in primes]
+    tables = _core_tables(core, "coeff", columns) if columns else []
     return {
         "group": str(rs.spec),
         "theta": one_based(pd.theta),
         "lambda": list(lam),
-        "primes": {str(p): _Table(bucket, "coeff")
-                   for p, bucket in sorted(rhs.items())},
-        "lambda0_component_zero": not lam0,
+        "primes": dict(zip(map(str, primes), tables)),
+        # seed 0 is the core's top, the normal form lambda0
+        "lambda0_component_zero": not any(column[0] for column in columns),
     }
 
 
 def _char_doc(args, rs, lam) -> dict:
     # the module's dimension num/den bounds the number of weights in the
-    # table; its integrality is left to freudenthal's own check
+    # table; its integrality is left to the Freudenthal recursion's check
     num, den = weyl_product(rs, lam)
     if num > args.cap * den:
         raise GroupTooLarge(
             f"the module of {list(lam)} has dimension {num // den}, "
             f"exceeding the cap {args.cap}")
-    table = freudenthal(rs, lam)
+    core = WeightCore(rs, lam)
+    [table] = _core_tables(core, "mult",
+                           [dominant_multiplicities(core, core.top)],
+                           reverse=True)
     return {
         "group": str(rs.spec),
         "lambda": list(lam),
-        "dim": sum(table.values()),
-        "weights": _Table(table, "mult", reverse=True),
+        "dim": sum(table.values),
+        "weights": table,
     }
 
 

@@ -1,7 +1,7 @@
 """The combinatorial right-hand side of the Jantzen sum formula, the
 formal combination  sum_p (sum_mu c_{p,mu} mu) log p  over primes, held as
-the dict {p: {mu: c_{p,mu}}}; the sizes that bound its work; and its
-lambda0 component, which vanishes."""
+the dict {p: {mu: c_{p,mu}}}, or on the seeds of one WeightCore; the sizes
+that bound its work; and its lambda0 component, which vanishes."""
 
 from __future__ import annotations
 
@@ -33,6 +33,17 @@ def jantzen_rhs(pd: ParabolicData, lam) -> dict:
     with Psi+ the roots of Psi pairing with rho + lam >= 0, chi the signed
     formal character (zero on singular arguments), as {p: {mu: c_{p,mu}}}:
     the sum_p (sum_mu c_{p,mu} mu) log p over primes, without zero entries.
+    The W-invariant coefficients of each prime are those of rhs_on_seeds,
+    expanded once over the points of its WeightCore."""
+    core, sums = rhs_on_seeds(pd, lam)
+    return {p: expand(core, acc) for p, acc in sums.items()}
+
+
+def rhs_on_seeds(pd: ParabolicData, lam) -> tuple:
+    """(core, sums): the sum of jantzen_rhs(pd, lam) on the seeds of one
+    WeightCore, sums[p][s] = c_{p,mu} at the seed mu of index s, for the
+    primes p with some c_{p,mu} != 0; (None, {}) if no term survives.  The
+    core's top, seed 0, is the normal form lam0 of lam.
 
     Coefficients first: each term is reduced by to_dominant_dotted to
     +-chi of one dominant lam0, and its sign times the exponent of p in k
@@ -41,13 +52,12 @@ def jantzen_rhs(pd: ParabolicData, lam) -> dict:
     there, serves every term: its closure, its orbit walk and its root
     strings.  Characters are summed on dominant weights: one Freudenthal
     recursion (dominant_multiplicities) per lam0 with some c != 0, added c
-    times into the dominant list of p; then each list is expanded once over
-    the core's points.  InvariantViolation if some lam0 is not in the core.
-    lam must vanish on theta (check_vanishes); ValueError if rho + lam is
-    singular, even where no term survives.  For a dominant lam the sum
-    is sum_p log p sum_{i>0} ch V^i_p, a sum of true characters, so
-    InvariantViolation if some c_{p,mu} < 0; the coefficients are
-    W-invariant, so that is checked on the dominant lists."""
+    times into the dominant list of p.  InvariantViolation if some lam0 is
+    not in the core.  lam must vanish on theta (check_vanishes); ValueError
+    if rho + lam is singular, even where no term survives.  For a dominant
+    lam the sum is sum_p log p sum_{i>0} ch V^i_p, a sum of true
+    characters, so InvariantViolation if some c_{p,mu} < 0; the
+    coefficients are W-invariant, so that is checked on the seeds."""
     rs = pd.rs
     lam = check_vanishes(pd, lam)
     normal = _lambda0(rs, lam)
@@ -71,7 +81,7 @@ def jantzen_rhs(pd: ParabolicData, lam) -> dict:
     terms = {lam0: per_prime for lam0, per_prime in coeff.items()
              if any(per_prime.values())}
     if not terms:
-        return {}
+        return None, {}
     core = WeightCore(rs, normal)
     sums: dict[int, list] = {}
     for lam0, per_prime in terms.items():
@@ -91,7 +101,7 @@ def jantzen_rhs(pd: ParabolicData, lam) -> dict:
                 raise InvariantViolation(
                     f"the sum at dominant {lam} has coefficient {c} "
                     f"at weight {core.seeds[acc.index(c)]} under log {p}")
-    return {p: expand(core, acc) for p, acc in sums.items()}
+    return core, sums
 
 
 def _lambda0(rs: RootSystem, lam) -> tuple:

@@ -1,13 +1,14 @@
 """Weyl group enumeration, dotted action, and minimal coset representatives.
 
-Every enumeration is one length-first walk, `orbit`, with the parent rule
+Every enumeration is a length-first walk, `orbit`, with the parent rule
 of Moody and Patera (Bull. AMS 7, 1982): the parent of an orbit point nu
 that is not dominant is s_j nu, j the least index with nu_j < 0.  So no
 visited set is kept, and the word w = s_j * (parent's w) of each element,
 read from left to right, is the lexicographically least of its reduced
-words.  The walk records parent links only; Weyl elements are built
-afterwards, and the orbit of an ample weight walked for the height kernels
-builds none.
+words.  The walk records parent links only, and seeds with the same zero
+coordinates replay one walk's links; Weyl elements are built afterwards,
+and the orbit of an ample weight walked for the height kernels builds
+none.
 
 A Weyl element is a word in the simple reflections and its length.  It
 acts on weights, on roots and, through rho, by the dotted action, by
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import islice
 from operator import add, sub
 
 from .rootsys import InvariantViolation, Root, RootSystem, one_based
@@ -78,11 +80,20 @@ def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_CAP) -> list[WeylElement]:
 
 def orbit(rs: RootSystem, seeds, cap: int):
     """The W-orbits of the seeds (dominant tuples, no two in one orbit):
-    (points, links), the seeds first, then length-first.  links[n] =
-    (parent, letter) with points[n] = s_letter(points[parent]), and
-    (-1, -1) for a seed.  The point w xi stands for the minimal-length
-    representative w = s_letter * (parent's w) of w Stab(xi) in W/Stab(xi).
-    GroupTooLarge once there are more than cap points."""
+    (points, links), one block per seed in the order of seeds, the seed
+    first and then its orbit length-first.  links[n] = (parent, letter)
+    with points[n] = s_letter(points[b + parent]), b the index of the seed
+    of n's block, and (-1, -1) for a seed; with one seed, b = 0.  The point
+    w xi stands for the minimal-length representative
+    w = s_letter * (parent's w) of w Stab(xi) in W/Stab(xi).
+
+    The tree of links below a dominant xi depends only on which xi_k are
+    zero: the sign of (w xi)_k = <xi, w^-1 alpha_k^vee> depends only on w
+    and on that zero set.  So the tree is walked for the first seed of each
+    zero set, and every later seed of that set replays its links, with no
+    step scan and no wall check; their blocks share the link tuples.
+    GroupTooLarge once there are more than cap points; a replayed block is
+    counted before it is built."""
     A = rs.cartan_matrix
     moves = rs._neighbours
     ranks = range(rs.rank)
@@ -94,32 +105,52 @@ def orbit(rs: RootSystem, seeds, cap: int):
     steps = [[(i, [(k, A[k][i]) for k in range(i)] if i > l else (),
                moves[i]) for i in ranks if i < l or i > l and A[l][i]]
              for l in ranks] + [[(i, (), moves[i]) for i in ranks]]
-    points = list(seeds)
-    links = [(-1, -1)] * len(seeds)
-    # the loop runs on over the points it appends: a FIFO queue
-    for n, p in enumerate(points):
-        for i, lower, neighbours in steps[links[n][1]]:
-            pi = p[i]
-            if pi <= 0:
-                continue
-            for k, a in lower:  # a loop, not all(): this is the hot path
-                if p[k] < pi * a:
+    points, links, trees = [], [], {}
+    for seed in seeds:
+        block = [seed]
+        room = cap - len(points)  # the points this block may still add
+        support = tuple(map(bool, seed))
+        tree = trees.get(support)
+        if tree is None:
+            tree = trees[support] = [(-1, -1)]
+            # the loop runs on over the points it appends: a FIFO queue
+            for n, p in enumerate(block):
+                for i, lower, neighbours in steps[tree[n][1]]:
+                    pi = p[i]
+                    if pi <= 0:
+                        continue
+                    for k, a in lower:  # a loop, not all(): the hot path
+                        if p[k] < pi * a:
+                            break
+                    else:
+                        child = list(p)
+                        child[i] = -pi
+                        for k, a in neighbours:
+                            child[k] -= pi * a
+                        block.append(tuple(child))
+                        tree.append((n, i))
+                if len(block) > room:
                     break
-            else:
+        elif len(tree) <= room:  # counted before it is built
+            for parent, i in islice(tree, 1, None):
+                p = block[parent]
+                pi = p[i]
                 child = list(p)
                 child[i] = -pi
-                for k, a in neighbours:
+                for k, a in moves[i]:
                     child[k] -= pi * a
-                points.append(tuple(child))
-                links.append((n, i))
-        if len(points) > cap:
+                block.append(tuple(child))
+        if len(tree) > room:
             raise GroupTooLarge(f"the orbits of {seeds} have more than "
                                 f"{cap} points, exceeding the cap {cap}")
+        points += block
+        links += tree
     return points, links
 
 
 def _elements(links) -> list[WeylElement]:
-    """The Weyl elements of the points of `orbit`, from its links."""
+    """The Weyl elements of the points of one seed's `orbit`, from its
+    links."""
     out = []
     for parent, i in links:
         if parent < 0:

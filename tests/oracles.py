@@ -133,8 +133,9 @@ def freudenthal_by_dominant_lookup(rs, lam0, subset=None) -> dict:
     lam0, as freudenthal computed it before its root strings were looked up
     in its own orbit walk: the Freudenthal recursion over the dominant
     weights below lam0 finds the multiplicity of each weight on a root
-    string at its dominant representative, then one weyl.orbit walk
-    expands the dominant table, so the keys come in freudenthal's order.
+    string at its dominant representative, then a weyl.orbit walk of each
+    dominant weight by itself expands the dominant table, one block per
+    weight by depth, so the keys come in freudenthal's order.
 
     With `subset` given, the module is the one of the Levi subsystem
     generated by those simple roots (lam0 must be dominant there), and
@@ -183,12 +184,13 @@ def freudenthal_by_dominant_lookup(rs, lam0, subset=None) -> dict:
 
     if len(subset) < rs.rank:
         return _bfs_orbit_expansion(rs, dom_mult, subset)
-    seeds = list(dom_mult)
-    points, links = orbit(rs, seeds, weyl_order(rs) * len(seeds))
-    mults = [dom_mult[mu] for mu in seeds]
-    for parent, _ in links[len(seeds):]:
-        mults.append(mults[parent])
-    return dict(zip(points, mults))
+    # each dominant weight walks its own orbit, so the blocks of one walk
+    # over all of them come out of walks that share no tree
+    table = {}
+    for mu, m in dom_mult.items():
+        points, _ = orbit(rs, [mu], weyl_order(rs))
+        table.update(dict.fromkeys(points, m))
+    return table
 
 
 def to_dominant_dotted_by_reflection(rs, lam):

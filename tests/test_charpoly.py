@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from flagheight.charpoly import (
     BivariatePolynomial,
+    WeightCore,
     _factor_lists,
     _packed_sum,
     _pairings,
@@ -20,6 +21,7 @@ from flagheight.charpoly import (
 )
 from flagheight.parabolic import NotAmple, build_parabolic, psi_grading
 from flagheight.rootsys import RootSystem, build_root_system
+from flagheight.weyl import GroupTooLarge, orbit, weyl_order
 from oracles import (
     NotRegular,
     _bfs_orbit_expansion,
@@ -478,6 +480,74 @@ def test_freudenthal_finds_no_dominant_representative(monkeypatch):
     for (spec, lam0), table in zip(cases, expected):
         rs = build_root_system(spec)
         assert list(freudenthal(rs, lam0).items()) == list(table.items())
+
+
+def _top_with_zeros(spec, rank):
+    """A top with zero coordinates whose weight core has two seeds with
+    the same zero coordinates (in all but A1, where only 0 has one), and
+    at most 10^4 weights."""
+    tops = {"A1": (0,), "A2": (4, 0), "E6": (0, 2, 0, 0, 0, 0),
+            "E7": (2, 0, 0, 0, 0, 0, 0), "E8": (0, 0, 0, 0, 0, 0, 0, 2),
+            "F4": (0, 0, 0, 2), "G2": (2, 0), "G2xC2xA1": (2, 0, 0, 0, 2)}
+    if spec in tops:
+        return tops[spec]
+    zeros = (0,) * (rank - 1)
+    return {"A": (2,) + zeros[1:] + (2,), "B": (2,) + zeros,
+            "C": (3,) + zeros, "D": (3,) + zeros}[spec[0]]
+
+
+@pytest.mark.parametrize("spec", CLASSIFICATION + ["G2xC2xA1"])
+def test_shared_walks_match_a_walk_of_each_seed(spec):
+    # the cores of rho and 2 rho, where the module has at most 2^20
+    # dimensions, and of a top with zero coordinates: the seeds with the
+    # same zero coordinates share one walked tree, which must give each
+    # seed's own orbit, block by block
+    rs = build_root_system(spec)
+    tops = [top for top in (rs.rho, (2,) * rs.rank)
+            if weyl_dim(rs, top) <= 2**20]
+    shared = False
+    for top in tops + [_top_with_zeros(spec, rs.rank)]:
+        core = WeightCore(rs, top)
+        expected = {}
+        for s, seed in enumerate(core.seeds):
+            points, _ = orbit(rs, [seed], weyl_order(rs))
+            expected.update(dict.fromkeys(points, s))
+        assert list(core.seed_of.items()) == list(expected.items())
+
+        points, links = orbit(rs, core.seeds, len(expected))
+        assert points == list(expected)
+        start = 0
+        for n, (parent, letter) in enumerate(links):
+            if parent < 0:
+                start = n
+                assert points[n] == core.seeds[expected[points[n]]]
+            else:
+                assert points[n] == rs.simple_reflect_weight(
+                    letter, points[start + parent])
+        supports = {tuple(c != 0 for c in mu) for mu in core.seeds}
+        shared = shared or len(supports) < len(core.seeds)
+    assert shared or spec == "A1"
+
+
+@pytest.mark.parametrize("spec,seeds", [
+    # the second seed replays the first one's tree
+    ("B2", [(1, 1), (2, 1)]),
+    # a walked tree between the two seeds that share one
+    ("A3", [(1, 0, 1), (0, 2, 0), (3, 0, 2)]),
+    ("G2", [(0, 1), (1, 1), (0, 2), (3, 1)])])
+def test_cap_counts_a_replayed_block(spec, seeds):
+    # GroupTooLarge at one point more than the cap, where that point lies
+    # in the block of the last seed, a replayed one
+    rs = build_root_system(spec)
+    sizes = [len(orbit(rs, [seed], weyl_order(rs))[0]) for seed in seeds]
+    points, _ = orbit(rs, seeds, sum(sizes))
+    assert len(points) == sum(sizes)
+    with pytest.raises(GroupTooLarge):
+        orbit(rs, seeds, sum(sizes) - 1)
+    with pytest.raises(GroupTooLarge):
+        orbit(rs, seeds, sum(sizes) - sizes[-1])
+    assert len(orbit(rs, seeds[:-1], sum(sizes) - sizes[-1])[0]) == \
+        sum(sizes) - sizes[-1]
 
 
 # -- formal characters --------------------------------------------------

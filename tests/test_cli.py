@@ -143,11 +143,16 @@ _SKEWED_RHO = textwrap.dedent("""
     from flagheight.rootsys import build_root_system
 
     class Skewed:
-        # the root system with rho doubled: Weyl dimensions and Freudenthal
-        # multiplicities computed from it are not integers
+        # the root system with rho doubled, whose Freudenthal multiplicities
+        # are not integers, or without its first positive root, whose Weyl
+        # dimensions are not integers (a doubled rho only shifts a weight,
+        # and a Weyl dimension read off heights of coroots stays integral)
         def __init__(self, rs):
             self._rs = rs
-            self.rho = tuple(2 * r for r in rs.rho)
+            if sys.argv[1] == "char":
+                self.rho = tuple(2 * r for r in rs.rho)
+            else:
+                self.positive_roots = rs.positive_roots[1:]
 
         def __getattr__(self, name):
             return getattr(self._rs, name)
@@ -160,7 +165,7 @@ _SKEWED_RHO = textwrap.dedent("""
 def test_integrality_checks_survive_python_O():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    for argv, what in [(["dim", "--lambda", "1,0"], "Weyl dimension"),
+    for argv, what in [(["dim", "--lambda", "0,1"], "Weyl dimension"),
                        (["char", "--lambda", "1,1"], "Freudenthal")]:
         proc = subprocess.run(
             [sys.executable, "-O", "-c", _SKEWED_RHO, argv[0],
@@ -543,9 +548,9 @@ def test_cap_exceeded(capsys):
 
 def test_char_cap_checked_before_freudenthal(capsys, monkeypatch):
     def refuse(*args, **kwargs):
-        raise RuntimeError("freudenthal started before the cap check")
+        raise RuntimeError("the weight core was built before the cap check")
 
-    monkeypatch.setattr(cli, "freudenthal", refuse)
+    monkeypatch.setattr(cli, "WeightCore", refuse)
     code, out, err = run(capsys, "char", "--group", "A1",
                          "--lambda", "100000000")
     assert code == EXIT_CAP
@@ -572,9 +577,9 @@ def test_char_cap_is_the_dimension(capsys):
 def test_jantzen_refused_before_the_sum(capsys, monkeypatch, group, lam,
                                         code, message):
     def refuse(*args, **kwargs):
-        raise RuntimeError("jantzen_rhs started")
+        raise RuntimeError("the sum started")
 
-    monkeypatch.setattr(cli, "jantzen_rhs", refuse)
+    monkeypatch.setattr(cli, "rhs_on_seeds", refuse)
     exit_code, out, err = run(capsys, "jantzen-rhs", "--group", group,
                               "--theta", "", f"--lambda={lam}")
     assert exit_code == code

@@ -8,6 +8,13 @@ from hypothesis import given, settings, strategies as st
 from flagheight.cli import _dumps, _Table, _textval
 
 
+def by_weight(rows: dict, name: str, reverse: bool = False) -> _Table:
+    """The _Table of rows, weight -> value, in the order of the weights
+    (descending if reverse), as the CLI builds its tables."""
+    weights = sorted(rows, reverse=reverse)
+    return _Table(name, weights, [rows[mu] for mu in weights])
+
+
 def reference(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -50,7 +57,7 @@ def tables(draw):
     table = draw(st.dictionaries(st.tuples(*[ints] * width), ints,
                                  max_size=6))
     name = draw(keys.filter(lambda k: k != "weight"))
-    return _Table(table, name, reverse=draw(st.booleans()))
+    return by_weight(table, name, reverse=draw(st.booleans()))
 
 
 documents_with_tables = st.recursive(
@@ -151,7 +158,7 @@ def test_tables_of_bools_or_ragged_tuples_raise(columns):
     formatted, whether the value's name sorts before "weight" or after."""
     for name in ("mult", "zz"):
         with pytest.raises(TypeError):
-            _dumps({"weights": _Table(columns, name)})
+            _dumps({"weights": by_weight(columns, name)})
 
 
 def test_edge_cases():
@@ -160,18 +167,21 @@ def test_edge_cases():
                 {"%d": [{"%s": 1}]}, {"é\n": "☃\"\\"},
                 [{"w": [1, 2], "m": 3}, {"w": [4, 5], "m": True}],
                 [{"w": [1, 2]}, {"w": (3, 4)}], 7, "x", None,
-                _Table({}, "mult"), [_Table({}, "b"), _Table({}, "x")],
-                _Table({(): -2}, "%d"), _Table({(): 3}, "zz"),
-                {"t": _Table({(1, 2, 3): 10**40, (0, 0, 0): 1}, "%s")},
+                by_weight({}, "mult"),
+                [by_weight({}, "b"), by_weight({}, "x")],
+                by_weight({(): -2}, "%d"), by_weight({(): 3}, "zz"),
+                {"t": by_weight({(1, 2, 3): 10**40, (0, 0, 0): 1}, "%s")},
                 # text that spells the NaN a table leaves in json.dumps
                 {"NaN": "NaN", '": NaN,': ' ": NaN,', "NaN\n": " NaN\n",
-                 "t": _Table({(1,): 2}, "NaN")},
-                [" NaN", "NaN,\n", _Table({(0,): 1}, "c"), "NaN"],
-                _Table({(1,): 2, (3,): -4}, "mult"),
-                [_Table({(1,): 2}, "m"), _Table({(0, 1): 3, (2, 2): 0}, "m")],
-                [_Table({}, "c"), _Table({(1,): 1}, "c"), _Table({}, "c")],
-                {"a": _Table({}, "c"), "b": _Table({(2,): 5}, "c")},
-                {"x": {"a": 1, "z": _Table({(1, 2): 3}, "coeff")}, "y": 2},
-                [{"b": [_Table({(1,): 1}, "m")]}],
-                _Table({(7,): 1}, '%d"%%'), _Table({(7,): 1}, 'a"b\n')):
+                 "t": by_weight({(1,): 2}, "NaN")},
+                [" NaN", "NaN,\n", by_weight({(0,): 1}, "c"), "NaN"],
+                by_weight({(1,): 2, (3,): -4}, "mult"),
+                [by_weight({(1,): 2}, "m"),
+                 by_weight({(0, 1): 3, (2, 2): 0}, "m")],
+                [by_weight({}, "c"), by_weight({(1,): 1}, "c"),
+                 by_weight({}, "c")],
+                {"a": by_weight({}, "c"), "b": by_weight({(2,): 5}, "c")},
+                {"x": {"a": 1, "z": by_weight({(1, 2): 3}, "coeff")}, "y": 2},
+                [{"b": [by_weight({(1,): 1}, "m")]}],
+                by_weight({(7,): 1}, '%d"%%'), by_weight({(7,): 1}, 'a"b\n')):
         assert _dumps(doc) == reference(plain(doc)), doc

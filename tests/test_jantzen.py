@@ -1,10 +1,13 @@
+import contextlib
+import io
 import itertools
+import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from flagheight import charpoly, jantzen
-from flagheight.charpoly import formal_character
+from flagheight import charpoly, cli, jantzen
+from flagheight.charpoly import formal_character, freudenthal
 from flagheight.jantzen import (
     jantzen_rhs,
     jantzen_sizes,
@@ -264,6 +267,44 @@ def test_rhs_matches_per_weight_oracle(instance):
             jantzen_rhs(pd, lam)
     else:
         assert jantzen_rhs(pd, lam) == jantzen_rhs_per_weight(pd, lam)
+
+
+def _cli_doc(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(list(argv)) == 0
+    return json.loads(out.getvalue())
+
+
+def _records(table: dict, name: str, reverse: bool = False) -> list:
+    return [{"weight": list(mu), name: c}
+            for mu, c in sorted(table.items(), reverse=reverse)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_instances(), _instances(low=-3)))
+# G2 at (2, 2): five primes, so five tables from one sorted weight list
+@example((build_parabolic(build_root_system("G2"), set()), (2, 2)))
+def test_cli_tables_are_the_library_tables(instance):
+    # each table the CLI prints from one sorted list of the core's weights
+    # is the sorted records of the library's dict; for a dominant lambda,
+    # so is char's table of freudenthal
+    pd, lam = instance
+    if to_dominant_dotted(pd.rs, lam) is None:
+        return
+    group = str(pd.rs.spec)
+    weight = "--lambda=" + ",".join(map(str, lam))
+    theta = ",".join(str(i + 1) for i in sorted(pd.theta))
+    doc = _cli_doc("jantzen-rhs", "--group", group, "--theta", theta, weight)
+    rhs = jantzen_rhs(pd, lam)
+    assert doc["primes"] == {str(p): _records(rhs[p], "coeff")
+                             for p in sorted(rhs)}
+    assert doc["lambda0_component_zero"] is \
+        (not lambda0_component(rhs, pd, lam))
+    if pd.rs.is_dominant(lam):
+        doc = _cli_doc("char", "--group", group, weight)
+        assert doc["weights"] == _records(freudenthal(pd.rs, lam), "mult",
+                                          reverse=True)
 
 
 def test_rhs_matches_per_weight_oracle_on_f4():
