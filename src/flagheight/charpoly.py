@@ -242,9 +242,9 @@ def weyl_product(rs: RootSystem, lam0) -> tuple[int, int]:
     <a^vee, rho>: the Weyl dimension of lam0 is num / den.  ValueError
     unless lam0 is a dominant weight."""
     lam0 = rs.check_dominant(lam0)
-    shifted = tuple(l + r for l, r in zip(lam0, rs.rho))
-    num = math.prod(rs._pairing(shifted, beta) for beta in rs.positive_roots)
     # rho = (1, ..., 1): <a^vee, rho> is the height of the coroot
+    shifted = tuple(l + 1 for l in lam0)
+    num = math.prod(rs._pairing(shifted, beta) for beta in rs.positive_roots)
     den = math.prod(sum(beta.coroot) for beta in rs.positive_roots)
     return num, den
 

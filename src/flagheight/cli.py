@@ -135,11 +135,8 @@ def _core_tables(core, name: str, columns, reverse: bool = False) -> list:
     tables = []
     for column in columns:
         values = list(map(column.__getitem__, seeds))
-        if all(column):
-            tables.append(_Table(name, weights, values))
-        else:
-            tables.append(_Table(name, list(compress(weights, values)),
-                                 list(filter(None, values))))
+        tables.append(_Table(name, list(compress(weights, values)),
+                             list(filter(None, values))))
     return tables
 
 
@@ -323,17 +320,16 @@ def _jantzen_doc(args, rs, pd, lam) -> dict:
         raise GroupTooLarge(
             f"the weight tables of the sum at {list(lam)} are bounded by "
             f"dimension {dim}, exceeding the cap {args.cap}")
-    core, sums = rhs_on_seeds(pd, lam)
+    core, sums, at_lambda0 = rhs_on_seeds(pd, lam)
     primes = sorted(sums)
-    columns = [sums[p] for p in primes]
-    tables = _core_tables(core, "coeff", columns) if columns else []
+    tables = _core_tables(core, "coeff", [sums[p] for p in primes]) \
+        if primes else []
     return {
         "group": str(rs.spec),
         "theta": one_based(pd.theta),
         "lambda": list(lam),
         "primes": dict(zip(map(str, primes), tables)),
-        # seed 0 is the core's top, the normal form lambda0
-        "lambda0_component_zero": not any(column[0] for column in columns),
+        "lambda0_component_zero": not at_lambda0,
     }
 
 

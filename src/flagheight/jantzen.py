@@ -35,15 +35,17 @@ def jantzen_rhs(pd: ParabolicData, lam) -> dict:
     the sum_p (sum_mu c_{p,mu} mu) log p over primes, without zero entries.
     The W-invariant coefficients of each prime are those of rhs_on_seeds,
     expanded once over the points of its WeightCore."""
-    core, sums = rhs_on_seeds(pd, lam)
+    core, sums, _ = rhs_on_seeds(pd, lam)
     return {p: expand(core, acc) for p, acc in sums.items()}
 
 
 def rhs_on_seeds(pd: ParabolicData, lam) -> tuple:
-    """(core, sums): the sum of jantzen_rhs(pd, lam) on the seeds of one
-    WeightCore, sums[p][s] = c_{p,mu} at the seed mu of index s, for the
-    primes p with some c_{p,mu} != 0; (None, {}) if no term survives.  The
-    core's top, seed 0, is the normal form lam0 of lam.
+    """(core, sums, at_lam0): the sum of jantzen_rhs(pd, lam) on the seeds
+    of one WeightCore, sums[p][s] = c_{p,mu} at the seed mu of index s, for
+    the primes p with some c_{p,mu} != 0, and lambda0_component of that
+    sum, {p: c_{p,lam0}} without zeros, read off the core's top, seed 0,
+    which is the normal form lam0 of lam; (None, {}, {}) if no term
+    survives.
 
     Coefficients first: each term is reduced by to_dominant_dotted to
     +-chi of one dominant lam0, and its sign times the exponent of p in k
@@ -81,7 +83,7 @@ def rhs_on_seeds(pd: ParabolicData, lam) -> tuple:
     terms = {lam0: per_prime for lam0, per_prime in coeff.items()
              if any(per_prime.values())}
     if not terms:
-        return None, {}
+        return None, {}, {}
     core = WeightCore(rs, normal)
     sums: dict[int, list] = {}
     for lam0, per_prime in terms.items():
@@ -101,7 +103,7 @@ def rhs_on_seeds(pd: ParabolicData, lam) -> tuple:
                 raise InvariantViolation(
                     f"the sum at dominant {lam} has coefficient {c} "
                     f"at weight {core.seeds[acc.index(c)]} under log {p}")
-    return core, sums
+    return core, sums, {p: acc[0] for p, acc in sums.items() if acc[0]}
 
 
 def _lambda0(rs: RootSystem, lam) -> tuple:

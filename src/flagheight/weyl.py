@@ -109,7 +109,8 @@ def orbit(rs: RootSystem, seeds, cap: int):
     for seed in seeds:
         block = [seed]
         room = cap - len(points)  # the points this block may still add
-        support = tuple(map(bool, seed))
+        # the zero set, or False for a regular seed, which needs no tuple
+        support = 0 in seed and tuple(map(bool, seed))
         tree = trees.get(support)
         if tree is None:
             tree = trees[support] = [(-1, -1)]
@@ -143,8 +144,11 @@ def orbit(rs: RootSystem, seeds, cap: int):
         if len(tree) > room:
             raise GroupTooLarge(f"the orbits of {seeds} have more than "
                                 f"{cap} points, exceeding the cap {cap}")
-        points += block
         links += tree
+        if points:
+            points += block
+        else:  # the first block is not copied
+            points = block
     return points, links
 
 

@@ -145,8 +145,8 @@ _SKEWED_RHO = textwrap.dedent("""
     class Skewed:
         # the root system with rho doubled, whose Freudenthal multiplicities
         # are not integers, or without its first positive root, whose Weyl
-        # dimensions are not integers (a doubled rho only shifts a weight,
-        # and a Weyl dimension read off heights of coroots stays integral)
+        # dimensions are not integers (weyl_product reads rho as
+        # (1, ..., 1), so a doubled rho leaves a Weyl dimension alone)
         def __init__(self, rs):
             self._rs = rs
             if sys.argv[1] == "char":

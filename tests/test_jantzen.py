@@ -13,6 +13,7 @@ from flagheight.jantzen import (
     jantzen_sizes,
     lambda0_component,
     prime_factorization,
+    rhs_on_seeds,
 )
 from flagheight.parabolic import NotAmple, build_parabolic
 from flagheight.rootsys import InvariantViolation, build_root_system
@@ -299,8 +300,9 @@ def test_cli_tables_are_the_library_tables(instance):
     rhs = jantzen_rhs(pd, lam)
     assert doc["primes"] == {str(p): _records(rhs[p], "coeff")
                              for p in sorted(rhs)}
-    assert doc["lambda0_component_zero"] is \
-        (not lambda0_component(rhs, pd, lam))
+    at_lambda0 = lambda0_component(rhs, pd, lam)
+    assert rhs_on_seeds(pd, lam)[2] == at_lambda0
+    assert doc["lambda0_component_zero"] is (not at_lambda0)
     if pd.rs.is_dominant(lam):
         doc = _cli_doc("char", "--group", group, weight)
         assert doc["weights"] == _records(freudenthal(pd.rs, lam), "mult",
