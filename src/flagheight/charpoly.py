@@ -32,7 +32,7 @@ from operator import add, mul, sub
 
 from .parabolic import ParabolicData, check_ample, psi_grading
 from .rootsys import InvariantViolation, Root, RootSystem
-from .weyl import orbit, to_dominant_dotted, weyl_order
+from .weyl import orbit, to_dominant_dotted
 
 
 # ---------------------------------------------------------------------
@@ -275,15 +275,13 @@ class WeightCore:
     seed is then read off as the seeds of its points.
 
     Attributes: `seeds`, the dominant weights below top by depth, top
-    first; `index`, each seed's index; `below`, the root coordinates of
-    top - mu per seed; `strings`, per seed mu and positive root b with
-    mu + b a weight, ((b, mu), (b, b), the seed indices of mu + k b for
-    k = 1, 2, ... to the end of the string); `seed_of`, each weight of the
-    module (a point of the seeds' orbits, in the order of the walk) to
-    its seed's index."""
+    first; `below`, the root coordinates of top - mu per seed; `strings`,
+    per seed mu and positive root b with mu + b a weight, ((b, mu),
+    (b, b), the seed indices of mu + k b for k = 1, 2, ... to the end of
+    the string); `seed_of`, each weight of the module (a point of the
+    seeds' orbits, in the order of the walk) to its seed's index."""
 
-    __slots__ = ("rs", "top", "seeds", "index", "below", "strings",
-                 "seed_of")
+    __slots__ = ("rs", "top", "seeds", "below", "strings", "seed_of")
 
     def __init__(self, rs: RootSystem, top):
         top = rs.check_dominant(top)
@@ -312,7 +310,7 @@ class WeightCore:
         # the seeds by depth sum(below[mu]), top first; each heads the
         # block of its orbit's points, the one point there with no parent
         seeds = sorted(below, key=lambda mu: sum(below[mu]))
-        points, links = orbit(rs, seeds, weyl_order(rs) * len(seeds))
+        points, links = orbit(rs, seeds)
         seed_of, s = {}, -1
         for nu, (parent, _) in zip(points, links):
             if parent < 0:
@@ -331,7 +329,6 @@ class WeightCore:
                     row.append((sum(map(mul, bd, mu)), step, chain))
             strings.append(row)
         self.rs, self.top, self.seeds = rs, top, seeds
-        self.index = dict(zip(seeds, range(len(seeds))))
         self.below = [below[mu] for mu in seeds]
         self.strings, self.seed_of = strings, seed_of
 
@@ -347,8 +344,8 @@ def dominant_multiplicities(core: WeightCore, lam0) -> list:
     string stops at its first point whose seed is not below lam0, which
     has multiplicity 0."""
     rs, seeds, below = core.rs, core.seeds, core.below
-    i0 = core.index.get(lam0)
-    if i0 is None:
+    i0 = core.seed_of.get(lam0)  # a seed's own index
+    if i0 is None or seeds[i0] != lam0:
         raise InvariantViolation(
             f"{lam0} is not a dominant weight below {core.top}")
     base = below[i0]

@@ -11,7 +11,8 @@ refused by the library's one check of each rule with its message (a
 --lambda of the wrong length, a --theta index out of range, a weight that
 does not vanish on theta or is not ample, for char and dim one that is not
 dominant, for jantzen-rhs a singular rho + lambda, a bad localization
-vector), 4 enumeration size cap exceeded (for char: the module's
+vector), 4 enumeration size cap exceeded (for height and scan: the coset
+count |W|/|W_Theta|, refused before the walk; for char: the module's
 dimension, which bounds its weight table; for jantzen-rhs: its number of
 k-loop terms, or the dimension that bounds each of its weight tables), 5
 internal cross-check failure (for jantzen-rhs: a negative coefficient at a
@@ -405,10 +406,11 @@ _OPTION_GROUPS = {
                          help="Cartan spec, e.g. A3, B2xA1, D4")),
         ("--output", dict(choices=["json", "csv", "text"], default="json")),
         ("--cap", dict(type=_cap, default=DEFAULT_CAP,
-                       help="abort if a Weyl enumeration, for char the "
-                            "dimension of the module, or for jantzen-rhs "
-                            "its number of terms or the dimension bounding "
-                            "its weight tables, exceeds this size")),
+                       help="abort if height's coset count |W|/|W_Theta| "
+                            "(refused before the walk), for char the "
+                            "dimension of the module, or for jantzen-rhs its "
+                            "number of terms or the dimension bounding its "
+                            "weight tables, exceeds this size")),
         ("--print-numbering", dict(
             action="store_true",
             help="print the simple-root numbering table and exit")),

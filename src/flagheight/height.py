@@ -21,7 +21,7 @@ from fractions import Fraction
 from .charpoly import graded_part
 from .parabolic import ParabolicData, check_ample
 from .rootsys import InvariantViolation, RootSystem
-from .weyl import DEFAULT_CAP, _check_coset_count, orbit, w0_negates
+from .weyl import DEFAULT_CAP, coset_orbit, w0_negates
 
 
 class NotRegularY(ValueError):
@@ -145,8 +145,8 @@ def _localization_pass(pd: ParabolicData, lam, Y, cap: int, coeffs):
     Y is scaled by s, the lcm of the denominators of lam(Y) and of the
     entries of Y; then every root value and every phi is an integer.  The
     terms have degree 0 in Y, so s does not change the sum.  The W-orbit
-    of lam is walked first (its stabilizer is W_Theta, so each point is one
-    coset), so a cap is hit before any term is formed.  Each coset then
+    of lam is walked first (coset_orbit: its stabilizer is W_Theta, and
+    cap bounds the coset count before the walk).  Each coset then
     takes its phi, through phi(s_i w) = phi(w) - (w lam)_i Y_i, and the
     indices of w(Psi) in the list of all roots from its parent's, through
     a table of each s_i on that list: s_i(beta) = beta - <beta,
@@ -175,8 +175,7 @@ def _localization_pass(pd: ParabolicData, lam, Y, cap: int, coeffs):
                         for c, w in positive]
     index = {c: k for k, (c, _) in enumerate(roots)}
     value = [sum(c * y for c, y in zip(coords, ys)) for coords, _ in roots]
-    points, links = orbit(rs, [lam], cap)
-    _check_coset_count(rs, pd.theta, len(points))
+    points, links = coset_orbit(rs, lam, cap)
     paired = w0_negates(rs, ys)
     table = [[index[c[:i] + (c[i] - w[i],) + c[i + 1:]] for c, w in roots]
              for i in range(rs.rank)]
@@ -290,7 +289,7 @@ def height_all_methods(pd: ParabolicData, lam, Y=None,
     harmo-bott lists give equal sums on every input and one pass serves
     both; lists that differ are a disagreement on every input, and a second
     pass gives harmo-bott's value for the diagnostic.  The pass runs first
-    and walks the whole orbit before it forms any term, so that a cap is
+    and refuses a coset count above cap before its walk, so that a cap is
     hit before any kernel starts."""
     N, L = _dim_and_lcm(pd)
     fixed_point = _fixed_point_kernel(N, L)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import islice
-from operator import add, sub
+from operator import add, mul, sub
 
 from .rootsys import InvariantViolation, Root, RootSystem, one_based
 
@@ -58,27 +58,49 @@ class WeylElement:
         return beta
 
 
-def weyl_order(rs: RootSystem) -> int:
-    """|W_G|, the product of the degrees m_i + 1.  The exponents m_i are the
-    partition conjugate to the numbers of positive roots of each height
-    (Kostant 1959); for a product too, since the conjugate of a sum of
+def _order(roots) -> int:
+    """The order of the Weyl group of a list of positive roots: the
+    product of the degrees m_i + 1, the exponents m_i the partition
+    conjugate to the numbers of roots of each height, the first number the
+    rank (Kostant 1959); for a product too, since the conjugate of a sum of
     partitions is the union of the conjugates."""
-    per_height = Counter(beta.height() for beta in rs.positive_roots)
+    per_height = Counter(beta.height() for beta in roots)
     return math.prod(1 + sum(n >= i for n in per_height.values())
-                     for i in range(1, rs.rank + 1))
+                     for i in range(1, per_height[1] + 1))
+
+
+def weyl_order(rs: RootSystem) -> int:
+    """|W_G|, by `_order` on the positive roots."""
+    return _order(rs.positive_roots)
 
 
 def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_CAP) -> list[WeylElement]:
     """Complete enumeration of W_G as the orbit of rho."""
-    order = weyl_order(rs)
-    if order > cap:
-        raise GroupTooLarge(
-            f"Weyl group of {rs.spec} has order {order}, exceeding the cap {cap}")
-    _, links = orbit(rs, [rs.rho], cap)
-    return _elements(links)
+    return _elements(coset_orbit(rs, rs.rho, cap)[1])
 
 
-def orbit(rs: RootSystem, seeds, cap: int):
+def coset_orbit(rs: RootSystem, xi, cap: int):
+    """`orbit(rs, [xi])` for a dominant xi: one point per coset of
+    W / W_Theta, theta the zero set of xi.  W_Theta is the Weyl group of
+    the positive roots orthogonal to xi, whose heights there are their
+    heights in W, so |W| / |W_Theta| is counted first: GroupTooLarge above
+    cap before any point is built, InvariantViolation unless the walk
+    finds exactly that many."""
+    theta = [i for i, x in enumerate(xi) if not x]
+    count = weyl_order(rs) // _order(
+        [b for b in rs.positive_roots if not sum(map(mul, b.coords, xi))])
+    if count > cap:
+        raise GroupTooLarge(f"{rs.spec} has {count} cosets of W_Theta, theta="
+                            f"{one_based(theta)}, exceeding the cap {cap}")
+    points, links = orbit(rs, [xi])
+    if len(points) != count:
+        raise InvariantViolation(
+            f"the walk found {len(points)} cosets of W_Theta, theta="
+            f"{one_based(theta)}, not |W| / |W_Theta| = {count} for {rs.spec}")
+    return points, links
+
+
+def orbit(rs: RootSystem, seeds):
     """The W-orbits of the seeds (dominant tuples, no two in one orbit):
     (points, links), one block per seed in the order of seeds, the seed
     first and then its orbit length-first.  links[n] = (parent, letter)
@@ -91,9 +113,7 @@ def orbit(rs: RootSystem, seeds, cap: int):
     zero: the sign of (w xi)_k = <xi, w^-1 alpha_k^vee> depends only on w
     and on that zero set.  So the tree is walked for the first seed of each
     zero set, and every later seed of that set replays its links, with no
-    step scan and no wall check; their blocks share the link tuples.
-    GroupTooLarge once there are more than cap points; a replayed block is
-    counted before it is built."""
+    step scan and no wall check; their blocks share the link tuples."""
     A = rs.cartan_matrix
     moves = rs._neighbours
     ranks = range(rs.rank)
@@ -108,7 +128,6 @@ def orbit(rs: RootSystem, seeds, cap: int):
     points, links, trees = [], [], {}
     for seed in seeds:
         block = [seed]
-        room = cap - len(points)  # the points this block may still add
         # the zero set, or False for a regular seed, which needs no tuple
         support = 0 in seed and tuple(map(bool, seed))
         tree = trees.get(support)
@@ -130,9 +149,7 @@ def orbit(rs: RootSystem, seeds, cap: int):
                             child[k] -= pi * a
                         block.append(tuple(child))
                         tree.append((n, i))
-                if len(block) > room:
-                    break
-        elif len(tree) <= room:  # counted before it is built
+        else:
             for parent, i in islice(tree, 1, None):
                 p = block[parent]
                 pi = p[i]
@@ -141,9 +158,6 @@ def orbit(rs: RootSystem, seeds, cap: int):
                 for k, a in moves[i]:
                     child[k] -= pi * a
                 block.append(tuple(child))
-        if len(tree) > room:
-            raise GroupTooLarge(f"the orbits of {seeds} have more than "
-                                f"{cap} points, exceeding the cap {cap}")
         links += tree
         if points:
             points += block
@@ -165,15 +179,6 @@ def _elements(links) -> list[WeylElement]:
     return out
 
 
-def _check_coset_count(rs: RootSystem, theta, count: int) -> None:
-    order = weyl_order(rs)
-    if order % count:
-        raise InvariantViolation(
-            f"the {count} cosets of W_Theta, "
-            f"theta={one_based(theta)}, "
-            f"do not divide |W| = {order} for {rs.spec}")
-
-
 def coset_representatives(rs: RootSystem, theta, cap: int = DEFAULT_CAP) -> tuple:
     """Minimal-length representatives of W_G / W_Theta (theta 0-based,
     checked by RootSystem.check_theta), one per coset, in the length-first
@@ -184,10 +189,7 @@ def coset_representatives(rs: RootSystem, theta, cap: int = DEFAULT_CAP) -> tupl
     element per coset is ever materialized."""
     theta = rs.check_theta(theta)
     xi = tuple(0 if i in theta else 1 for i in range(rs.rank))
-    _, links = orbit(rs, [xi], cap)
-    reps = _elements(links)
-    _check_coset_count(rs, theta, len(reps))
-    return tuple(reps)
+    return tuple(_elements(coset_orbit(rs, xi, cap)[1]))
 
 
 # -- dotted action ----------------------------------------------------

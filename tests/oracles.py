@@ -29,7 +29,6 @@ from flagheight.weyl import (
     longest_element,
     orbit,
     to_dominant_dotted,
-    weyl_order,
 )
 
 
@@ -188,7 +187,7 @@ def freudenthal_by_dominant_lookup(rs, lam0, subset=None) -> dict:
     # over all of them come out of walks that share no tree
     table = {}
     for mu, m in dom_mult.items():
-        points, _ = orbit(rs, [mu], weyl_order(rs))
+        points, _ = orbit(rs, [mu])
         table.update(dict.fromkeys(points, m))
     return table
 

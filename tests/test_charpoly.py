@@ -21,7 +21,7 @@ from flagheight.charpoly import (
 )
 from flagheight.parabolic import NotAmple, build_parabolic, psi_grading
 from flagheight.rootsys import RootSystem, build_root_system
-from flagheight.weyl import GroupTooLarge, orbit, weyl_order
+from flagheight.weyl import orbit
 from oracles import (
     NotRegular,
     _bfs_orbit_expansion,
@@ -510,11 +510,11 @@ def test_shared_walks_match_a_walk_of_each_seed(spec):
         core = WeightCore(rs, top)
         expected = {}
         for s, seed in enumerate(core.seeds):
-            points, _ = orbit(rs, [seed], weyl_order(rs))
+            points, _ = orbit(rs, [seed])
             expected.update(dict.fromkeys(points, s))
         assert list(core.seed_of.items()) == list(expected.items())
 
-        points, links = orbit(rs, core.seeds, len(expected))
+        points, links = orbit(rs, core.seeds)
         assert points == list(expected)
         start = 0
         for n, (parent, letter) in enumerate(links):
@@ -527,27 +527,6 @@ def test_shared_walks_match_a_walk_of_each_seed(spec):
         supports = {tuple(c != 0 for c in mu) for mu in core.seeds}
         shared = shared or len(supports) < len(core.seeds)
     assert shared or spec == "A1"
-
-
-@pytest.mark.parametrize("spec,seeds", [
-    # the second seed replays the first one's tree
-    ("B2", [(1, 1), (2, 1)]),
-    # a walked tree between the two seeds that share one
-    ("A3", [(1, 0, 1), (0, 2, 0), (3, 0, 2)]),
-    ("G2", [(0, 1), (1, 1), (0, 2), (3, 1)])])
-def test_cap_counts_a_replayed_block(spec, seeds):
-    # GroupTooLarge at one point more than the cap, where that point lies
-    # in the block of the last seed, a replayed one
-    rs = build_root_system(spec)
-    sizes = [len(orbit(rs, [seed], weyl_order(rs))[0]) for seed in seeds]
-    points, _ = orbit(rs, seeds, sum(sizes))
-    assert len(points) == sum(sizes)
-    with pytest.raises(GroupTooLarge):
-        orbit(rs, seeds, sum(sizes) - 1)
-    with pytest.raises(GroupTooLarge):
-        orbit(rs, seeds, sum(sizes) - sizes[-1])
-    assert len(orbit(rs, seeds[:-1], sum(sizes) - sizes[-1])[0]) == \
-        sum(sizes) - sizes[-1]
 
 
 # -- formal characters --------------------------------------------------

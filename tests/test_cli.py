@@ -15,7 +15,7 @@ from datetime import timedelta
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from flagheight import cli, height, jantzen
+from flagheight import cli, height, jantzen, weyl
 from flagheight.cli import (
     EXIT_CAP,
     EXIT_CROSSCHECK,
@@ -24,6 +24,7 @@ from flagheight.cli import (
     EXIT_PARSE,
     main,
 )
+from flagheight.rootsys import build_root_system
 
 
 def run(capsys, *argv):
@@ -180,7 +181,7 @@ _BAD_WEYL_ORDER = textwrap.dedent("""
     import sys
     from flagheight import cli, weyl
 
-    # an order that no coset count divides
+    # an order that the 6 cosets of the A2 Borel do not meet
     weyl.weyl_order = lambda rs: 7
     sys.exit(cli.main(sys.argv[1:]))
 """)
@@ -194,7 +195,8 @@ def test_coset_count_check_survives_python_O():
          "--group", "A2", "--theta", "", "--lambda", "1,1"],
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == EXIT_CROSSCHECK, proc.stderr
-    assert "do not divide |W| = 7" in proc.stderr
+    assert "found 6 cosets of W_Theta, theta=[], not |W| / |W_Theta| = 7" \
+        in proc.stderr
     assert proc.stdout == ""
 
 
@@ -877,6 +879,24 @@ def test_cap_exceeded_before_substitution(capsys, monkeypatch):
                          "--cap", "100")
     assert code == EXIT_CAP
     assert "100" in err and out == ""
+
+
+def test_cap_refused_before_the_walk(capsys, monkeypatch):
+    # the E8 Borel has 696729600 cosets: refused at the default cap with
+    # no point walked, as are the Weyl enumerations of E7 and E8
+    def refuse(*args):
+        raise RuntimeError("a point was walked before the cap check")
+
+    monkeypatch.setattr(weyl, "orbit", refuse)
+    for method in ("fixed-point", "all"):
+        code, out, err = run(capsys, "height", "--group", "E8", "--theta", "",
+                             "--lambda", "1,1,1,1,1,1,1,1", "--method", method)
+        assert code == EXIT_CAP and out == ""
+        assert "696729600" in err and "cap 1000000" in err
+    with pytest.raises(weyl.GroupTooLarge):
+        weyl.enumerate_weyl(build_root_system("E7"))
+    with pytest.raises(weyl.GroupTooLarge):
+        weyl.coset_representatives(build_root_system("E8"), ())
 
 
 @pytest.mark.parametrize("spaced,joined", [

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from flagheight import height
+from flagheight import height, weyl
 from flagheight.height import (
     HeightResult,
     MethodDisagreement,
@@ -394,11 +394,11 @@ def test_all_methods_walks_each_orbit_once(spec, monkeypatch):
     # one walk of the orbit of lam feeds both localisation kernels
     walks = []
 
-    def counted(rs, seeds, cap):
+    def counted(rs, seeds):
         walks.append(seeds)
-        return orbit(rs, seeds, cap)
+        return orbit(rs, seeds)
 
-    monkeypatch.setattr(height, "orbit", counted)
+    monkeypatch.setattr(weyl, "orbit", counted)
     for pd, lam in all_parabolics(spec):
         walks.clear()
         height_all_methods(pd, lam)

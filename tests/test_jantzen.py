@@ -178,9 +178,9 @@ def test_rhs_runs_freudenthal_once_per_weight(monkeypatch, spec, lam, runs):
     walks, calls = [], []
     walk, recursion = charpoly.orbit, jantzen.dominant_multiplicities
 
-    def counted_walk(rs, seeds, cap):
+    def counted_walk(rs, seeds):
         walks.append(seeds)
-        return walk(rs, seeds, cap)
+        return walk(rs, seeds)
 
     def counted(core, lam0):
         calls.append(lam0)

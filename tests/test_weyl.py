@@ -13,8 +13,9 @@ from flagheight.height import (
 from flagheight.parabolic import NotAmple, build_parabolic
 from flagheight.rootsys import InvariantViolation, build_root_system
 from flagheight.weyl import (
+    DEFAULT_CAP,
     GroupTooLarge,
-    _check_coset_count,
+    coset_orbit,
     coset_representatives,
     dotted_act,
     enumerate_weyl,
@@ -159,6 +160,19 @@ def test_cap_is_the_coset_count(spec, theta):
         height_fixed_point(pd, xi, cap=count - 1)
     with pytest.raises(GroupTooLarge):
         coset_representatives(rs, theta, cap=count - 1)
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "C3", "G2", "D4", "B2xA1"])
+def test_coset_orbit_counts_every_levi(spec):
+    # |W_Theta| by Kostant's rule on the positive roots orthogonal to xi,
+    # for every theta, the disconnected Levis among them ({1, 3} of A3 is
+    # A1 x A1), and for coordinates of xi other than 1 off theta
+    rs = build_root_system(spec)
+    for size in range(rs.rank + 1):
+        for theta in itertools.combinations(range(rs.rank), size):
+            xi = tuple(0 if i in theta else i + 1 for i in range(rs.rank))
+            points, _ = coset_orbit(rs, xi, DEFAULT_CAP)
+            assert len(points) == weyl_order(rs) // subgroup_order(rs, theta)
 
 
 def test_coset_orbit_rejects_non_dominant():
@@ -349,7 +363,13 @@ def test_w0_negates_is_opposition_symmetry(spec, moved):
     assert w0_negates(rs, ys[2]) != moved
 
 
-def test_coset_count_check_names_theta_one_based():
-    # 4 does not divide |W(A2)| = 6; theta {1} is node 2 on the CLI
-    with pytest.raises(InvariantViolation, match=r"theta=\[2\], do not "):
-        _check_coset_count(build_root_system("A2"), frozenset({1}), 4)
+def test_coset_count_check_names_theta_one_based(monkeypatch):
+    # a walk one point short of the 3 cosets of A2 / W_Theta, theta {1},
+    # which is node 2 on the CLI
+    walk = weyl.orbit
+    monkeypatch.setattr(weyl, "orbit", lambda rs, seeds: tuple(
+        part[:-1] for part in walk(rs, seeds)))
+    with pytest.raises(InvariantViolation,
+                       match=r"found 2 cosets of W_Theta, theta=\[2\], not "
+                             r"\|W\| / \|W_Theta\| = 3 for A2$"):
+        coset_orbit(build_root_system("A2"), (1, 0), DEFAULT_CAP)
